@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
-from chernlab.metric import (DiagonalCutoff, SampledMetricSpace, chi_profile,
-                             delta_alpha, diagonal_decay_experiment,
+from chernlab.metric import (DiagonalCutoff, SampledMetricSpace, _offset_ladder,
+                             chi_profile, delta_alpha, diagonal_decay_experiment,
                              estimate_holder_seminorm)
 
 
@@ -82,6 +82,99 @@ class TestSeminorm:
         assert est.pairs_used <= 3 * 8192
 
 
+def _rolled_scan(vals, x, alpha, pair_cap):
+    """Brute-force reference: the product-grid scan with both axes rolled
+    in full for every shift."""
+    m = x.size
+    per_axis = max(2, int(math.isqrt(max(1, pair_cap // (m * m)))))
+    offs1, t1 = _offset_ladder(m // 2, per_axis)
+    offs2, t2 = _offset_ladder(m // 2, per_axis)
+    best, used = 0.0, 0
+    for o1 in [0] + offs1:
+        for o2 in [0] + offs2 + [-o for o in offs2]:
+            if o1 == 0 and o2 <= 0:
+                continue
+            dist = max(float(x.arc(o1)), float(x.arc(abs(o2))))
+            shifted = np.roll(np.roll(vals, -o1, axis=0), -o2, axis=1)
+            best = max(best, np.max(np.abs(vals - shifted)) / dist ** alpha)
+            used += m * m
+    return best, t1 or t2, used
+
+
+def _on_diagonals(m, ks, seed):
+    """Random complex values on the diagonals b - a = k (mod m), k in ks."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(m)
+    vals = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    keep = np.isin((idx[None, :] - idx[:, None]) % m, np.asarray(ks) % m)
+    return np.where(keep, vals, 0.0)
+
+
+def _constant_diagonals(m, consts):
+    """vals[a, a + k] = consts[k].  With nearly equal neighbours the largest
+    quotient comes from the peak diagonal meeting a dead one."""
+    vals = np.zeros((m, m), dtype=complex)
+    for k, c in consts.items():
+        vals[np.arange(m), (np.arange(m) + k) % m] = c
+    return vals
+
+
+def _cutoff_difference(m, j):
+    """Delta_j (1 tensor f - f tensor 1) as the decay experiment builds it."""
+    f = lacunary_series(BoundedSequence.constant(1.0), 0.9, 6)
+    fv = f.evaluate_grid(SampledMetricSpace.circle(m).angles())
+    idx = np.arange(m)
+    off = np.abs(idx[None, :] - idx[:, None])
+    dmat = 2.0 * np.pi * np.minimum(off, m - off) / m
+    return chi_profile(j * dmat) * (fv[None, :] - fv[:, None])
+
+
+class TestBandedTorusScan:
+    """The live-diagonal scan equals the full double-roll scan bit for bit."""
+
+    CASES = {
+        "full support": (24, lambda m: _on_diagonals(m, range(m), 0), None),
+        "full support odd": (63, lambda m: _on_diagonals(m, range(m), 1), None),
+        "band across the seam": (32, lambda m: _on_diagonals(m, range(-3, 4), 2), None),
+        "band off the diagonal": (32, lambda m: _on_diagonals(m, range(5, 9), 3), None),
+        "two clusters": (40, lambda m: _on_diagonals(m, [-9, -8, 2, 3, 17], 4), None),
+        "single diagonal": (32, lambda m: _on_diagonals(m, [7], 5), None),
+        "single diagonal odd": (97, lambda m: _on_diagonals(m, [0], 6), None),
+        "peak diagonal against a dead shift":
+            (32, lambda m: _constant_diagonals(m, {-1: 9.9, 0: 10, 1: 9.9, 2: 9.9}), None),
+        "shifted peak against a dead diagonal":
+            (32, lambda m: _constant_diagonals(m, {-1: 9.9, 0: 9.9, 1: 10, 2: 9.9}), None),
+        "all zero": (32, lambda m: np.zeros((m, m), dtype=complex), None),
+        "cutoff band odd": (97, lambda m: _cutoff_difference(m, 4), None),
+        "cutoff band truncated": (64, lambda m: _cutoff_difference(m, 2), 200_000),
+        "full support truncated": (48, lambda m: _on_diagonals(m, range(m), 7), 50_000),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_matches_rolled_scan(self, case, alpha):
+        m, build, cap = self.CASES[case]
+        cap = cap or 10_000_000
+        vals = build(m)
+        x = SampledMetricSpace.torus(m)
+        est = estimate_holder_seminorm(vals, x, alpha, pair_cap=cap, details=True)
+        value, truncated, used = _rolled_scan(vals, x, alpha, cap)
+        assert est.value == value
+        assert est.truncated == truncated
+        assert est.pairs_used == used
+        if "truncated" in case:
+            assert est.truncated
+
+    def test_circle_scan_matches_rolled_scan(self):
+        x = SampledMetricSpace.circle(97)
+        vals = _on_diagonals(97, range(97), 8)[0]
+        vals[0], vals[-1] = 5.0, -5.0  # the largest jump straddles the seam
+        offsets, _ = _offset_ladder(48, 10_000_000 // 97)
+        ref = max(np.max(np.abs(vals - np.roll(vals, -o))) / float(x.arc(o)) ** 0.4
+                  for o in offsets)
+        assert estimate_holder_seminorm(vals, x, 0.4) == ref
+
+
 class TestDeltaAlpha:
     def test_odd_under_swap(self):
         f = FourierSeries("circle", {2: 1.0 + 0.5j}, False)
@@ -130,6 +223,14 @@ class TestDecayExperiment:
         f = FourierSeries.monomial(1, exact=False)
         with pytest.raises(ValueError):
             diagonal_decay_experiment(f, 0.9, 0.5)
+
+    def test_cutoff_empty_on_the_grid_is_rejected(self):
+        # 64 * 2 pi / 128 = pi: the cutoff is 0 at every off-diagonal pair
+        f = FourierSeries.monomial(1, exact=False)
+        x = SampledMetricSpace.circle(128)
+        assert chi_profile(64 * x.arc(1)) == 0
+        with pytest.raises(ValueError, match="j=\\[64\\]"):
+            diagonal_decay_experiment(f, 0.3, 0.9, [2, 64], x)
 
     def test_csv_is_deterministic(self):
         ones = BoundedSequence.constant(1.0)
