@@ -16,24 +16,20 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from .scalars import QGauss
-from .series import (BoundedSequence, FourierSeries, lacunary_series,
-                     multiply, series_to_text)
+from .series import BoundedSequence, FourierSeries, lacunary_series, series_to_text
 from .operators import (OperatorModel, SparseOperator, TruncationWindow,
-                        commutator, compose, multiplication_operator,
-                        product_diagonal, rho_exact_terms, singular_values,
-                        surd_sum_equal, torus_phase_kernel_rho, weak_quasinorm)
-from .tracemean import (DiagonalSequence, diagonal_of, dyadic_schedule,
-                        log_mean, probe)
+                        commutator, multiplication_operator, rho_exact_terms,
+                        singular_values, surd_sum_equal, weak_quasinorm)
+from .tracemean import diagonal_of, dyadic_schedule, log_mean, probe
 from .cocycles import (CocycleConsistencyError, FredholmModuleSpec,
                        check_cyclicity, check_hochschild_cocycle,
-                       connes_chern_constant, cross_check_wedge_paths,
-                       eval_c_omega, eval_c_omega_wedge, eval_ch_CC,
-                       eval_h_omega, pairing_normalization,
+                       connes_chern_constant, eval_c_omega, eval_c_omega_wedge,
+                       eval_ch_CC, eval_h_omega, pairing_normalization,
                        szego_pair_diagonal, torus_diagonal_kernel,
                        torus_diagonal_operator)
 from .chains import LaurentChain, boundary_b, cyclic_lambda, pair, wedge
-from .metric import (SampledMetricSpace, chi_profile, delta_alpha,
-                     diagonal_decay_experiment, estimate_holder_seminorm)
+from .metric import (SampledMetricSpace, chi_profile, diagonal_decay_experiment,
+                     estimate_holder_seminorm)
 
 __all__ = ["REGISTRY", "Assertion", "ExperimentReport", "ExperimentSpec",
            "run_experiment", "ConfigError"]

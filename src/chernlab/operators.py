@@ -11,10 +11,11 @@ instead of silently biased.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,14 +36,6 @@ __all__ = [
 
 class WindowLeakageError(ValueError):
     """Raised when a truncation window is too small for an exact answer."""
-
-
-def _obj_array(items) -> np.ndarray:
-    # np.array on a list of tuples builds a 2-D array; keep tuples as objects
-    arr = np.empty(len(items), dtype=object)
-    for i, it in enumerate(items):
-        arr[i] = it
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +99,12 @@ class OperatorModel:
 # truncation windows
 # ---------------------------------------------------------------------------
 
-def _torus_shells(n_shells: int) -> Tuple[List[TorusIndex], List[int], List[int]]:
+@functools.lru_cache(maxsize=None)
+def _torus_shells(n_shells: int) -> Tuple[Tuple[TorusIndex, ...], int]:
     """Lattice points of the first n_shells distinct values of |k|^2.
 
-    Returns (points in canonical order, shell id per point, distinct norms).
+    Returns (points in canonical order, the largest retained |k|^2), as
+    immutable values because they are computed once per n_shells.
     Canonical order: increasing |k|^2, ties lexicographic by (k1, k2).
     """
     radius = int(math.isqrt(2 * n_shells)) + 2
@@ -122,13 +117,9 @@ def _torus_shells(n_shells: int) -> Tuple[List[TorusIndex], List[int], List[int]
         if len(complete) >= n_shells:
             break
         radius *= 2
-    lam = complete[:n_shells]
-    lam_max = lam[-1]
+    lam_max = complete[:n_shells][-1]
     kept = sorted((i * i + j * j, i, j) for (i, j) in pts if i * i + j * j <= lam_max)
-    points = [(i, j) for (_, i, j) in kept]
-    shell_of = {q: s for s, q in enumerate(lam)}
-    shells = [shell_of[q] for (q, _, _) in kept]
-    return points, shells, lam
+    return tuple((i, j) for (_, i, j) in kept), lam_max
 
 
 @dataclass(frozen=True)
@@ -178,11 +169,12 @@ class TruncationWindow:
             return -self.size <= k <= self.size
         if self.kind == "circle_one_sided":
             return 0 <= k <= self.size
-        pts, _, lam = _torus_shells(self.size)
-        return k[0] * k[0] + k[1] * k[1] <= lam[-1]
+        _, lam_max = _torus_shells(self.size)
+        return k[0] * k[0] + k[1] * k[1] <= lam_max
 
-    def points(self) -> list:
-        """Canonical diagonal ordering of the window's indices."""
+    def points(self) -> Sequence:
+        """Canonical diagonal ordering of the window's indices (a shared
+        tuple on the torus)."""
         if self.kind == "circle_one_sided":
             return list(range(self.size + 1))
         if self.kind == "circle_symmetric":
@@ -190,14 +182,7 @@ class TruncationWindow:
             for k in range(1, self.size + 1):
                 out.extend([-k, k])
             return out
-        pts, _, _ = _torus_shells(self.size)
-        return pts
-
-    def shell_norms(self) -> list:
-        if self.kind != "torus_shells":
-            raise ValueError("shell norms exist only for torus windows")
-        _, _, lam = _torus_shells(self.size)
-        return lam
+        return _torus_shells(self.size)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +193,38 @@ def _norm_inf(k: FrequencyIndex, domain: str) -> int:
     return abs(k) if domain == "circle" else max(abs(k[0]), abs(k[1]))
 
 
+def _linear_index(domain: str, bound: int, idx) -> np.ndarray:
+    """Box positions of frequency indices: k + W on the circle and
+    (k1 + W)(2W + 1) + (k2 + W) on the torus."""
+    if domain == "circle":
+        return np.asarray(idx, dtype=np.int64) + bound
+    k = np.asarray(idx, dtype=np.int64).reshape(-1, 2)
+    return (k[:, 0] + bound) * (2 * bound + 1) + (k[:, 1] + bound)
+
+
+def _frequency_index(domain: str, bound: int, pos: np.ndarray) -> list:
+    """Inverse of _linear_index, as Python ints (circle) or int pairs."""
+    if domain == "circle":
+        return (pos - bound).tolist()
+    k1, k2 = np.divmod(pos, 2 * bound + 1)
+    return list(zip((k1 - bound).tolist(), (k2 - bound).tolist()))
+
+
+def _concat(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+def _band(domain: str, bound: int, f) -> tuple:
+    """Linear positions of the box columns c whose row c + f is also in
+    the box (in frequency order), and the position offset from c to c + f."""
+    side = 2 * bound + 1
+    if domain == "circle":
+        return np.arange(max(0, -f), min(side, side - f), dtype=np.int64), f
+    c1 = np.arange(max(0, -f[0]), min(side, side - f[0]), dtype=np.int64)
+    c2 = np.arange(max(0, -f[1]), min(side, side - f[1]), dtype=np.int64)
+    return (c1[:, None] * side + c2).ravel(), f[0] * side + f[1]
+
+
 @dataclass
 class SparseOperator:
     """Sparse matrix over frequency indices within a symmetric box window.
@@ -216,8 +233,13 @@ class SparseOperator:
     exact_col_radius: columns with |k|_inf <= this radius carry the full
         untruncated operator column; reads outside it raise.
     bandwidth: max |row - col|_inf over entries.
-    Entries are an exact dict {(row, col): QGauss} when exact, else
-    parallel numpy coordinate arrays.
+
+    A float operator holds read-only coordinate arrays: int64 linear box
+    positions (circle k + W, torus (k1 + W)(2W + 1) + (k2 + W)) and
+    complex128 values.  Its CSR matrix is built on the first to_csr() and
+    shared afterwards.  An exact operator holds a dict {(row, col): QGauss}
+    keyed by frequency indices; it exists for the finite-rank traces and
+    chain identities, and converts to its float form once.
     """
 
     domain: str
@@ -229,25 +251,33 @@ class SparseOperator:
     rows: np.ndarray | None = None
     cols: np.ndarray | None = None
     vals: np.ndarray | None = None
+    _float: SparseOperator | None = field(default=None, repr=False, compare=False)
+    _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     # -- constructors ----------------------------------------------------
+
+    @staticmethod
+    def _from_arrays(domain: str, bound: int, rows, cols, vals,
+                     exact_col_radius: int, bandwidth: int) -> "SparseOperator":
+        """A float operator over linear box positions (see _linear_index)."""
+        op = SparseOperator(domain, bound, False, exact_col_radius, bandwidth, {},
+                            np.asarray(rows, np.int64), np.asarray(cols, np.int64),
+                            np.asarray(vals, np.complex128))
+        for arr in (op.rows, op.cols, op.vals):
+            arr.setflags(write=False)
+        return op
 
     @staticmethod
     def from_dict(domain: str, bound: int, entries: dict, exact: bool,
                   exact_col_radius: int, bandwidth: int) -> "SparseOperator":
         if exact:
-            ent = {k: QGauss.of(v) for k, v in entries.items() if not QGauss.of(v).is_zero()}
+            ent = {k: q for k, q in ((k, QGauss.of(v)) for k, v in entries.items()) if q}
             return SparseOperator(domain, bound, True, exact_col_radius, bandwidth, ent)
-        op = SparseOperator(domain, bound, False, exact_col_radius, bandwidth, {})
         items = [(r, c, complex(v)) for (r, c), v in entries.items() if v != 0]
-        if domain == "circle":
-            op.rows = np.array([r for r, _, _ in items], dtype=np.int64)
-            op.cols = np.array([c for _, c, _ in items], dtype=np.int64)
-        else:
-            op.rows = _obj_array([r for r, _, _ in items])
-            op.cols = _obj_array([c for _, c, _ in items])
-        op.vals = np.array([v for _, _, v in items], dtype=np.complex128)
-        return op
+        return SparseOperator._from_arrays(
+            domain, bound, _linear_index(domain, bound, [r for r, _, _ in items]),
+            _linear_index(domain, bound, [c for _, c, _ in items]),
+            [v for _, _, v in items], exact_col_radius, bandwidth)
 
     @staticmethod
     def identity(domain: str, bound: int, exact: bool = True) -> "SparseOperator":
@@ -260,14 +290,25 @@ class SparseOperator:
 
     @staticmethod
     def diagonal_phase(op: OperatorModel, bound: int) -> "SparseOperator":
-        """The phase operator itself, truncated to the box window."""
-        exact = op.kind in ("szego_P", "circle_F")
-        if op.domain == "circle":
-            ent = {(k, k): op.phase(k) for k in range(-bound, bound + 1)}
-        else:
-            ent = {((i, j), (i, j)): op.phase((i, j))
-                   for i in range(-bound, bound + 1) for j in range(-bound, bound + 1)}
-        return SparseOperator.from_dict(op.domain, bound, ent, exact, bound, 0)
+        """The phase operator itself, truncated to the box window.
+
+        The circle phases (values 0 and +-1) are exact: their dict shares
+        two QGauss constants and their float form is set from the
+        vectorized phase, so no entry goes through QGauss arithmetic.
+        """
+        if op.domain == "torus":
+            pos = np.arange((2 * bound + 1) ** 2)
+            vals = [op.phase((i, j)) for i in range(-bound, bound + 1)
+                    for j in range(-bound, bound + 1)]
+            return SparseOperator._from_arrays("torus", bound, pos, pos, vals, bound, 0)
+        phase = op.phase_array(np.arange(-bound, bound + 1, dtype=np.int64))
+        pos = np.flatnonzero(phase)
+        unit = {1: QGauss.of(1), -1: QGauss.of(-1)}
+        ent = {(k, k): unit[p] for k, p in zip((pos - bound).tolist(), phase[pos].tolist())}
+        out = SparseOperator("circle", bound, True, bound, 0, ent)
+        out._float = SparseOperator._from_arrays("circle", bound, pos, pos,
+                                                 phase[pos], bound, 0)
+        return out
 
     # -- basic queries -----------------------------------------------------
 
@@ -276,76 +317,61 @@ class SparseOperator:
 
     def items(self):
         if self.exact:
-            for (r, c), v in self.entries.items():
-                yield r, c, v
+            yield from ((r, c, v) for (r, c), v in self.entries.items())
         else:
-            for r, c, v in zip(self.rows, self.cols, self.vals):
-                if self.domain == "circle":
-                    yield int(r), int(c), v
-                else:
-                    yield tuple(r), tuple(c), v
+            yield from zip(_frequency_index(self.domain, self.bound, self.rows),
+                           _frequency_index(self.domain, self.bound, self.cols),
+                           self.vals)
 
     def to_float(self) -> "SparseOperator":
+        """The float form; an exact operator converts once and keeps it."""
         if not self.exact:
             return self
-        ent = {(r, c): v.to_complex() for (r, c), v in self.entries.items()}
-        return SparseOperator.from_dict(self.domain, self.bound, ent, False,
-                                        self.exact_col_radius, self.bandwidth)
+        if self._float is None:
+            ent = {(r, c): v.to_complex() for (r, c), v in self.entries.items()}
+            self._float = SparseOperator.from_dict(
+                self.domain, self.bound, ent, False, self.exact_col_radius, self.bandwidth)
+        return self._float
 
     def entry(self, r, c):
         if self.exact:
             return self.entries.get((r, c), QGauss())
-        mask = (self.rows == r) & (self.cols == c) if self.domain == "circle" else \
-            np.array([(rr, cc) == (r, c) for rr, cc in zip(self.rows, self.cols)])
-        total = self.vals[mask].sum() if len(self.vals) else 0j
-        return complex(total)
+        if max(_norm_inf(r, self.domain), _norm_inf(c, self.domain)) > self.bound:
+            return 0j
+        ri, ci = _linear_index(self.domain, self.bound, [r, c])
+        mask = (self.rows == ri) & (self.cols == ci)
+        return complex(self.vals[mask].sum())
 
     def adjoint(self) -> "SparseOperator":
         if self.exact:
             ent = {(c, r): v.conjugate() for (r, c), v in self.entries.items()}
             return SparseOperator.from_dict(self.domain, self.bound, ent, True,
                                             self.exact_col_radius, self.bandwidth)
-        op = SparseOperator(self.domain, self.bound, False, self.exact_col_radius,
-                            self.bandwidth, {})
-        op.rows, op.cols, op.vals = self.cols, self.rows, np.conj(self.vals)
-        return op
+        return SparseOperator._from_arrays(self.domain, self.bound, self.cols, self.rows,
+                                           np.conj(self.vals), self.exact_col_radius,
+                                           self.bandwidth)
 
     # -- scipy bridge ------------------------------------------------------
-
-    def _linear_index(self, idx) -> np.ndarray:
-        w = self.bound
-        if self.domain == "circle":
-            return np.asarray(idx, dtype=np.int64) + w
-        arr = np.array([(k[0] + w) * (2 * w + 1) + (k[1] + w) for k in idx], dtype=np.int64)
-        return arr
 
     def dim(self) -> int:
         return 2 * self.bound + 1 if self.domain == "circle" else (2 * self.bound + 1) ** 2
 
     def to_csr(self) -> sp.csr_matrix:
+        """The complex128 CSR matrix, built on the first call and shared
+        afterwards; callers must not modify it."""
         f = self.to_float()
-        n = self.dim()
-        if f.vals is None or len(f.vals) == 0:
-            return sp.csr_matrix((n, n), dtype=np.complex128)
-        r = f._linear_index(f.rows)
-        c = f._linear_index(f.cols)
-        return sp.csr_matrix((f.vals, (r, c)), shape=(n, n))
+        if f._csr is None:
+            n = f.dim()
+            f._csr = (sp.csr_matrix((f.vals, (f.rows, f.cols)), shape=(n, n))
+                      if len(f.vals) else sp.csr_matrix((n, n), dtype=np.complex128))
+        return f._csr
 
     @staticmethod
     def from_csr(mat: sp.spmatrix, domain: str, bound: int,
                  exact_col_radius: int, bandwidth: int) -> "SparseOperator":
         coo = mat.tocoo()
-        w = bound
-        op = SparseOperator(domain, bound, False, exact_col_radius, bandwidth, {})
-        if domain == "circle":
-            op.rows = coo.row.astype(np.int64) - w
-            op.cols = coo.col.astype(np.int64) - w
-        else:
-            side = 2 * w + 1
-            op.rows = _obj_array([(int(r) // side - w, int(r) % side - w) for r in coo.row])
-            op.cols = _obj_array([(int(c) // side - w, int(c) % side - w) for c in coo.col])
-        op.vals = coo.data.astype(np.complex128)
-        return op
+        return SparseOperator._from_arrays(domain, bound, coo.row, coo.col, coo.data,
+                                           exact_col_radius, bandwidth)
 
     def diagonal_value(self, k) -> object:
         """Exact-or-float diagonal entry at frequency k; range-checked."""
@@ -401,61 +427,48 @@ def commutator(op: OperatorModel, a: FourierSeries, w: TruncationWindow | int) -
 def _commutator_circle(op: OperatorModel, a: FourierSeries, bound: int,
                        radius: int, bw: int) -> SparseOperator:
     step = 1 if op.kind == "szego_P" else 2
-    exact = a.exact
     entries: dict = {}
-    rows_list, cols_list, vals_list = [], [], []
+    rows, cols, vals = [], [], []
     for f, coeff in a.coeffs.items():
         if f == 0:
             continue
         # phase(r) != phase(c) with r = c + f happens exactly for the |f|
         # columns where r and c straddle zero (sign(0) = +1 side included)
         if f > 0:
-            cs = range(max(-f, -bound), min(0, bound - f + 1))
-            sgn = step
+            lo, hi, sgn = max(-f, -bound), min(0, bound - f + 1), step
         else:
-            cs = range(max(0, -bound - f), min(-f, bound + 1))
-            sgn = -step
-        if exact:
-            for c in cs:
-                entries[(c + f, c)] = QGauss.of(coeff) * sgn
-        else:
-            for c in cs:
-                rows_list.append(c + f)
-                cols_list.append(c)
-                vals_list.append(complex(coeff) * sgn)
-    if exact:
+            lo, hi, sgn = max(0, -bound - f), min(-f, bound + 1), -step
+        if a.exact:
+            v = QGauss.of(coeff) * sgn
+            entries.update(((c + f, c), v) for c in range(lo, hi))
+        elif hi > lo:
+            cs = np.arange(lo, hi, dtype=np.int64) + bound
+            rows.append(cs + f)
+            cols.append(cs)
+            vals.append(np.full(hi - lo, complex(coeff) * sgn))
+    if a.exact:
         return SparseOperator.from_dict("circle", bound, entries, True, radius, bw)
-    out = SparseOperator("circle", bound, False, radius, bw, {})
-    out.rows = np.array(rows_list, dtype=np.int64)
-    out.cols = np.array(cols_list, dtype=np.int64)
-    out.vals = np.array(vals_list, dtype=np.complex128)
-    return out
+    return SparseOperator._from_arrays("circle", bound, _concat(rows, np.int64),
+                                       _concat(cols, np.int64),
+                                       _concat(vals, np.complex128), radius, bw)
 
 
 def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int,
                       radius: int, bw: int) -> SparseOperator:
     side = np.arange(-bound, bound + 1, dtype=np.int64)
-    c1, c2 = np.meshgrid(side, side, indexing="ij")
-    c1 = c1.ravel()
-    c2 = c2.ravel()
+    c1, c2 = (k.ravel() for k in np.meshgrid(side, side, indexing="ij"))
     phase_c = op.phase_array(c1, c2)
-    rows_list, cols_list, vals_list = [], [], []
-    for (f1, f2), coeff in a.coeffs.items():
-        r1, r2 = c1 + f1, c2 + f2
-        keep = (np.abs(r1) <= bound) & (np.abs(r2) <= bound)
-        pv = op.phase_array(r1[keep], r2[keep]) - phase_c[keep]
+    rows, cols, vals = [], [], []
+    for f, coeff in a.coeffs.items():
+        col, shift = _band("torus", bound, f)
+        pv = op.phase_array(c1[col] + f[0], c2[col] + f[1]) - phase_c[col]
         nz = pv != 0
-        rr1, rr2 = r1[keep][nz], r2[keep][nz]
-        cc1, cc2 = c1[keep][nz], c2[keep][nz]
-        for i in range(len(rr1)):
-            rows_list.append((int(rr1[i]), int(rr2[i])))
-            cols_list.append((int(cc1[i]), int(cc2[i])))
-        vals_list.extend(complex(coeff) * pv[nz])
-    out = SparseOperator("torus", bound, False, radius, bw, {})
-    out.rows = _obj_array(rows_list)
-    out.cols = _obj_array(cols_list)
-    out.vals = np.array(vals_list, dtype=np.complex128)
-    return out
+        cols.append(col[nz])
+        rows.append(col[nz] + shift)
+        vals.append(complex(coeff) * pv[nz])
+    return SparseOperator._from_arrays("torus", bound, _concat(rows, np.int64),
+                                       _concat(cols, np.int64),
+                                       _concat(vals, np.complex128), radius, bw)
 
 
 def multiplication_operator(a: FourierSeries, w: TruncationWindow | int) -> SparseOperator:
@@ -466,17 +479,19 @@ def multiplication_operator(a: FourierSeries, w: TruncationWindow | int) -> Spar
     if radius < 0:
         raise WindowLeakageError(
             f"window bound {bound} is smaller than the series bandwidth {bw}")
-    entries: dict = {}
-    if a.domain == "circle":
-        for f, coeff in a.coeffs.items():
-            for c in range(max(-bound, -bound - f), min(bound, bound - f) + 1):
-                entries[(c + f, c)] = coeff
-        return SparseOperator.from_dict("circle", bound, entries, a.exact, radius, bw)
-    for (f1, f2), coeff in a.coeffs.items():
-        for c1 in range(max(-bound, -bound - f1), min(bound, bound - f1) + 1):
-            for c2 in range(max(-bound, -bound - f2), min(bound, bound - f2) + 1):
-                entries[((c1 + f1, c2 + f2), (c1, c2))] = coeff
-    return SparseOperator.from_dict("torus", bound, entries, a.exact, radius, bw)
+    bands = [(_band(a.domain, bound, f), coeff) for f, coeff in a.coeffs.items()]
+    if a.exact:
+        entries: dict = {}
+        for (col, shift), coeff in bands:
+            keys = zip(_frequency_index(a.domain, bound, col + shift),
+                       _frequency_index(a.domain, bound, col))
+            entries.update(dict.fromkeys(keys, coeff))
+        return SparseOperator.from_dict(a.domain, bound, entries, True, radius, bw)
+    return SparseOperator._from_arrays(
+        a.domain, bound, _concat([col + shift for (col, shift), _ in bands], np.int64),
+        _concat([col for (col, _), _ in bands], np.int64),
+        _concat([np.full(len(col), complex(coeff)) for (col, _), coeff in bands],
+                np.complex128), radius, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +548,8 @@ def product_diagonal(ops: Sequence[SparseOperator], indices: Iterable) -> np.nda
         full = ops[0]
         return np.array([complex(full.diagonal_value(k)) for k in indices])
     mid = (len(ops) + 1) // 2
-    left = compose(ops[:mid]) if mid > 0 else None
+    left = compose(ops[:mid])
     right = compose(ops[mid:])
-    if left is None:
-        return product_diagonal([right], indices)
     radius = min(right.exact_col_radius, left.exact_col_radius - right.bandwidth)
     idx = list(indices)
     for k in idx:
@@ -544,12 +557,8 @@ def product_diagonal(ops: Sequence[SparseOperator], indices: Iterable) -> np.nda
             raise WindowLeakageError(
                 f"diagonal at {k} exceeds the exact column radius {radius}; "
                 f"enlarge the construction window")
-    lm = left.to_csr()
-    rm = right.to_csr()
-    diag_full = np.asarray(lm.multiply(rm.T).sum(axis=1)).ravel()
-    probe = SparseOperator(right.domain, right.bound, False, radius, 0, {})
-    pos = probe._linear_index(idx)
-    return diag_full[pos]
+    diag_full = np.asarray(left.to_csr().multiply(right.to_csr().T).sum(axis=1)).ravel()
+    return diag_full[_linear_index(right.domain, right.bound, idx)]
 
 
 # ---------------------------------------------------------------------------
@@ -590,15 +599,15 @@ def singular_values(a: SparseOperator, count: int, provenance: str = "") -> Sing
     bidiagonalization (dense-verified on small windows by the test suite).
     """
     f = a.to_float()
-    if f.vals is None or len(f.vals) == 0:
+    if len(f.vals) == 0:
         return SingularValueSequence(np.zeros(count), provenance or "zero operator")
-    rkeys = sorted({str(r): r for r in f.rows}.items())
-    ckeys = sorted({str(c): c for c in f.cols}.items())
-    rpos = {k: i for i, (k, _) in enumerate(rkeys)}
-    cpos = {k: i for i, (k, _) in enumerate(ckeys)}
-    ri = np.array([rpos[str(r)] for r in f.rows], dtype=np.int64)
-    ci = np.array([cpos[str(c)] for c in f.cols], dtype=np.int64)
-    mat = sp.csr_matrix((f.vals, (ri, ci)), shape=(len(rkeys), len(ckeys)))
+    rkeys = [str(r) for r in _frequency_index(f.domain, f.bound, f.rows)]
+    ckeys = [str(c) for c in _frequency_index(f.domain, f.bound, f.cols)]
+    rpos = {k: i for i, k in enumerate(sorted(set(rkeys)))}
+    cpos = {k: i for i, k in enumerate(sorted(set(ckeys)))}
+    ri = np.array([rpos[r] for r in rkeys], dtype=np.int64)
+    ci = np.array([cpos[c] for c in ckeys], dtype=np.int64)
+    mat = sp.csr_matrix((f.vals, (ri, ci)), shape=(len(rpos), len(cpos)))
     dim = min(mat.shape)
     if max(mat.shape) <= DENSE_SVD_DIM:
         mu = np.linalg.svd(mat.toarray(), compute_uv=False)

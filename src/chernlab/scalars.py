@@ -79,11 +79,6 @@ class QGauss:
         return not self.is_zero()
 
 
-QG_ZERO = QGauss()
-QG_ONE = QGauss(Fraction(1))
-QG_I = QGauss(Fraction(0), Fraction(1))
-
-
 def format_rational(x: Fraction) -> str:
     """Serialize a Fraction as `p` or `p/q`."""
     if x.denominator == 1:

@@ -6,10 +6,9 @@ or ordinary complex floats; the exactness flag records which.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
@@ -28,10 +27,6 @@ MAX_FREQUENCY_BITS = 62
 def cross(m: TorusIndex, n: TorusIndex) -> int:
     """Antisymmetric pairing m x n = Im(conj(m) n) under (k1,k2) <-> k1+i*k2."""
     return m[0] * n[1] - m[1] * n[0]
-
-
-def torus_to_complex(k: TorusIndex) -> complex:
-    return complex(k[0], k[1])
 
 
 @dataclass(frozen=True)

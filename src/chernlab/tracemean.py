@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .operators import SparseOperator, TruncationWindow, product_diagonal
+from .operators import TruncationWindow, product_diagonal
 
 __all__ = [
     "DiagonalSequence", "LogMeanSeries", "ExtendedLimitProbe",
@@ -49,12 +49,6 @@ class DiagonalSequence:
     @property
     def cap(self) -> int:
         return len(self.values)
-
-    @staticmethod
-    def from_rule(rule: Callable[[int], complex], cap: int,
-                  finite_tail: bool = False, label: str = "") -> "DiagonalSequence":
-        vals = np.fromiter((rule(k) for k in range(cap)), dtype=np.complex128, count=cap)
-        return DiagonalSequence(vals, finite_tail, label)
 
     def __add__(self, other: "DiagonalSequence") -> "DiagonalSequence":
         n = max(self.cap, other.cap)

@@ -23,9 +23,8 @@ WINDOW = 64
 def dense_circle(op: SparseOperator, bound: int) -> np.ndarray:
     n = 2 * bound + 1
     m = np.zeros((n, n), dtype=complex)
-    f = op.to_float()
-    for r, c, v in zip(f.rows, f.cols, f.vals):
-        m[r + bound, c + bound] = v
+    for r, c, v in op.items():
+        m[r + bound, c + bound] = complex(v)
     return m
 
 
@@ -124,6 +123,171 @@ class TestComposeOracle:
             product_diagonal([c, c], list(range(-8, 9)))
 
 
+def box_points(bound: int) -> list:
+    return [(i, j) for i in range(-bound, bound + 1) for j in range(-bound, bound + 1)]
+
+
+def box_position(k, bound: int) -> int:
+    return (k[0] + bound) * (2 * bound + 1) + (k[1] + bound)
+
+
+def dense_torus(op: SparseOperator, bound: int) -> np.ndarray:
+    n = (2 * bound + 1) ** 2
+    m = np.zeros((n, n), dtype=complex)
+    for r, c, v in op.items():
+        m[box_position(r, bound), box_position(c, bound)] = complex(v)
+    return m
+
+
+def dense_torus_phase(kind: str, bound: int) -> np.ndarray:
+    model = OperatorModel(kind)
+    return np.diag([complex(model.phase(k)) for k in box_points(bound)])
+
+
+def dense_torus_mult(a: FourierSeries, bound: int) -> np.ndarray:
+    n = (2 * bound + 1) ** 2
+    m = np.zeros((n, n), dtype=complex)
+    for f, v in a.coeffs.items():
+        for k in box_points(bound):
+            r = (k[0] + f[0], k[1] + f[1])
+            if max(abs(r[0]), abs(r[1])) <= bound:
+                m[box_position(r, bound), box_position(k, bound)] = complex(v)
+    return m
+
+
+def random_torus_series(rng, degree: int = 2, terms: int = 3) -> FourierSeries:
+    coeffs = {}
+    while len(coeffs) < terms:
+        f = (int(rng.integers(-degree, degree + 1)), int(rng.integers(-degree, degree + 1)))
+        if f != (0, 0):
+            coeffs[f] = complex(*rng.standard_normal(2))
+    return FourierSeries("torus", coeffs, False)
+
+
+TORUS_BOUND = 5
+
+
+def interior_columns(radius: int, bound: int) -> np.ndarray:
+    return np.array([box_position(k, bound) for k in box_points(bound)
+                     if max(abs(k[0]), abs(k[1])) <= radius])
+
+
+class TestTorusOracle:
+    @pytest.mark.parametrize("kind", ["torus_U", "torus_U_star"])
+    def test_commutator_matches_dense(self, kind):
+        a = random_torus_series(np.random.default_rng(17))
+        c = commutator(OperatorModel(kind), a, TORUS_BOUND)
+        ph = dense_torus_phase(kind, TORUS_BOUND)
+        ma = dense_torus_mult(a, TORUS_BOUND)
+        # the phase is diagonal, so the truncated dense commutator is exact
+        assert np.allclose(dense_torus(c, TORUS_BOUND), ph @ ma - ma @ ph,
+                           rtol=0, atol=1e-14)
+        assert c.exact_col_radius == TORUS_BOUND - a.max_frequency()
+
+    def test_multiplication_operator_matches_dense(self):
+        a = random_torus_series(np.random.default_rng(19))
+        m = multiplication_operator(a, TORUS_BOUND)
+        assert np.array_equal(dense_torus(m, TORUS_BOUND),
+                              dense_torus_mult(a, TORUS_BOUND))
+
+    def test_exact_multiplication_operator_matches_dense(self):
+        a = FourierSeries("torus", {(1, -2): Fraction(1, 3), (0, 1): 2,
+                                    (-3, 0): Fraction(-5, 7)}, True)
+        m = multiplication_operator(a, TORUS_BOUND)
+        assert m.exact
+        assert m.entry((2, -2), (1, 0)) == QGauss.of(Fraction(1, 3))
+        assert np.array_equal(dense_torus(m, TORUS_BOUND),
+                              dense_torus_mult(a, TORUS_BOUND))
+
+    def _graded_ops(self, seed):
+        rng = np.random.default_rng(seed)
+        u, us = OperatorModel("torus_U"), OperatorModel("torus_U_star")
+        return [SparseOperator.diagonal_phase(u, TORUS_BOUND),
+                multiplication_operator(random_torus_series(rng, 1), TORUS_BOUND),
+                commutator(us, random_torus_series(rng, 1), TORUS_BOUND),
+                commutator(u, random_torus_series(rng, 1), TORUS_BOUND)]
+
+    def test_compose_matches_dense(self):
+        ops = self._graded_ops(23)
+        prod = compose(ops)
+        expected = dense_torus(ops[0], TORUS_BOUND)
+        for o in ops[1:]:
+            expected = expected @ dense_torus(o, TORUS_BOUND)
+        cols = interior_columns(prod.exact_col_radius, TORUS_BOUND)
+        assert len(cols) > 1
+        got = dense_torus(prod, TORUS_BOUND)
+        assert np.allclose(got[:, cols], expected[:, cols], rtol=0, atol=1e-12)
+
+    def test_product_diagonal_matches_dense(self):
+        ops = self._graded_ops(29)
+        expected = dense_torus(ops[0], TORUS_BOUND)
+        for o in ops[1:]:
+            expected = expected @ dense_torus(o, TORUS_BOUND)
+        radius = compose(ops).exact_col_radius
+        pts = [k for k in TruncationWindow.torus_shells(8).points()
+               if max(abs(k[0]), abs(k[1])) <= radius]
+        got = product_diagonal(ops, pts)
+        want = np.array([expected[box_position(k, TORUS_BOUND),
+                                  box_position(k, TORUS_BOUND)] for k in pts])
+        assert np.any(want != 0)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_entry_at_torus_index(self):
+        a = FourierSeries("torus", {(1, 0): 1.0, (0, -1): 0.5j}, False)
+        c = commutator(OperatorModel("torus_U"), a, 1)
+        assert c.entry((0, 0), (0, 1)) == 0.5 + 0.5j
+        assert c.entry((0, 0), (-1, 0)) == 2.0
+        assert c.entry((1, 0), (0, 0)) == 0j
+        # (0, 2) lies outside the box; its linear position would be (1, -1)'s
+        assert c.entry((1, -1), (1, 0)) != 0j
+        assert c.entry((0, 2), (1, 0)) == 0j
+        assert c.diagonal_value((0, 0)) == 0j
+
+
+class TestFloatForm:
+    def _float_commutator(self):
+        a = FourierSeries("circle", {2: 1.5 - 0.5j, -1: 0.25}, False)
+        return commutator(OperatorModel("circle_F"), a, 8)
+
+    def test_csr_is_built_once(self):
+        c = self._float_commutator()
+        assert c.to_csr() is c.to_csr()
+        phase = SparseOperator.diagonal_phase(OperatorModel("circle_F"), 8)
+        assert phase.exact
+        assert phase.to_float() is phase.to_float()
+        assert phase.to_csr() is phase.to_float().to_csr()
+
+    def test_float_arrays_are_read_only(self):
+        c = self._float_commutator()
+        c.to_csr()
+        for arr in (c.rows, c.cols, c.vals):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+
+    def test_adjoint_leaves_the_operator_alone(self):
+        c = self._float_commutator()
+        before = c.to_csr().toarray()
+        vals = c.vals.copy()
+        adj = c.adjoint()
+        assert adj is not c
+        assert np.array_equal(c.vals, vals)
+        assert c.to_csr().toarray() == pytest.approx(before)
+        assert np.array_equal(adj.to_csr().toarray(), before.conj().T)
+
+    def test_exact_phase_float_form_matches_conversion(self):
+        for kind in ("szego_P", "circle_F"):
+            phase = SparseOperator.diagonal_phase(OperatorModel(kind), 6)
+            converted = SparseOperator.from_dict(
+                "circle", 6, {(r, c): v.to_complex() for r, c, v in phase.items()},
+                False, 6, 0)
+            f = phase.to_float()
+            # bit for bit, signed zeros included
+            for got, want in ((f.rows, converted.rows), (f.cols, converted.cols),
+                              (f.vals, converted.vals)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
 class TestWindows:
     def test_symmetric_order(self):
         w = TruncationWindow.circle_symmetric(2)
@@ -139,6 +303,15 @@ class TestWindows:
         norms = [k[0] ** 2 + k[1] ** 2 for k in pts]
         assert norms == sorted(norms)
         assert pts[0] == (0, 0)
+
+    def test_torus_shells_are_shared_and_immutable(self):
+        w = TruncationWindow.torus_shells(10)
+        pts = w.points()
+        assert pts is TruncationWindow.torus_shells(10).points()
+        with pytest.raises(TypeError):
+            pts[0] = (9, 9)
+        assert w.contains((1, 1)) and not w.contains((9, 9))
+        assert w.sup_bound() == max(max(abs(i), abs(j)) for i, j in pts)
 
 
 class TestSingularValues:
@@ -225,3 +398,24 @@ class TestSerialization:
         t1, t2 = c.to_text(), c.to_text()
         assert t1 == t2
         assert t1.splitlines()[0].startswith("#")
+
+    def test_torus_float_text_is_pinned(self):
+        a = FourierSeries("torus", {(1, 0): 1.0, (0, -1): 0.5j}, False)
+        c = commutator(OperatorModel("torus_U"), a, 1)
+        assert c.to_text() == TORUS_TEXT
+
+
+TORUS_TEXT = (
+    "# domain=torus bound=1 exact=0 exact_col_radius=0 bandwidth=1\n"
+    "-1 -1 -1 0 np.float64(0.35355339059327373) np.float64(0.14644660940672627)\n"
+    "-1 0 -1 1 np.float64(0.35355339059327373) np.float64(-0.14644660940672627)\n"
+    "0 -1 -1 -1 np.float64(0.7071067811865475) np.float64(-0.29289321881345254)\n"
+    "0 -1 0 0 np.float64(0.5) np.float64(-0.5)\n"
+    "0 0 -1 0 np.float64(2.0) np.float64(0.0)\n"
+    "0 0 0 1 np.float64(0.5) np.float64(0.5)\n"
+    "0 1 -1 1 np.float64(0.7071067811865475) np.float64(0.29289321881345254)\n"
+    "1 -1 0 -1 np.float64(0.7071067811865475) np.float64(0.29289321881345254)\n"
+    "1 -1 1 0 np.float64(0.35355339059327373) np.float64(-0.14644660940672627)\n"
+    "1 0 1 1 np.float64(0.35355339059327373) np.float64(0.14644660940672627)\n"
+    "1 1 0 1 np.float64(0.7071067811865475) np.float64(-0.29289321881345254)\n"
+)
