@@ -123,16 +123,18 @@ def _circle_diagonal(inputs, schedule, leading=None, prefactor=1,
     return d if prefactor == 1 else d.scale(prefactor)
 
 
-def _exact_circle_trace(inputs, leading=None) -> QGauss:
-    total, _ = _circle_geometry(inputs, leading)
-    bound = 2 * total + 4
-    prod = compose(_circle_ops([a for a in inputs], bound,
-                               leading))
-    trace = QGauss()
+def _trace(prod: SparseOperator):
+    """Sum of the stored diagonal: a QGauss for an exact operator, else complex."""
+    trace = QGauss() if prod.exact else 0j
     for r, c, v in prod.items():
         if r == c:
             trace = trace + v
     return trace
+
+
+def _exact_circle_trace(inputs, leading=None) -> QGauss:
+    total, _ = _circle_geometry(inputs, leading)
+    return _trace(compose(_circle_ops(inputs, 2 * total + 4, leading)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +302,7 @@ def eval_ch_CC(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
         raise NotImplementedError("the character cochain is implemented on the circle")
     total = sum(s.max_frequency() for s in a)
     bound = window_bound or (2 * total + 4)
-    traces = []
-    for b in (bound, 2 * bound):
-        prod = compose(_circle_ops(list(a), b))
-        if prod.exact:
-            t = QGauss()
-            for r, c, v in prod.items():
-                if r == c:
-                    t = t + v
-            traces.append(t.to_complex())
-        else:
-            t = 0j
-            for r, c, v in prod.items():
-                if r == c:
-                    t += v
-            traces.append(t)
+    traces = [complex(_trace(compose(_circle_ops(a, b)))) for b in (bound, 2 * bound)]
     drift = abs(traces[1] - traces[0])
     if drift > stability_tol * max(1.0, abs(traces[1])):
         raise CocycleConsistencyError(

@@ -453,33 +453,41 @@ def _exp_svd(config, out, report):
                   tail_trig, 0.0, 0.0)
 
 
+def _worst_vanishing_probe(config, out, report, evaluator, degree: int, label: str,
+                           detail: str, csv_name: str):
+    """The worst last probe of `evaluator` over random trig polynomial tuples,
+    gated at zero, and the 1/log N tail rate of that worst series."""
+    rng = np.random.default_rng(config["seed"])
+    spec = FredholmModuleSpec("circle_F", degree)
+    schedule = dyadic_schedule(4, config["m_max"])
+    worst = 0.0
+    worst_series = None
+    for _ in range(config["tuples"]):
+        inputs = [random_trig_poly(rng, config["degree"], config["terms"],
+                                   config["l1_scale"]) for _ in range(4)]
+        series = evaluator(spec, inputs, schedule).series
+        last = abs(series.last())
+        if last > worst:
+            worst, worst_series = last, series
+    _assert_close(report, f"worst |{label} probe last| over {config['tuples']} tuples",
+                  worst, 0.0, config["last_tol"])
+    if worst_series is not None:
+        scaled = np.abs(worst_series.values()) * np.log(2 + worst_series.ns())
+        envelope = float(scaled[-6:].max() / max(scaled[-6:].min(), 1e-300))
+        _assert_true(report, "tail decays at the 1/log N rate",
+                     envelope <= 1.01, envelope, "<= 1.01", detail=detail)
+        _write(out, report, csv_name, worst_series.to_csv())
+
+
 @register("hochschild-cocycle-vanishing", "cocycle_engine", "caomoamdao",
           "Coboundary of the Hochschild cocycle on random trig tuples: "
           "probes trend to zero at the trace-class rate",
           {"tuples": 20, "degree": 8, "terms": 6, "l1_scale": 0.25,
            "seed": 20260823, "m_max": 20, "last_tol": 1e-2})
 def _exp_bh_vanishing(config, out, report):
-    rng = np.random.default_rng(config["seed"])
-    spec = FredholmModuleSpec("circle_F", 1)
-    schedule = dyadic_schedule(4, config["m_max"])
-    worst = 0.0
-    worst_series = None
-    for i in range(config["tuples"]):
-        inputs = [random_trig_poly(rng, config["degree"], config["terms"],
-                                   config["l1_scale"]) for _ in range(4)]
-        ev = check_hochschild_cocycle(spec, inputs, schedule)
-        last = abs(ev.series.last())
-        if last > worst:
-            worst, worst_series = last, ev.series
-    _assert_close(report, f"worst |b h probe last| over {config['tuples']} tuples",
-                  worst, 0.0, config["last_tol"])
-    if worst_series is not None:
-        scaled = np.abs(worst_series.values()) * np.log(2 + worst_series.ns())
-        envelope = float(scaled[-6:].max() / max(scaled[-6:].min(), 1e-300))
-        _assert_true(report, "tail decays at the 1/log N rate",
-                     envelope <= 1.01, envelope, "<= 1.01",
-                     detail="|value| * log(2+N) stable over the last 6 checkpoints")
-        _write(out, report, "worst_bh_series.csv", worst_series.to_csv())
+    _worst_vanishing_probe(config, out, report, check_hochschild_cocycle, 1, "b h",
+                           "|value| * log(2+N) stable over the last 6 checkpoints",
+                           "worst_bh_series.csv")
 
 
 @register("smooth-vanishing-comega", "cocycle_engine", "adpomopknad",
@@ -487,26 +495,8 @@ def _exp_bh_vanishing(config, out, report):
           {"tuples": 20, "degree": 8, "terms": 6, "l1_scale": 0.25,
            "seed": 20260823, "m_max": 20, "last_tol": 1e-2})
 def _exp_c_vanishing(config, out, report):
-    rng = np.random.default_rng(config["seed"])
-    spec = FredholmModuleSpec("circle_F", 3)
-    schedule = dyadic_schedule(4, config["m_max"])
-    worst = 0.0
-    worst_series = None
-    for i in range(config["tuples"]):
-        inputs = [random_trig_poly(rng, config["degree"], config["terms"],
-                                   config["l1_scale"]) for _ in range(4)]
-        ev = eval_c_omega(spec, inputs, schedule)
-        last = abs(ev.series.last())
-        if last > worst:
-            worst, worst_series = last, ev.series
-    _assert_close(report, f"worst |c probe last| over {config['tuples']} tuples",
-                  worst, 0.0, config["last_tol"])
-    if worst_series is not None:
-        scaled = np.abs(worst_series.values()) * np.log(2 + worst_series.ns())
-        envelope = float(scaled[-6:].max() / max(scaled[-6:].min(), 1e-300))
-        _assert_true(report, "tail decays at the 1/log N rate",
-                     envelope <= 1.01, envelope, "<= 1.01")
-        _write(out, report, "worst_c_series.csv", worst_series.to_csv())
+    _worst_vanishing_probe(config, out, report, eval_c_omega, 3, "c", "",
+                           "worst_c_series.csv")
 
 
 @register("chain-identities", "chain_alg", "somsdonadona",

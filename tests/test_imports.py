@@ -1,0 +1,44 @@
+"""Import hygiene: every name a package module imports is used in it."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import chernlab
+
+MODULES = sorted(p for p in Path(chernlab.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by import statements that the module never reads.
+
+    A name counts as read when it appears as an identifier anywhere in the
+    module, as the root of a dotted name, or as a string in `__all__`.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_detector_flags_an_unused_import():
+    source = "import scipy.sparse.csgraph as csgraph\nimport numpy as np\nx = np.zeros(1)\n"
+    assert unused_imports(source) == ["csgraph (line 1)"]

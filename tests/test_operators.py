@@ -116,6 +116,14 @@ class TestComposeOracle:
         want = np.array([expected[k + WINDOW, k + WINDOW] for k in idx])
         assert np.allclose(got, want, atol=1e-12)
 
+    def test_exact_product_stays_exact(self):
+        third = FourierSeries("circle", {1: Fraction(1, 3)}, True)
+        m = multiplication_operator(third, 1100)
+        prod = compose([m, m])
+        assert prod.exact
+        assert prod.nnz() > 0
+        assert all(v == QGauss(Fraction(1, 9)) for _, _, v in prod.items())
+
     def test_diagonal_read_past_radius_raises(self):
         z = FourierSeries.monomial(1)
         c = commutator(OperatorModel("circle_F"), z, 8)
@@ -314,6 +322,21 @@ class TestWindows:
         assert w.sup_bound() == max(max(abs(i), abs(j)) for i, j in pts)
 
 
+def hankel_singular_values(coeffs) -> np.ndarray:
+    """Singular values of the lacunary Hankel block H_L(i, l) =
+    sum_k c_k [i + l = 2^k - 1] for real c_0..c_L, in decreasing order.
+
+    H_(n+1) = [[H_n, c J], [c J, 0]] with c = c_(n+1) and J the exchange
+    matrix; conjugating by diag(I, J) gives [[H_n, c I], [c I, 0]], so each
+    eigenvalue lam of H_n splits into (lam +- sqrt(lam^2 + 4 c^2)) / 2.
+    """
+    lam = np.array([coeffs[0]])
+    for c in coeffs[1:]:
+        root = np.sqrt(lam ** 2 + 4 * c * c)
+        lam = np.concatenate([(lam + root) / 2, (lam - root) / 2])
+    return np.sort(np.abs(lam))[::-1]
+
+
 class TestSingularValues:
     def test_matches_dense_svd(self):
         ones = BoundedSequence.constant(1.0)
@@ -331,6 +354,31 @@ class TestSingularValues:
         assert np.all(sv.mu[2:] == 0.0)
         _, tail = weak_quasinorm(sv, 2.0)
         assert tail == 0.0
+
+    @pytest.mark.parametrize("level, name, count, method", [
+        (6, "ones", 80, "dense"),
+        (9, "ones", 512, "dense"),
+        (10, "alternating", 1024, "gram eigensolver"),
+        (10, "random", 1024, "gram eigensolver"),
+        (11, "ones", 512, "gram eigensolver"),
+    ])
+    def test_both_branches_match_hankel_recursion(self, level, name, count, method):
+        seq = {"ones": BoundedSequence.constant(1.0),
+               "alternating": BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0),
+               "random": BoundedSequence.from_list(
+                   np.random.default_rng(17).standard_normal(level + 1))}[name]
+        a = lacunary_series(seq, 0.5, level)
+        sv = singular_values(commutator(OperatorModel("szego_P"), a, 2 ** level), count)
+        want = hankel_singular_values([a.coeffs[2 ** k].real for k in range(level + 1)])
+        want = np.concatenate([want, np.zeros(max(0, count - len(want)))])[:count]
+        assert sv.provenance.startswith(method + " svd")
+        assert np.max(np.abs(sv.mu - want)) <= 1e-12
+
+    def test_oversized_operator_raises(self):
+        a = lacunary_series(BoundedSequence.constant(1.0), 0.5, 14)
+        c = commutator(OperatorModel("szego_P"), a, 2 ** 14)
+        with pytest.raises(ValueError, match="GRAM_EIG_DIM = 9000"):
+            singular_values(c, 4)
 
     def test_quasinorm_flat_for_inverse_sqrt(self):
         from chernlab.operators import SingularValueSequence
@@ -407,15 +455,15 @@ class TestSerialization:
 
 TORUS_TEXT = (
     "# domain=torus bound=1 exact=0 exact_col_radius=0 bandwidth=1\n"
-    "-1 -1 -1 0 np.float64(0.35355339059327373) np.float64(0.14644660940672627)\n"
-    "-1 0 -1 1 np.float64(0.35355339059327373) np.float64(-0.14644660940672627)\n"
-    "0 -1 -1 -1 np.float64(0.7071067811865475) np.float64(-0.29289321881345254)\n"
-    "0 -1 0 0 np.float64(0.5) np.float64(-0.5)\n"
-    "0 0 -1 0 np.float64(2.0) np.float64(0.0)\n"
-    "0 0 0 1 np.float64(0.5) np.float64(0.5)\n"
-    "0 1 -1 1 np.float64(0.7071067811865475) np.float64(0.29289321881345254)\n"
-    "1 -1 0 -1 np.float64(0.7071067811865475) np.float64(0.29289321881345254)\n"
-    "1 -1 1 0 np.float64(0.35355339059327373) np.float64(-0.14644660940672627)\n"
-    "1 0 1 1 np.float64(0.35355339059327373) np.float64(0.14644660940672627)\n"
-    "1 1 0 1 np.float64(0.7071067811865475) np.float64(-0.29289321881345254)\n"
+    "-1 -1 -1 0 0.35355339059327373 0.14644660940672627\n"
+    "-1 0 -1 1 0.35355339059327373 -0.14644660940672627\n"
+    "0 -1 -1 -1 0.7071067811865475 -0.29289321881345254\n"
+    "0 -1 0 0 0.5 -0.5\n"
+    "0 0 -1 0 2.0 0.0\n"
+    "0 0 0 1 0.5 0.5\n"
+    "0 1 -1 1 0.7071067811865475 0.29289321881345254\n"
+    "1 -1 0 -1 0.7071067811865475 0.29289321881345254\n"
+    "1 -1 1 0 0.35355339059327373 -0.14644660940672627\n"
+    "1 0 1 1 0.35355339059327373 0.14644660940672627\n"
+    "1 1 0 1 0.7071067811865475 -0.29289321881345254\n"
 )
