@@ -12,11 +12,11 @@ from .tracemean import (DiagonalSequence, ExtendedLimitProbe, LogMeanSeries,
                         diagonal_of, dyadic_schedule, log_mean, probe)
 from .cocycles import (CochainEvaluation, CocycleConsistencyError,
                        FredholmModuleSpec, check_cyclicity,
-                       check_hochschild_cocycle, cross_check_wedge_paths,
-                       eval_c_omega, eval_c_omega_wedge, eval_ch_CC,
-                       eval_h_omega, fast_path_partial_sums,
-                       pairing_normalization, szego_pair_diagonal,
-                       torus_diagonal_kernel, torus_diagonal_operator)
+                       check_hochschild_cocycle, eval_c_omega,
+                       eval_c_omega_wedge, eval_ch_CC, eval_h_omega,
+                       fast_path_partial_sums, pairing_normalization,
+                       szego_pair_diagonal, torus_diagonal_kernel,
+                       torus_diagonal_operator)
 from .chains import LaurentChain, PairResult, boundary_b, cyclic_lambda, pair, wedge
 from .metric import (DecayFitReport, DiagonalCutoff, SampledMetricSpace,
                      chi_profile, delta_alpha, diagonal_decay_experiment,

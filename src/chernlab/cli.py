@@ -2,7 +2,8 @@
 
 Subcommands: `run NAME` executes one experiment, `list` prints the
 catalog, `verify-all` runs every experiment.  Exit codes: 0 all
-assertions pass, 1 an assertion fails, 2 configuration or usage error.
+assertions pass, 1 an assertion fails, 2 configuration or usage error,
+or a config the program cannot run (a ValueError from the run).
 """
 from __future__ import annotations
 
@@ -127,7 +128,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        # a config the program cannot run, such as an oversized window
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ __all__ = [
     "FredholmModuleSpec", "CochainEvaluation", "CocycleConsistencyError",
     "pairing_normalization", "eval_c_omega", "eval_h_omega", "eval_ch_CC",
     "check_hochschild_cocycle", "check_cyclicity", "holomorphy_type",
-    "fast_path_partial_sums", "eval_c_omega_wedge", "cross_check_wedge_paths",
+    "fast_path_partial_sums", "eval_c_omega_wedge",
     "szego_pair_diagonal", "torus_diagonal_operator", "torus_diagonal_kernel",
     "connes_chern_constant",
 ]
@@ -125,11 +125,7 @@ def _circle_diagonal(inputs, schedule, leading=None, prefactor=1,
 
 def _trace(prod: SparseOperator):
     """Sum of the stored diagonal: a QGauss for an exact operator, else complex."""
-    trace = QGauss() if prod.exact else 0j
-    for r, c, v in prod.items():
-        if r == c:
-            trace = trace + v
-    return trace
+    return sum(prod.vals[prod.rows == prod.cols], QGauss() if prod.exact else 0j)
 
 
 def _exact_circle_trace(inputs, leading=None) -> QGauss:
@@ -168,13 +164,6 @@ def torus_diagonal_operator(inputs: Sequence[FourierSeries], points,
     return out
 
 
-def _phase_with_convention(k) -> complex:
-    if k == (0, 0):
-        return 1.0 + 0j
-    z = complex(k[0], k[1])
-    return z / abs(z)
-
-
 def torus_diagonal_kernel(a0: FourierSeries, a1: FourierSeries,
                           a2: FourierSeries, points) -> np.ndarray:
     """The same diagonal from the degree-zero kernel:
@@ -188,6 +177,7 @@ def torus_diagonal_kernel(a0: FourierSeries, a1: FourierSeries,
     sup0 = {k: (v.to_complex() if a0.exact else v) for k, v in a0.coeffs.items()}
     sup1 = {k: (v.to_complex() if a1.exact else v) for k, v in a1.coeffs.items()}
     sup2 = {k: (v.to_complex() if a2.exact else v) for k, v in a2.coeffs.items()}
+    phase = OperatorModel("torus_U").phase
     out = np.zeros(len(points), dtype=np.complex128)
     for i, k in enumerate(points):
         total = 0j
@@ -201,9 +191,9 @@ def torus_diagonal_kernel(a0: FourierSeries, a1: FourierSeries,
                 try:
                     r = torus_phase_kernel_rho(k, m, n)
                 except ZeroDivisionError:
-                    z = _phase_with_convention(k)
-                    w = _phase_with_convention((k[0] + m[0], k[1] + m[1]))
-                    v = _phase_with_convention((k[0] + n[0], k[1] + n[1]))
+                    z = phase(k)
+                    w = phase((k[0] + m[0], k[1] + m[1]))
+                    v = phase((k[0] + n[0], k[1] + n[1]))
                     r = 0.5 * (z * (z.conjugate() - v.conjugate())
                                * (v - w) * (w.conjugate() - z.conjugate())).imag
                 total += r * c0 * c1 * c2
@@ -464,22 +454,6 @@ def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     series = log_mean(diag_total, schedule, label="wedge_operator")
     return CochainEvaluation("c_omega_wedge", spec, list(a), diag_total, series,
                              probe(series), None, False, notes)
-
-
-def cross_check_wedge_paths(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
-                            schedule=None, tol: float | None = None) -> dict:
-    """Evaluate both wedge paths on the same schedule and report the
-    checkpointwise discrepancy; raises when a tolerance is given and
-    exceeded (internal consistency failure)."""
-    fast = eval_c_omega_wedge(spec, a, schedule, method="fast")
-    oper = eval_c_omega_wedge(spec, a, schedule, method="operator")
-    diff = np.abs(fast.series.values() - oper.series.values())
-    report = {"fast": fast, "operator": oper, "max_discrepancy": float(diff.max())}
-    if tol is not None and diff.max() > tol:
-        raise CocycleConsistencyError(
-            f"fast and operator wedge paths disagree: max |delta| = {diff.max():.6g} "
-            f"exceeds tolerance {tol:g}")
-    return report
 
 
 # ---------------------------------------------------------------------------

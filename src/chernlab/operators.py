@@ -223,6 +223,10 @@ def _band(domain: str, bound: int, f) -> tuple:
     return (c1[:, None] * side + c2).ravel(), f[0] * side + f[1]
 
 
+def _dtype(exact: bool):
+    return object if exact else np.complex128
+
+
 @dataclass
 class SparseOperator:
     """Sparse matrix over frequency indices within a symmetric box window.
@@ -232,12 +236,12 @@ class SparseOperator:
         untruncated operator column; reads outside it raise.
     bandwidth: max |row - col|_inf over entries.
 
-    A float operator holds read-only coordinate arrays: int64 linear box
-    positions (circle k + W, torus (k1 + W)(2W + 1) + (k2 + W)) and
-    complex128 values.  Its CSR matrix is built on the first to_csr() and
-    shared afterwards.  An exact operator holds a dict {(row, col): QGauss}
-    keyed by frequency indices; it exists for the finite-rank traces and
-    chain identities, and converts to its float form once.
+    Entries are read-only coordinate arrays: int64 linear box positions
+    (circle k + W, torus (k1 + W)(2W + 1) + (k2 + W)) and values, complex128
+    for a float operator and an object array of QGauss for an exact one.
+    Exact operators exist for the finite-rank traces and chain identities;
+    one converts its values to float once and shares its positions.  The
+    CSR matrix is built on the first to_csr() and shared afterwards.
     """
 
     domain: str
@@ -245,52 +249,37 @@ class SparseOperator:
     exact: bool
     exact_col_radius: int
     bandwidth: int
-    entries: Dict[tuple, QGauss] = field(default_factory=dict)
-    rows: np.ndarray | None = None
-    cols: np.ndarray | None = None
-    vals: np.ndarray | None = None
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     _float: SparseOperator | None = field(default=None, repr=False, compare=False)
     _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, np.int64)
+        self.cols = np.asarray(self.cols, np.int64)
+        self.vals = np.asarray(self.vals, _dtype(self.exact))
+        for arr in (self.rows, self.cols, self.vals):
+            arr.setflags(write=False)
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def _from_arrays(domain: str, bound: int, rows, cols, vals,
-                     exact_col_radius: int, bandwidth: int) -> "SparseOperator":
-        """A float operator over linear box positions (see _linear_index)."""
-        op = SparseOperator(domain, bound, False, exact_col_radius, bandwidth, {},
-                            np.asarray(rows, np.int64), np.asarray(cols, np.int64),
-                            np.asarray(vals, np.complex128))
-        for arr in (op.rows, op.cols, op.vals):
-            arr.setflags(write=False)
-        return op
-
-    @staticmethod
     def from_dict(domain: str, bound: int, entries: dict, exact: bool,
                   exact_col_radius: int, bandwidth: int) -> "SparseOperator":
-        if exact:
-            ent = {k: q for k, q in ((k, QGauss.of(v)) for k, v in entries.items()) if q}
-            return SparseOperator(domain, bound, True, exact_col_radius, bandwidth, ent)
-        items = [(r, c, complex(v)) for (r, c), v in entries.items() if v != 0]
-        return SparseOperator._from_arrays(
-            domain, bound, _linear_index(domain, bound, [r for r, _, _ in items]),
-            _linear_index(domain, bound, [c for _, c, _ in items]),
-            [v for _, _, v in items], exact_col_radius, bandwidth)
-
-    @staticmethod
-    def identity(domain: str, bound: int, exact: bool = True) -> "SparseOperator":
-        if domain == "circle":
-            ent = {(k, k): 1 for k in range(-bound, bound + 1)}
-        else:
-            ent = {((i, j), (i, j)): 1 for i in range(-bound, bound + 1)
-                   for j in range(-bound, bound + 1)}
-        return SparseOperator.from_dict(domain, bound, ent, exact, bound, 0)
+        """From {(row, col): value} keyed by frequency indices; zeros are dropped."""
+        conv = QGauss.of if exact else complex
+        items = [(r, c, v) for (r, c), v in ((k, conv(v)) for k, v in entries.items()) if v]
+        return SparseOperator(domain, bound, exact, exact_col_radius, bandwidth,
+                              _linear_index(domain, bound, [r for r, _, _ in items]),
+                              _linear_index(domain, bound, [c for _, c, _ in items]),
+                              [v for _, _, v in items])
 
     @staticmethod
     def diagonal_phase(op: OperatorModel, bound: int) -> "SparseOperator":
         """The phase operator itself, truncated to the box window.
 
-        The circle phases (values 0 and +-1) are exact: their dict shares
+        The circle phases (values 0 and +-1) are exact: their values share
         two QGauss constants and their float form is set from the
         vectorized phase, so no entry goes through QGauss arithmetic.
         """
@@ -298,56 +287,46 @@ class SparseOperator:
             pos = np.arange((2 * bound + 1) ** 2)
             vals = [op.phase((i, j)) for i in range(-bound, bound + 1)
                     for j in range(-bound, bound + 1)]
-            return SparseOperator._from_arrays("torus", bound, pos, pos, vals, bound, 0)
+            return SparseOperator("torus", bound, False, bound, 0, pos, pos, vals)
         phase = op.phase_array(np.arange(-bound, bound + 1, dtype=np.int64))
         pos = np.flatnonzero(phase)
-        unit = {1: QGauss.of(1), -1: QGauss.of(-1)}
-        ent = {(k, k): unit[p] for k, p in zip((pos - bound).tolist(), phase[pos].tolist())}
-        out = SparseOperator("circle", bound, True, bound, 0, ent)
-        out._float = SparseOperator._from_arrays("circle", bound, pos, pos,
-                                                 phase[pos], bound, 0)
+        units = np.array([QGauss.of(1), QGauss.of(-1)], dtype=object)
+        out = SparseOperator("circle", bound, True, bound, 0, pos, pos,
+                             units[(phase[pos] < 0).astype(np.intp)])
+        out._float = SparseOperator("circle", bound, False, bound, 0, pos, pos, phase[pos])
         return out
 
     # -- basic queries -----------------------------------------------------
 
     def nnz(self) -> int:
-        return len(self.entries) if self.exact else len(self.vals)
+        return len(self.vals)
 
     def items(self):
-        if self.exact:
-            yield from ((r, c, v) for (r, c), v in self.entries.items())
-        else:
-            yield from zip(_frequency_index(self.domain, self.bound, self.rows),
-                           _frequency_index(self.domain, self.bound, self.cols),
-                           self.vals)
+        """(row, col, value) triples with frequency indices."""
+        return zip(_frequency_index(self.domain, self.bound, self.rows),
+                   _frequency_index(self.domain, self.bound, self.cols), self.vals)
 
     def to_float(self) -> "SparseOperator":
         """The float form; an exact operator converts once and keeps it."""
         if not self.exact:
             return self
         if self._float is None:
-            ent = {(r, c): v.to_complex() for (r, c), v in self.entries.items()}
-            self._float = SparseOperator.from_dict(
-                self.domain, self.bound, ent, False, self.exact_col_radius, self.bandwidth)
+            vals = np.fromiter((v.to_complex() for v in self.vals), np.complex128,
+                               len(self.vals))
+            self._float = SparseOperator(self.domain, self.bound, False, self.exact_col_radius,
+                                         self.bandwidth, self.rows, self.cols, vals)
         return self._float
 
     def entry(self, r, c):
-        if self.exact:
-            return self.entries.get((r, c), QGauss())
+        zero = QGauss() if self.exact else 0j
         if max(_norm_inf(r, self.domain), _norm_inf(c, self.domain)) > self.bound:
-            return 0j
+            return zero
         ri, ci = _linear_index(self.domain, self.bound, [r, c])
-        mask = (self.rows == ri) & (self.cols == ci)
-        return complex(self.vals[mask].sum())
+        return sum(self.vals[(self.rows == ri) & (self.cols == ci)], zero)
 
     def adjoint(self) -> "SparseOperator":
-        if self.exact:
-            ent = {(c, r): v.conjugate() for (r, c), v in self.entries.items()}
-            return SparseOperator.from_dict(self.domain, self.bound, ent, True,
-                                            self.exact_col_radius, self.bandwidth)
-        return SparseOperator._from_arrays(self.domain, self.bound, self.cols, self.rows,
-                                           np.conj(self.vals), self.exact_col_radius,
-                                           self.bandwidth)
+        return SparseOperator(self.domain, self.bound, self.exact, self.exact_col_radius,
+                              self.bandwidth, self.cols, self.rows, np.conj(self.vals))
 
     # -- scipy bridge ------------------------------------------------------
 
@@ -368,8 +347,8 @@ class SparseOperator:
     def from_csr(mat: sp.spmatrix, domain: str, bound: int,
                  exact_col_radius: int, bandwidth: int) -> "SparseOperator":
         coo = mat.tocoo()
-        return SparseOperator._from_arrays(domain, bound, coo.row, coo.col, coo.data,
-                                           exact_col_radius, bandwidth)
+        return SparseOperator(domain, bound, False, exact_col_radius, bandwidth,
+                              coo.row, coo.col, coo.data)
 
     def diagonal_value(self, k) -> object:
         """Exact-or-float diagonal entry at frequency k; range-checked."""
@@ -425,7 +404,7 @@ def commutator(op: OperatorModel, a: FourierSeries, w: TruncationWindow | int) -
 def _commutator_circle(op: OperatorModel, a: FourierSeries, bound: int,
                        radius: int, bw: int) -> SparseOperator:
     step = 1 if op.kind == "szego_P" else 2
-    entries: dict = {}
+    dtype = _dtype(a.exact)
     rows, cols, vals = [], [], []
     for f, coeff in a.coeffs.items():
         if f == 0:
@@ -436,19 +415,13 @@ def _commutator_circle(op: OperatorModel, a: FourierSeries, bound: int,
             lo, hi, sgn = max(-f, -bound), min(0, bound - f + 1), step
         else:
             lo, hi, sgn = max(0, -bound - f), min(-f, bound + 1), -step
-        if a.exact:
-            v = QGauss.of(coeff) * sgn
-            entries.update(((c + f, c), v) for c in range(lo, hi))
-        elif hi > lo:
+        if hi > lo:
             cs = np.arange(lo, hi, dtype=np.int64) + bound
             rows.append(cs + f)
             cols.append(cs)
-            vals.append(np.full(hi - lo, complex(coeff) * sgn))
-    if a.exact:
-        return SparseOperator.from_dict("circle", bound, entries, True, radius, bw)
-    return SparseOperator._from_arrays("circle", bound, _concat(rows, np.int64),
-                                       _concat(cols, np.int64),
-                                       _concat(vals, np.complex128), radius, bw)
+            vals.append(np.full(hi - lo, coeff * sgn, dtype))
+    return SparseOperator("circle", bound, a.exact, radius, bw, _concat(rows, np.int64),
+                          _concat(cols, np.int64), _concat(vals, dtype))
 
 
 def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int,
@@ -464,9 +437,8 @@ def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int,
         cols.append(col[nz])
         rows.append(col[nz] + shift)
         vals.append(complex(coeff) * pv[nz])
-    return SparseOperator._from_arrays("torus", bound, _concat(rows, np.int64),
-                                       _concat(cols, np.int64),
-                                       _concat(vals, np.complex128), radius, bw)
+    return SparseOperator("torus", bound, False, radius, bw, _concat(rows, np.int64),
+                          _concat(cols, np.int64), _concat(vals, np.complex128))
 
 
 def multiplication_operator(a: FourierSeries, w: TruncationWindow | int) -> SparseOperator:
@@ -478,18 +450,12 @@ def multiplication_operator(a: FourierSeries, w: TruncationWindow | int) -> Spar
         raise WindowLeakageError(
             f"window bound {bound} is smaller than the series bandwidth {bw}")
     bands = [(_band(a.domain, bound, f), coeff) for f, coeff in a.coeffs.items()]
-    if a.exact:
-        entries: dict = {}
-        for (col, shift), coeff in bands:
-            keys = zip(_frequency_index(a.domain, bound, col + shift),
-                       _frequency_index(a.domain, bound, col))
-            entries.update(dict.fromkeys(keys, coeff))
-        return SparseOperator.from_dict(a.domain, bound, entries, True, radius, bw)
-    return SparseOperator._from_arrays(
-        a.domain, bound, _concat([col + shift for (col, shift), _ in bands], np.int64),
+    dtype = _dtype(a.exact)
+    return SparseOperator(
+        a.domain, bound, a.exact, radius, bw,
+        _concat([col + shift for (col, shift), _ in bands], np.int64),
         _concat([col for (col, _), _ in bands], np.int64),
-        _concat([np.full(len(col), complex(coeff)) for (col, _), coeff in bands],
-                np.complex128), radius, bw)
+        _concat([np.full(len(col), coeff, dtype) for (col, _), coeff in bands], dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -505,28 +471,27 @@ def _compose_pair(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     bw = a.bandwidth + b.bandwidth
     if a.exact and b.exact:
         out: dict = {}
-        bycol: Dict[object, list] = {}
-        for r, c, v in b.items():
-            bycol.setdefault(r, []).append((c, v))
-        for r, s, va in a.items():
+        bycol: Dict[int, list] = {}
+        for s, c, v in zip(b.rows.tolist(), b.cols.tolist(), b.vals):
+            bycol.setdefault(s, []).append((c, v))
+        for r, s, va in zip(a.rows.tolist(), a.cols.tolist(), a.vals):
             for c, vb in bycol.get(s, ()):  # (A B)(r,c) = sum_s A(r,s) B(s,c)
                 key = (r, c)
                 prod = va * vb
                 cur = out.get(key)
                 out[key] = prod if cur is None else cur + prod
-        return SparseOperator.from_dict(a.domain, a.bound, out, True, radius, bw)
+        out = {k: v for k, v in out.items() if v}
+        return SparseOperator(a.domain, a.bound, True, radius, bw, [r for r, _ in out],
+                              [c for _, c in out], list(out.values()))
     mat = a.to_csr() @ b.to_csr()
     mat.eliminate_zeros()
     return SparseOperator.from_csr(mat, a.domain, a.bound, radius, bw)
 
 
-def compose(ops: Sequence[SparseOperator], bound: int | None = None,
-            domain: str = "circle") -> SparseOperator:
-    """Matrix product of the operators; empty list gives the identity."""
+def compose(ops: Sequence[SparseOperator]) -> SparseOperator:
+    """Matrix product of the operators, left to right."""
     if not ops:
-        if bound is None:
-            raise ValueError("empty product needs an explicit window bound")
-        return SparseOperator.identity(domain, bound)
+        raise ValueError("compose needs at least one operator")
     result = ops[0]
     for op in ops[1:]:
         result = _compose_pair(result, op)

@@ -18,9 +18,6 @@ CircleIndex = int
 TorusIndex = Tuple[int, int]
 FrequencyIndex = Union[CircleIndex, TorusIndex]
 
-# dense-convolution crossover: sparse dict convolution wins below this
-CONV_CROSSOVER = 64
-
 MAX_FREQUENCY_BITS = 62
 
 
@@ -250,9 +247,6 @@ def multiply(f: FourierSeries, g: FourierSeries) -> FourierSeries:
     """Pointwise product, realized as convolution of coefficient maps."""
     f._check_domain(g)
     exact = f.exact and g.exact
-    if (not exact and f.domain == "circle"
-            and len(f.coeffs) > CONV_CROSSOVER and len(g.coeffs) > CONV_CROSSOVER):
-        return _multiply_dense_circle(f, g)
     out: Dict[FrequencyIndex, object] = {}
     for kf, vf in f.coeffs.items():
         vf = _coerce_coeff(vf, exact)
@@ -262,20 +256,6 @@ def multiply(f: FourierSeries, g: FourierSeries) -> FourierSeries:
             cur = out.get(k)
             out[k] = vf * vg if cur is None else cur + vf * vg
     return FourierSeries(f.domain, out, exact)
-
-
-def _multiply_dense_circle(f: FourierSeries, g: FourierSeries) -> FourierSeries:
-    flo, fhi = min(f.coeffs), max(f.coeffs)
-    glo, ghi = min(g.coeffs), max(g.coeffs)
-    fa = np.zeros(fhi - flo + 1, dtype=complex)
-    ga = np.zeros(ghi - glo + 1, dtype=complex)
-    for k, v in f.coeffs.items():
-        fa[k - flo] = v
-    for k, v in g.coeffs.items():
-        ga[k - glo] = v
-    conv = np.convolve(fa, ga)
-    lo = flo + glo
-    return FourierSeries("circle", {lo + i: c for i, c in enumerate(conv) if c != 0}, False)
 
 
 def lacunary_series(c: BoundedSequence, alpha: HolderExponent | float,

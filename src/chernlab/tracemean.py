@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -65,23 +65,15 @@ class DiagonalSequence:
         return DiagonalSequence(self.values * complex(s), self.finite_tail, self.label)
 
 
-def diagonal_of(product, w: TruncationWindow, grading: Callable | None = None,
-                cap: int | None = None, finite_tail: bool = False,
-                label: str = "") -> DiagonalSequence:
+def diagonal_of(product, w: TruncationWindow, cap: int | None = None,
+                finite_tail: bool = False, label: str = "") -> DiagonalSequence:
     """Diagonal of an operator (or list of factors) in the window's
-    canonical order, with exact-column-radius checking.
-
-    grading, if given, maps a frequency index to a sign folded into d_k
-    (the supertrace weight)."""
+    canonical order, with exact-column-radius checking."""
     indices = w.points()
     if cap is not None:
         indices = indices[:cap]
     ops = product if isinstance(product, (list, tuple)) else [product]
-    vals = product_diagonal(list(ops), indices)
-    if grading is not None:
-        signs = np.array([grading(k) for k in indices], dtype=np.complex128)
-        vals = vals * signs
-    return DiagonalSequence(vals, finite_tail, label)
+    return DiagonalSequence(product_diagonal(list(ops), indices), finite_tail, label)
 
 
 def dyadic_schedule(m_min: int = 4, m_max: int = 24) -> List[tuple]:

@@ -62,6 +62,20 @@ class TestExitCodes:
     def test_usage_error_returns_two(self):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("name, overrides", [
+        ("svd-decay-szego", ["window_log2=14", "level_cap=14"]),
+        ("approxomtienri-decay", ["j_max_log2=8"]),
+    ])
+    def test_unrunnable_config_returns_two(self, tmp_path, capsys, name, overrides):
+        # both raise ValueError before any heavy work: an oversized
+        # spectrum and a cutoff that vanishes on the grid
+        argv = ["run", name, "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
     def test_failed_assertion_returns_one(self, tmp_path, capsys):
         # an unattainably tight tolerance forces a clean assertion failure
         code = main(["run", "compmpmpnpanf-calibration", "--out", str(tmp_path),

@@ -296,6 +296,64 @@ class TestFloatForm:
                 assert got.tobytes() == want.tobytes()
 
 
+class TestExactForm:
+    """Exact operators hold the same read-only position arrays as float
+    ones, with QGauss values; dyadic coefficients keep every float
+    product exact, so the float forms must equal the dense oracles."""
+
+    CIRCLE = FourierSeries("circle", {1: Fraction(1, 2), -2: Fraction(-3, 4),
+                                      3: QGauss(Fraction(1, 4), Fraction(-1, 8))}, True)
+    TORUS = FourierSeries("torus", {(1, -2): Fraction(1, 4), (0, 1): 2,
+                                    (-3, 0): QGauss(Fraction(-5, 8), Fraction(1, 2))}, True)
+
+    def test_values_are_qgauss_and_read_only(self):
+        c = commutator(OperatorModel("circle_F"), self.CIRCLE, 8)
+        assert c.exact and c.vals.dtype == object
+        assert all(isinstance(v, QGauss) for v in c.vals)
+        assert c.rows.dtype == c.cols.dtype == np.int64
+        for arr in (c.rows, c.cols, c.vals):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+        f = c.to_float()
+        assert f.rows is c.rows and f.cols is c.cols
+
+    def test_adjoint_conjugates_values(self):
+        m = multiplication_operator(self.CIRCLE, 8)
+        adj = m.adjoint()
+        assert adj.exact
+        assert adj.entry(2, 5) == QGauss(Fraction(1, 4), Fraction(1, 8))
+        assert m.entry(5, 2) == QGauss(Fraction(1, 4), Fraction(-1, 8))
+        assert np.array_equal(dense_circle(adj, 8), dense_circle(m, 8).conj().T)
+
+    def test_entry_outside_the_box_is_exact_zero(self):
+        m = multiplication_operator(self.TORUS, TORUS_BOUND)
+        assert m.entry((6, 0), (5, 0)) == QGauss()
+        assert isinstance(m.entry((0, 0), (0, 7)), QGauss)
+        c = commutator(OperatorModel("circle_F"), self.CIRCLE, 8)
+        assert c.entry(9, 8) == QGauss()
+
+    def test_float_forms_match_dense(self):
+        bound = 12
+        model = OperatorModel("circle_F")
+        c = commutator(model, self.CIRCLE, bound)
+        ph = dense_phase("circle_F", bound)
+        ma = dense_mult(self.CIRCLE, bound)
+        assert np.array_equal(dense_circle(c.to_float(), bound), ph @ ma - ma @ ph)
+        m = multiplication_operator(self.CIRCLE, bound)
+        assert np.array_equal(dense_circle(m.to_float(), bound), ma)
+        t = multiplication_operator(self.TORUS, TORUS_BOUND)
+        assert np.array_equal(dense_torus(t.to_float(), TORUS_BOUND),
+                              dense_torus_mult(self.TORUS, TORUS_BOUND))
+        prod = compose([SparseOperator.diagonal_phase(model, bound), c, m])
+        assert prod.exact
+        assert np.array_equal(dense_circle(prod.to_float(), bound),
+                              ph @ (ph @ ma - ma @ ph) @ ma)
+
+    def test_empty_compose_raises(self):
+        with pytest.raises(ValueError):
+            compose([])
+
+
 class TestWindows:
     def test_symmetric_order(self):
         w = TruncationWindow.circle_symmetric(2)
