@@ -44,8 +44,6 @@ class LaurentChain:
             for f in tensor:
                 _check_factor(f)
             w = QGauss.of(weight)
-            if w.is_zero():
-                continue
             cleaned[tuple(tensor)] = cleaned.get(tuple(tensor), QGauss()) + w
         cleaned = {t: w for t, w in cleaned.items() if not w.is_zero()}
         object.__setattr__(self, "terms", cleaned)
@@ -140,48 +138,22 @@ class PairResult:
     series: LogMeanSeries | None = None
     probe_result: object = None
 
-    def scalar(self) -> complex:
-        if self.exact_value is None:
-            raise ValueError("pairing is not exact; inspect the series/probe")
-        v = self.exact_value
-        return v.to_complex() if isinstance(v, QGauss) else complex(v)
-
 
 def pair(recipe: Callable, x: LaurentChain) -> PairResult:
     """Apply a cochain evaluator to every elementary tensor and combine
-    with the chain weights.  Exact when every evaluation is exact;
-    otherwise the checkpoint series are combined and re-probed.
-    """
+    with the chain weights: a QGauss sum when every evaluation has an exact
+    value, else the re-probed sum of the checkpoint series (an evaluation's
+    `.series`, or the LogMeanSeries the recipe returns)."""
     if x.is_zero():
         return PairResult(exact_value=QGauss())
     evals = [(w, recipe(tensor)) for tensor, w in x.terms.items()]
-    results = []
-    for w, ev in evals:
-        if hasattr(ev, "exact_value") and hasattr(ev, "series"):
-            results.append((w, ev.exact_value, ev.series))
-        elif isinstance(ev, LogMeanSeries):
-            results.append((w, None, ev))
-        else:
-            results.append((w, ev, None))
-    if all(val is not None for (_, val, _) in results):
-        total = QGauss()
-        exact = True
-        for w, val, _ in results:
-            if isinstance(val, QGauss):
-                total = total + w * val
-            else:
-                exact = False
-                break
-        if exact:
-            return PairResult(exact_value=total)
-        ctotal = sum(w.to_complex() * (val.to_complex() if isinstance(val, QGauss)
-                                       else complex(val))
-                     for w, val, _ in results)
-        return PairResult(exact_value=ctotal)
+    if all(isinstance(getattr(ev, "exact_value", None), QGauss) for _, ev in evals):
+        return PairResult(exact_value=sum((w * ev.exact_value for w, ev in evals), QGauss()))
     combined = None
-    for w, _, series in results:
+    for w, ev in evals:
+        series = ev if isinstance(ev, LogMeanSeries) else ev.series
         if series is None:
-            raise ValueError("mixed exact/series pairing without checkpoint data")
+            raise ValueError("inexact pairing term without checkpoint data")
         term = series.scale(w.to_complex())
         combined = term if combined is None else combined + term
     return PairResult(series=combined,

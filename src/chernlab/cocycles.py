@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -83,8 +84,11 @@ class CochainEvaluation:
     series: LogMeanSeries | None = None
     probe_result: ExtendedLimitProbe | None = None
     exact_value: object = None
-    exact: bool = False
     notes: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def exact(self) -> bool:
+        return self.exact_value is not None
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +105,7 @@ def _circle_ops(inputs: Sequence[FourierSeries], bound: int,
     return ops
 
 
-def _circle_geometry(inputs, leading=None):
+def _bandwidths(inputs, leading=None):
     bws = [a.max_frequency() for a in inputs]
     lead_bw = leading.max_frequency() if leading is not None else 0
     total = sum(bws) + lead_bw
@@ -112,7 +116,7 @@ def _circle_geometry(inputs, leading=None):
 def _circle_diagonal(inputs, schedule, leading=None, prefactor=1,
                      label="") -> DiagonalSequence:
     """Diagonal of F [a0] [F,a1]...[F,ap] in symmetric canonical order."""
-    total, support = _circle_geometry(inputs, leading)
+    total, support = _bandwidths(inputs, leading)
     cap = 2 * support + 3
     max_n = max(n for (_, n) in schedule) if schedule else cap
     cap = min(cap, max(max_n, 8))
@@ -129,7 +133,7 @@ def _trace(prod: SparseOperator):
 
 
 def _exact_circle_trace(inputs, leading=None) -> QGauss:
-    total, _ = _circle_geometry(inputs, leading)
+    total, _ = _bandwidths(inputs, leading)
     return _trace(compose(_circle_ops(inputs, 2 * total + 4, leading)))
 
 
@@ -146,9 +150,7 @@ def torus_diagonal_operator(inputs: Sequence[FourierSeries], points,
     <e_k, U [a0] [U*,a1][U,a2]... e_k> - <e_k, U* [a0] [U,a1][U*,a2]... e_k>.
     """
     max_pt = max((max(abs(k[0]), abs(k[1])) for k in points), default=0)
-    bws = [a.max_frequency() for a in inputs]
-    lead_bw = leading.max_frequency() if leading is not None else 0
-    bound = max_pt + sum(bws) + lead_bw + 2
+    bound = max_pt + _bandwidths(inputs, leading)[0] + 2
     u = OperatorModel("torus_U")
     us = OperatorModel("torus_U_star")
     out = np.zeros(len(points), dtype=np.complex128)
@@ -174,9 +176,7 @@ def torus_diagonal_kernel(a0: FourierSeries, a1: FourierSeries,
     part of the phase product with the zero-frequency phase set to 1, the
     same convention the operator model uses, so the identity is exact
     everywhere."""
-    sup0 = {k: (v.to_complex() if a0.exact else v) for k, v in a0.coeffs.items()}
-    sup1 = {k: (v.to_complex() if a1.exact else v) for k, v in a1.coeffs.items()}
-    sup2 = {k: (v.to_complex() if a2.exact else v) for k, v in a2.coeffs.items()}
+    sup0, sup1, sup2 = (s.to_float().coeffs for s in (a0, a1, a2))
     phase = OperatorModel("torus_U").phase
     out = np.zeros(len(points), dtype=np.complex128)
     for i, k in enumerate(points):
@@ -208,8 +208,7 @@ def torus_diagonal_kernel(a0: FourierSeries, a1: FourierSeries,
 def _finish(kind, spec, inputs, diag, schedule, notes, exact_value=None) -> CochainEvaluation:
     series = log_mean(diag, schedule, label=kind)
     pr = probe(series) if len(series.checkpoints) >= 3 else None
-    return CochainEvaluation(kind, spec, list(inputs), diag, series, pr,
-                             exact_value, exact_value is not None, notes)
+    return CochainEvaluation(kind, spec, list(inputs), diag, series, pr, exact_value, notes)
 
 
 def _torus_schedule(schedule, n_points):
@@ -219,6 +218,28 @@ def _torus_schedule(schedule, n_points):
     if not cps or cps[-1][1] != n_points:
         cps.append((math.log2(n_points), n_points))
     return cps
+
+
+def _eval_cochain(kind, spec, a, leading, prefactor, schedule, n_shells,
+                  notes) -> CochainEvaluation:
+    """prefactor times the diagonal of F [leading] [F,b0]...[F,bp], where b
+    is a without its leading input when one is given."""
+    if any(s.domain != spec.domain for s in a):
+        raise ValueError("input domain does not match the module")
+    inputs = list(a[1:] if leading is not None else a)
+    if spec.domain == "circle":
+        schedule = schedule or dyadic_schedule(4, 20)
+        diag = _circle_diagonal(inputs, schedule, leading, prefactor, label=kind)
+        exact_value = None
+        if all(s.exact for s in a):
+            exact_value = _exact_circle_trace(inputs, leading) * prefactor
+        return _finish(kind, spec, a, diag, schedule, notes, exact_value)
+    points = TruncationWindow.torus_shells(n_shells).points()
+    vals = torus_diagonal_operator(inputs, points, leading)
+    # skip a unit prefactor: a complex multiply by 1 can flip the sign of a zero
+    diag = DiagonalSequence(vals if prefactor == 1 else prefactor * vals,
+                            finite_tail=False, label=kind)
+    return _finish(kind, spec, a, diag, _torus_schedule(schedule, len(points)), notes)
 
 
 def eval_c_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
@@ -231,20 +252,7 @@ def eval_c_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     if len(a) != spec.p + 1:
         raise ValueError(f"c_omega at p={spec.p} takes {spec.p + 1} inputs, got {len(a)}")
     notes = {"pairing_normalization": pairing_normalization(spec.p)}
-    if spec.domain == "circle":
-        if any(s.domain != "circle" for s in a):
-            raise ValueError("input domain does not match the module")
-        schedule = schedule or dyadic_schedule(4, 20)
-        diag = _circle_diagonal(a, schedule, label="c_omega")
-        exact_value = _exact_circle_trace(a) if all(s.exact for s in a) else None
-        return _finish("c_omega", spec, a, diag, schedule, notes, exact_value)
-    if any(s.domain != "torus" for s in a):
-        raise ValueError("input domain does not match the module")
-    w = TruncationWindow.torus_shells(n_shells)
-    points = w.points()
-    diag = DiagonalSequence(torus_diagonal_operator(list(a), points),
-                            finite_tail=False, label="c_omega")
-    return _finish("c_omega", spec, a, diag, _torus_schedule(schedule, len(points)), notes)
+    return _eval_cochain("c_omega", spec, a, None, 1, schedule, n_shells, notes)
 
 
 def eval_h_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
@@ -259,19 +267,7 @@ def eval_h_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
         raise ValueError(f"h_omega at p={spec.p} takes {spec.p + 2} inputs, got {len(a)}")
     notes = {"prefactor": spec.p,
              "pairing_normalization": pairing_normalization(spec.p)}
-    if spec.domain == "circle":
-        schedule = schedule or dyadic_schedule(4, 20)
-        diag = _circle_diagonal(a[1:], schedule, leading=a[0],
-                                prefactor=spec.p, label="h_omega")
-        exact_value = None
-        if all(s.exact for s in a):
-            exact_value = _exact_circle_trace(a[1:], leading=a[0]) * spec.p
-        return _finish("h_omega", spec, a, diag, schedule, notes, exact_value)
-    w = TruncationWindow.torus_shells(n_shells)
-    points = w.points()
-    vals = spec.p * torus_diagonal_operator(list(a[1:]), points, leading=a[0])
-    diag = DiagonalSequence(vals, finite_tail=False, label="h_omega")
-    return _finish("h_omega", spec, a, diag, _torus_schedule(schedule, len(points)), notes)
+    return _eval_cochain("h_omega", spec, a, a[0], spec.p, schedule, n_shells, notes)
 
 
 def connes_chern_constant(n: int) -> complex:
@@ -283,15 +279,13 @@ def connes_chern_constant(n: int) -> complex:
 
 
 def eval_ch_CC(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
-               window_bound: int | None = None,
                stability_tol: float = 1e-10) -> CochainEvaluation:
     """The normalized character cochain: c_n * Tr(F [F,a0]...[F,a_n]) with an
     exact windowed trace and a window-doubling stability report."""
     n = len(a) - 1
     if spec.domain != "circle":
         raise NotImplementedError("the character cochain is implemented on the circle")
-    total = sum(s.max_frequency() for s in a)
-    bound = window_bound or (2 * total + 4)
+    bound = 2 * sum(s.max_frequency() for s in a) + 4
     traces = [complex(_trace(compose(_circle_ops(a, b)))) for b in (bound, 2 * bound)]
     drift = abs(traces[1] - traces[0])
     if drift > stability_tol * max(1.0, abs(traces[1])):
@@ -301,7 +295,7 @@ def eval_ch_CC(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     notes = {"raw_trace": traces[1], "c_n": cn, "window_drift": drift,
              "window_bound": bound}
     return CochainEvaluation("ch_CC", spec, list(a), None, None, None,
-                             cn * traces[1], True, notes)
+                             cn * traces[1], notes)
 
 
 def check_hochschild_cocycle(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
@@ -318,15 +312,15 @@ def check_hochschild_cocycle(spec: FredholmModuleSpec, a: Sequence[FourierSeries
         raise NotImplementedError("coboundary checks are implemented on the circle")
     schedule = schedule or dyadic_schedule(4, 20)
     total = None
-    for i in range(spec.p + 2):
-        args = list(a[:i]) + [multiply(a[i], a[i + 1])] + list(a[i + 2:])
+    for i in range(spec.p + 3):
+        if i < spec.p + 2:
+            args = list(a[:i]) + [multiply(a[i], a[i + 1])] + list(a[i + 2:])
+        else:
+            args = [multiply(a[-1], a[0])] + list(a[1:-1])
         diag = _circle_diagonal(args[1:], schedule, leading=args[0],
                                 prefactor=spec.p)
         term = diag.scale((-1) ** i)
         total = term if total is None else total + term
-    args = [multiply(a[-1], a[0])] + list(a[1:-1])
-    diag = _circle_diagonal(args[1:], schedule, leading=args[0], prefactor=spec.p)
-    total = total + diag.scale((-1) ** (spec.p + 2))
     notes = {"terms": spec.p + 3}
     return _finish("b_h_omega", spec, a, total, schedule, notes)
 
@@ -378,9 +372,7 @@ def fast_path_partial_sums(b: Sequence[FourierSeries], ns: Sequence[int]) -> np.
         return np.zeros(len(ns), dtype=np.complex128)
     if types != ["analytic", "anti", "analytic", "anti"]:
         raise ValueError(f"fast path undefined for holomorphy pattern {types}")
-    b0, b1, b2, b3 = b
-    c = [{k: (v.to_complex() if s.exact else complex(v)) for k, v in s.coeffs.items()}
-         for s in b]
+    c = [s.to_float().coeffs for s in b]
     ks = sorted(c[0])
     ms = sorted(c[2])
     out = np.zeros(len(ns), dtype=np.complex128)
@@ -434,26 +426,28 @@ def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
                for (m, n), v in zip(schedule, total)]
         series = LogMeanSeries(cps, label="wedge_fast")
         return CochainEvaluation("c_omega_wedge", spec, list(a), None, series,
-                                 probe(series), None, False, notes)
+                                 probe(series), None, notes)
     if method != "operator":
         raise ValueError(f"unknown wedge method {method!r}")
     max_n = max(ns)
-    total_bw = sum(s.max_frequency() for s in a)
-    bound = total_bw + max_n + 4
-    f_model = OperatorModel("circle_F")
-    f_diag = SparseOperator.diagonal_phase(f_model, bound)
-    comms = [commutator(f_model, s, bound) for s in a]
+    bound = sum(s.max_frequency() for s in a) + max_n + 4
+    f_diag, *comms = _circle_ops(a, bound)
     window = TruncationWindow.circle_one_sided(max_n - 1)
+    # product_diagonal's split of F[F,a0][F,a_i][F,a_j][F,a_k]: F[F,a0] once,
+    # one left half (F[F,a0])[F,a_i] per group of _S3, a right half [F,a_j][F,a_k]
+    head = compose([f_diag, comms[0]])
     diag_total = None
-    for perm, sign in _S3:
-        ops = [f_diag, comms[0]] + [comms[j] for j in perm]
-        d = diagonal_of(ops, window, label="wedge_operator")
-        term = d.scale(sign)
-        diag_total = term if diag_total is None else diag_total + term
+    for i, perms in groupby(_S3, key=lambda ps: ps[0][0]):
+        left = compose([head, comms[i]])
+        for (_, j, k), sign in perms:
+            d = diagonal_of([left, compose([comms[j], comms[k]])], window,
+                            label="wedge_operator")
+            term = d.scale(sign)
+            diag_total = term if diag_total is None else diag_total + term
     diag_total = diag_total.scale(0.5 * pairing_normalization(3))
     series = log_mean(diag_total, schedule, label="wedge_operator")
     return CochainEvaluation("c_omega_wedge", spec, list(a), diag_total, series,
-                             probe(series), None, False, notes)
+                             probe(series), None, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +37,12 @@ __all__ = ["REGISTRY", "Assertion", "ExperimentReport", "ExperimentSpec",
 
 KAPPA_REFERENCE = 1.0 / math.log(2.0)
 WEDGE_TARGET = -2.0 * math.sqrt(2.0) / math.log(2.0)
+
+ONES = BoundedSequence.constant(1.0)
+ALTERNATING = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+Z = FourierSeries.monomial(1)
+ZI = FourierSeries.monomial(-1)
+ONE = FourierSeries.one()
 
 
 class ConfigError(ValueError):
@@ -148,10 +155,17 @@ def run_experiment(name: str, overrides: Dict[str, str] | None = None,
     spec = REGISTRY[name]
     config = validate_config(spec, overrides or {})
     out = Path(out_dir) if out_dir else Path("chernlab_out") / name
+    created = next((d for d in (*reversed(out.parents), out) if not d.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
     report = ExperimentReport(name, spec.anchor, spec.module, config)
     start = time.time()
-    spec.runner(config, out, report)
+    try:
+        spec.runner(config, out, report)
+    except BaseException:
+        # a run that raises leaves behind no directory that it created
+        if created is not None:
+            shutil.rmtree(created)
+        raise
     report.wall_time = time.time() - start
     (out / "report.json").write_text(report.to_json() + "\n")
     report.artifacts.append(str(out / "report.json"))
@@ -196,7 +210,7 @@ def random_trig_poly(rng: np.random.Generator, degree: int, terms: int,
 def _sequence_by_name(name: str) -> tuple:
     """Named bounded test sequences with their limits."""
     table = {
-        "ones": (BoundedSequence.constant(1.0), 1.0),
+        "ones": (ONES, 1.0),
         "half-after-8": (BoundedSequence.from_function(
             lambda j: 0.5 if j >= 8 else 1.0, 1.0), 0.5),
         "two-plus-geometric": (BoundedSequence.from_function(
@@ -211,6 +225,19 @@ def _sequence_by_name(name: str) -> tuple:
     return table[name]
 
 
+def _lacunary_quadruple(alpha: float, level_cap: int) -> list:
+    """[a0, a0*, a2, a2*] for lacunary a0 (alternating) and a2 (constant)."""
+    a0 = lacunary_series(ALTERNATING, alpha, level_cap)
+    a2 = lacunary_series(ONES, alpha, level_cap)
+    return [a0, a0.star(), a2, a2.star()]
+
+
+def _szego_log_mean(seq: BoundedSequence, config):
+    """Dyadic log-means of the closed-form pair diagonal of seq against ONES."""
+    d = szego_pair_diagonal(seq, ONES, config["level_cap"], 1 << config["m_max"])
+    return log_mean(d, dyadic_schedule(config["m_min"], config["m_max"]))
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -219,10 +246,8 @@ def _sequence_by_name(name: str) -> tuple:
           "Exact finite-rank pairing of the degree-1 cocycle with z (x) z^-1",
           {"window": 8})
 def _exp_lkandapdn(config, out, report):
-    z = FourierSeries.monomial(1)
-    zi = FourierSeries.monomial(-1)
     spec = FredholmModuleSpec("circle_F", 1)
-    ev = eval_c_omega(spec, [z, zi])
+    ev = eval_c_omega(spec, [Z, ZI])
     raw = ev.exact_value
     _assert_true(report, "raw trace Tr(F[F,z][F,1/z]) = -4 exactly",
                  raw == QGauss.of(-4), _jsonable(raw), "-4")
@@ -231,11 +256,11 @@ def _exp_lkandapdn(config, out, report):
     _assert_close(report, "pairing value under the quarter normalization",
                   reported.real, -1.0, 0.0,
                   detail="raw trace times (1/2)^(p+1) = 1/4")
-    chain = LaurentChain.elementary([z, zi])
+    chain = LaurentChain.elementary([Z, ZI])
     result = pair(lambda t: eval_c_omega(spec, list(t)), chain)
     paired = result.exact_value.to_complex() * norm
     _assert_close(report, "chain pairing agrees", paired.real, -1.0, 0.0)
-    _write(out, report, "inputs.txt", series_to_text(z) + series_to_text(zi))
+    _write(out, report, "inputs.txt", series_to_text(Z) + series_to_text(ZI))
     _write(out, report, "checkpoints.csv", ev.series.to_csv())
 
 
@@ -245,11 +270,7 @@ def _exp_lkandapdn(config, out, report):
           {"level_cap": 50, "m_min": 4, "m_max": 24, "kappa_rel_tol": 0.01,
            "proportionality_rel_tol": 0.02})
 def _exp_calibration(config, out, report):
-    ones, _ = _sequence_by_name("ones")
-    schedule = dyadic_schedule(config["m_min"], config["m_max"])
-    cap = 1 << config["m_max"]
-    d = szego_pair_diagonal(ones, ones, config["level_cap"], cap)
-    series = log_mean(d, schedule)
+    series = _szego_log_mean(ONES, config)
     kappa = probe(series).extrap
     _write(out, report, "calibration_ones.csv", series.to_csv())
     _assert_close(report, "measured kappa within 1% of 1/log 2",
@@ -257,8 +278,7 @@ def _exp_calibration(config, out, report):
                   detail="extrapolated dyadic log-mean for the constant sequence")
     for name in ("half-after-8", "two-plus-geometric", "threequarter-alternating"):
         seq, limit = _sequence_by_name(name)
-        d = szego_pair_diagonal(seq, ones, config["level_cap"], cap)
-        series = log_mean(d, schedule)
+        series = _szego_log_mean(seq, config)
         value = probe(series).extrap
         _write(out, report, f"calibration_{name}.csv", series.to_csv())
         _assert_close(report, f"proportionality for sequence {name}",
@@ -273,8 +293,6 @@ def _exp_calibration(config, out, report):
           {"window": 512, "level_cap": 9, "tolerance": 1e-12})
 def _exp_szego_dense(config, out, report):
     w = config["window"]
-    ones, _ = _sequence_by_name("ones")
-    alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
     p_model = OperatorModel("szego_P")
     bound = w + 4 * (1 << config["level_cap"]) + 4
     pd = SparseOperator.diagonal_phase(p_model, bound)
@@ -283,13 +301,13 @@ def _exp_szego_dense(config, out, report):
     qd = SparseOperator.from_dict("circle", bound, qent, False, bound, 0)
     window = TruncationWindow.circle_one_sided(w - 1)
     worst = 0.0
-    for name, c1 in (("ones", ones), ("alternating", alt)):
+    for name, c1 in (("ones", ONES), ("alternating", ALTERNATING)):
         w1 = lacunary_series(c1, 0.5, config["level_cap"])
-        w2 = lacunary_series(ones, 0.5, config["level_cap"])
+        w2 = lacunary_series(ONES, 0.5, config["level_cap"])
         ops = [pd, multiplication_operator(w1, bound), qd,
                multiplication_operator(w2.star(), bound), pd]
         d_op = diagonal_of(ops, window).values
-        d_closed = szego_pair_diagonal(c1, ones, config["level_cap"], w).values
+        d_closed = szego_pair_diagonal(c1, ONES, config["level_cap"], w).values
         err = float(np.max(np.abs(d_op - d_closed)))
         worst = max(worst, err)
         _assert_close(report, f"operator product matches closed form ({name})",
@@ -304,13 +322,9 @@ def _exp_szego_dense(config, out, report):
           {"alpha": 0.25, "level_cap": 40, "m_min": 8, "m_max": 20,
            "rel_tol": 0.02})
 def _exp_fourtedo(config, out, report):
-    alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
-    ones, _ = _sequence_by_name("ones")
-    a0 = lacunary_series(alt, config["alpha"], config["level_cap"])
-    a2 = lacunary_series(ones, config["alpha"], config["level_cap"])
     spec = FredholmModuleSpec("circle_F", 3)
     schedule = dyadic_schedule(config["m_min"], config["m_max"])
-    ev = eval_c_omega_wedge(spec, [a0, a0.star(), a2, a2.star()],
+    ev = eval_c_omega_wedge(spec, _lacunary_quadruple(config["alpha"], config["level_cap"]),
                             schedule, method="fast")
     _write(out, report, "wedge_fast.csv", ev.series.to_csv())
     pr = ev.probe_result
@@ -326,20 +340,11 @@ def _exp_fourtedo(config, out, report):
           {"alpha": 0.25, "level_cap_fast": 40, "level_cap_operator": 16,
            "m_min": 8, "m_max": 14, "tolerance": 1e-8})
 def _exp_fourtedo_crosscheck(config, out, report):
-    alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
-    ones, _ = _sequence_by_name("ones")
     spec = FredholmModuleSpec("circle_F", 3)
     schedule = dyadic_schedule(config["m_min"], config["m_max"])
-
-    def quad(level):
-        a0 = lacunary_series(alt, config["alpha"], level)
-        a2 = lacunary_series(ones, config["alpha"], level)
-        return [a0, a0.star(), a2, a2.star()]
-
-    fast = eval_c_omega_wedge(spec, quad(config["level_cap_fast"]),
-                              schedule, method="fast")
-    oper = eval_c_omega_wedge(spec, quad(config["level_cap_operator"]),
-                              schedule, method="operator")
+    fast, oper = (eval_c_omega_wedge(
+        spec, _lacunary_quadruple(config["alpha"], config[f"level_cap_{method}"]),
+        schedule, method=method) for method in ("fast", "operator"))
     _write(out, report, "wedge_fast.csv", fast.series.to_csv())
     _write(out, report, "wedge_operator.csv", oper.series.to_csv())
     diff = float(np.max(np.abs(fast.series.values() - oper.series.values())))
@@ -430,8 +435,7 @@ def _exp_torus_kernel(config, out, report):
           {"window_log2": 13, "level_cap": 13, "count": 2048, "fit_lo": 32,
            "fit_hi": 2048, "slope_target": -0.5, "slope_tol": 0.1})
 def _exp_svd(config, out, report):
-    ones, _ = _sequence_by_name("ones")
-    a = lacunary_series(ones, 0.5, config["level_cap"])
+    a = lacunary_series(ONES, 0.5, config["level_cap"])
     p_model = OperatorModel("szego_P")
     c = commutator(p_model, a, 1 << config["window_log2"])
     sv = singular_values(c, config["count"])
@@ -547,13 +551,10 @@ def _exp_chains(config, out, report):
     _assert_true(report, "b(wedge) = 0 on random quadruples (exact)",
                  wedge_ok, wedge_ok)
 
-    z = FourierSeries.monomial(1)
-    zi = FourierSeries.monomial(-1)
-    one = FourierSeries.one()
     spec = FredholmModuleSpec("circle_F", 1)
     schedule = dyadic_schedule(4, 12)
-    h = eval_h_omega(spec, [one, z, zi], schedule)
-    c = eval_c_omega(spec, [z, zi], schedule)
+    h = eval_h_omega(spec, [ONE, Z, ZI], schedule)
+    c = eval_c_omega(spec, [Z, ZI], schedule)
     diff = float(np.max(np.abs(h.diagonal.values - spec.p * c.diagonal.values)))
     _assert_close(report, "h(1, a) = p c(a) with identical diagonal sequences",
                   diff, 0.0, 0.0)
@@ -567,22 +568,17 @@ def _exp_chains(config, out, report):
           "lacunary wedge inputs",
           {"alpha": 0.25, "level_cap": 10, "m_max": 20, "last_tol": 1e-2})
 def _exp_cyclicity(config, out, report):
-    z = FourierSeries.monomial(1)
-    zi = FourierSeries.monomial(-1)
     spec1 = FredholmModuleSpec("circle_F", 1)
-    ev = check_cyclicity(spec1, [z, zi])
+    ev = check_cyclicity(spec1, [Z, ZI])
     total = complex(np.sum(ev.diagonal.values))
     _assert_close(report, "finite-rank cyclic defect sums to zero exactly",
                   abs(total), 0.0, 0.0,
                   detail="the full windowed traces cancel; individual "
                          "diagonal entries need not")
-    alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
-    ones = BoundedSequence.constant(1.0)
-    a0 = lacunary_series(alt, config["alpha"], config["level_cap"])
-    a2 = lacunary_series(ones, config["alpha"], config["level_cap"])
     spec3 = FredholmModuleSpec("circle_F", 3)
     schedule = dyadic_schedule(4, config["m_max"])
-    ev3 = check_cyclicity(spec3, [a0, a0.star(), a2, a2.star()], schedule)
+    ev3 = check_cyclicity(spec3, _lacunary_quadruple(config["alpha"], config["level_cap"]),
+                          schedule)
     _write(out, report, "cyclicity_defect.csv", ev3.series.to_csv())
     _assert_close(report, "lacunary cyclic defect probe at the last checkpoint",
                   abs(ev3.series.last()), 0.0, config["last_tol"])
@@ -593,17 +589,14 @@ def _exp_cyclicity(config, out, report):
           "constants, and stability under window doubling",
           {"stability_tol": 1e-10, "seed": 20260823})
 def _exp_chcc(config, out, report):
-    z = FourierSeries.monomial(1)
-    zi = FourierSeries.monomial(-1)
-    one = FourierSeries.one()
     spec = FredholmModuleSpec("circle_F", 1)
-    ev = eval_ch_CC(spec, [z, zi], stability_tol=config["stability_tol"])
+    ev = eval_ch_CC(spec, [Z, ZI], stability_tol=config["stability_tol"])
     c1 = connes_chern_constant(1)
     _assert_close(report, "raw trace is -4", abs(ev.notes["raw_trace"] + 4), 0.0, 0.0)
     _assert_close(report, "normalized value is c_1 * (-4)",
                   abs(ev.exact_value - c1 * (-4)), 0.0, 0.0,
                   detail=f"c_1 = sqrt(2i) Gamma(3/2) = {c1}")
-    ev0 = eval_ch_CC(spec, [one, z], stability_tol=config["stability_tol"])
+    ev0 = eval_ch_CC(spec, [ONE, Z], stability_tol=config["stability_tol"])
     _assert_close(report, "value vanishes when an input is central",
                   abs(ev0.exact_value), 0.0, 0.0)
     rng = np.random.default_rng(config["seed"])
@@ -628,11 +621,8 @@ def _exp_chcc(config, out, report):
           "constant, demonstrating dependence on the extended limit",
           {"level_cap": 50, "m_min": 4, "m_max": 24, "separation_factor": 0.2})
 def _exp_sensitivity(config, out, report):
-    ones, _ = _sequence_by_name("ones")
     seq, _ = _sequence_by_name("dyadic-block-alternating")
-    schedule = dyadic_schedule(config["m_min"], config["m_max"])
-    d = szego_pair_diagonal(seq, ones, config["level_cap"], 1 << config["m_max"])
-    series = log_mean(d, schedule)
+    series = _szego_log_mean(seq, config)
     pr = probe(series)
     _write(out, report, "oscillating_sequence.csv", series.to_csv())
     _assert_true(report, "oscillation flag on", pr.oscillating, pr.oscillating)
@@ -657,8 +647,7 @@ def _exp_decay(config, out, report):
     js = [2 ** t for t in range(1, config["j_max_log2"] + 1)]
     for alpha, beta in ((config["alpha1"], config["beta1"]),
                         (config["alpha2"], config["beta2"])):
-        ones = BoundedSequence.constant(1.0)
-        f = lacunary_series(ones, beta, config["level_cap"])
+        f = lacunary_series(ONES, beta, config["level_cap"])
         rep = diagonal_decay_experiment(f, alpha, beta, js, x,
                                         pair_cap=config["pair_cap"])
         _write(out, report, f"decay_a{alpha}_b{beta}.csv", rep.to_csv())
@@ -692,8 +681,7 @@ def _exp_seminorm(config, out, report):
     est = estimate_holder_seminorm(z, SampledMetricSpace.circle(config["grid"]), 1.0)
     _assert_close(report, "Lipschitz seminorm of the coordinate function",
                   est, 1.0, 1e-3)
-    ones = BoundedSequence.constant(1.0)
-    f = lacunary_series(ones, 0.5, config["level_cap"])
+    f = lacunary_series(ONES, 0.5, config["level_cap"])
     grids = [config["grid"] // 4, config["grid"] // 2, config["grid"]]
     at_match = [estimate_holder_seminorm(f, SampledMetricSpace.circle(m),
                                          config["alpha_match"]) for m in grids]

@@ -128,8 +128,7 @@ def _values_on_grid(f, x: SampledMetricSpace) -> np.ndarray:
             raise ValueError("series domain does not match the grid")
         th = x.angles()
         out = np.zeros((x.size, x.size), dtype=complex)
-        for (k1, k2), v in f.coeffs.items():
-            c = v.to_complex() if f.exact else v
+        for (k1, k2), c in f.to_float().coeffs.items():
             out += c * np.outer(np.exp(1j * k1 * th), np.exp(1j * k2 * th))
         return out
     vals = np.asarray(f, dtype=complex)
@@ -256,10 +255,6 @@ class DecayFitReport:
                  "j,norm"]
         lines += [f"{j},{n:.12g}" for j, n in zip(self.js, self.norms)]
         return "\n".join(lines) + "\n"
-
-    def summary(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-                "slope": self.slope, "residual": self.residual}
 
 
 def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,

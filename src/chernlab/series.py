@@ -182,7 +182,7 @@ class FourierSeries:
         out = {}
         for k, v in self.coeffs.items():
             nk = -k if self.domain == "circle" else (-k[0], -k[1])
-            out[nk] = v.conjugate() if self.exact else v.conjugate()
+            out[nk] = v.conjugate()
         return FourierSeries(self.domain, out, self.exact)
 
     def exactify(self) -> "FourierSeries":
@@ -218,27 +218,19 @@ class FourierSeries:
 
     def evaluate(self, point) -> complex:
         """Evaluate sum a_k e^{i k.theta} at angles in [0, 2pi)^n."""
+        coeffs = self.to_float().coeffs.items()
         if self.domain == "circle":
             theta = float(point if np.isscalar(point) else point[0])
-            total = 0j
-            for k, v in self.coeffs.items():
-                c = v.to_complex() if self.exact else v
-                total += c * np.exp(1j * k * theta)
-            return total
+            return sum((c * np.exp(1j * k * theta) for k, c in coeffs), 0j)
         t1, t2 = float(point[0]), float(point[1])
-        total = 0j
-        for (k1, k2), v in self.coeffs.items():
-            c = v.to_complex() if self.exact else v
-            total += c * np.exp(1j * (k1 * t1 + k2 * t2))
-        return total
+        return sum((c * np.exp(1j * (k1 * t1 + k2 * t2)) for (k1, k2), c in coeffs), 0j)
 
     def evaluate_grid(self, thetas: np.ndarray) -> np.ndarray:
         """Vectorized circle evaluation on an array of angles."""
         if self.domain != "circle":
             raise ValueError("evaluate_grid supports circle series only")
         out = np.zeros(np.shape(thetas), dtype=complex)
-        for k, v in self.coeffs.items():
-            c = v.to_complex() if self.exact else v
+        for k, c in self.to_float().coeffs.items():
             out += c * np.exp(1j * k * np.asarray(thetas))
         return out
 

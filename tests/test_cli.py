@@ -69,12 +69,20 @@ class TestExitCodes:
     def test_unrunnable_config_returns_two(self, tmp_path, capsys, name, overrides):
         # both raise ValueError before any heavy work: an oversized
         # spectrum and a cutoff that vanishes on the grid
-        argv = ["run", name, "--out", str(tmp_path)]
+        argv = ["run", name, "--out", str(tmp_path / "fresh" / "out")]
         for item in overrides:
             argv += ["--set", item]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        # the run created both directories, so it removes them again
+        assert not (tmp_path / "fresh").exists()
+
+    def test_failed_run_keeps_an_existing_directory(self, tmp_path):
+        (tmp_path / "keep.txt").write_text("x")
+        assert main(["run", "approxomtienri-decay", "--out", str(tmp_path),
+                     "--set", "j_max_log2=8"]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.txt"]
 
     def test_failed_assertion_returns_one(self, tmp_path, capsys):
         # an unattainably tight tolerance forces a clean assertion failure

@@ -1,13 +1,15 @@
 """Cocycle evaluators: exact traces, the fast-path double sum against the
 operator diagonal, the closed-form projector product, and torus grading."""
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from chernlab.scalars import QGauss
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
-from chernlab.operators import TruncationWindow
+from chernlab.operators import (OperatorModel, SparseOperator, TruncationWindow,
+                                commutator)
 from chernlab.cocycles import (CocycleConsistencyError, FredholmModuleSpec,
                                check_cyclicity, check_hochschild_cocycle,
                                connes_chern_constant, eval_c_omega,
@@ -15,7 +17,7 @@ from chernlab.cocycles import (CocycleConsistencyError, FredholmModuleSpec,
                                fast_path_partial_sums, holomorphy_type,
                                pairing_normalization, szego_pair_diagonal,
                                torus_diagonal_kernel, torus_diagonal_operator)
-from chernlab.tracemean import dyadic_schedule
+from chernlab.tracemean import diagonal_of, dyadic_schedule
 
 Z = FourierSeries.monomial(1)
 ZI = FourierSeries.monomial(-1)
@@ -75,6 +77,13 @@ class TestHochschild:
     def test_arity_checked(self):
         with pytest.raises(ValueError):
             eval_h_omega(SPEC1, [Z, ZI])
+
+    def test_domain_checked(self):
+        torus_one = FourierSeries.one("torus")
+        with pytest.raises(ValueError, match="input domain does not match the module"):
+            eval_h_omega(SPEC1, [torus_one, Z, ZI])
+        with pytest.raises(ValueError, match="input domain does not match the module"):
+            eval_c_omega(SPEC1, [torus_one, Z])
 
 
 class TestCyclicity:
@@ -146,6 +155,31 @@ class TestWedgeOperatorPath:
         oper = eval_c_omega_wedge(SPEC3, quad, sched, method="operator")
         assert np.max(np.abs(oper.series.values())) < 10
         assert np.max(np.abs(fast.series.values())) < 10
+
+    def test_shared_products_equal_per_permutation_diagonals(self):
+        # the evaluator forms each sparse product once; summing diagonal_of
+        # over the six full five-factor products must give the same bits
+        alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+        a0 = lacunary_series(alt, 0.25, 6)
+        a2 = lacunary_series(BoundedSequence.constant(1.0), 0.25, 6)
+        quad = [a0, a0.star(), a2, a2.star()]
+        sched = dyadic_schedule(4, 8)
+        oper = eval_c_omega_wedge(SPEC3, quad, sched, method="operator")
+        max_n = max(n for (_, n) in sched)
+        bound = sum(s.max_frequency() for s in quad) + max_n + 4
+        f_model = OperatorModel("circle_F")
+        f_diag = SparseOperator.diagonal_phase(f_model, bound)
+        comms = [commutator(f_model, s, bound) for s in quad]
+        window = TruncationWindow.circle_one_sided(max_n - 1)
+        total = None
+        for perm in permutations((1, 2, 3)):
+            inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+            ops = [f_diag, comms[0]] + [comms[j] for j in perm]
+            term = diagonal_of(ops, window).scale((-1) ** inversions)
+            total = term if total is None else total + term
+        want = total.scale(0.5 * pairing_normalization(3)).values
+        assert np.any(want != 0)
+        assert np.array_equal(oper.diagonal.values, want)
 
 
 class TestChCC:

@@ -52,3 +52,22 @@ def test_module_exports_resolve(path):
     # left in __all__ after its definition is deleted is caught only here
     module = importlib.import_module(f"chernlab.{path.stem}")
     assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+def test_bench_spans_resolve():
+    # bench/run.py --trace 1 wraps chernlab.<layer>.<path> for every entry in
+    # SPANS; a deleted or renamed entry point would break only that run
+    spans_py = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    tree = ast.parse(spans_py.read_text())
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets))
+    assert spans
+    missing = []
+    for layer, path, _ in spans:
+        obj = importlib.import_module(f"chernlab.{layer}")
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{layer}.{path}")
+    assert missing == []
