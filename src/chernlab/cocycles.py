@@ -459,20 +459,23 @@ def szego_pair_diagonal(c1, c2, level_cap: int, cap: int,
     """Closed-form diagonal of P W(c1) (1-P) W(c2)* P on the one-sided order:
     d_k = sum_{j <= level_cap, 2^j > k} c1_j conj(c2_j) 2^(-2 alpha j).
 
-    Piecewise constant on dyadic blocks, so it materializes by repetition.
-    The dense-product oracle in the test suite pins this formula.
+    Constant on entry 0 and on each dyadic block [2^t, 2^(t+1)), and zero
+    from 2^level_cap on, so it is stored as at most level_cap + 2 runs, the
+    last one clipped at cap.  The dense-product oracle in the test suite
+    pins this formula.
     """
     gamma = np.array([complex(c1(j)) * complex(c2(j)).conjugate()
                       for j in range(level_cap + 1)], dtype=np.complex128)
     weights = gamma * np.power(2.0, -2.0 * alpha * np.arange(level_cap + 1))
     suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
-    out = np.empty(cap, dtype=np.complex128)
-    out[0] = suffix[0]
+    values, lengths = [suffix[0]], [1]
     t = 0
-    while (1 << t) < cap:
-        lo = 1 << t
-        hi = min(1 << (t + 1), cap)
-        out[lo:hi] = suffix[t + 1] if t + 1 <= level_cap else 0.0
+    while (1 << t) < cap and t < level_cap:
+        values.append(suffix[t + 1])
+        lengths.append(min(1 << (t + 1), cap) - (1 << t))
         t += 1
+    if (1 << t) < cap:
+        values.append(0.0)
+        lengths.append(cap - (1 << t))
     finite_tail = cap >= (1 << level_cap)
-    return DiagonalSequence(out, finite_tail=finite_tail, label="szego_pair")
+    return DiagonalSequence(values, finite_tail, "szego_pair", lengths)

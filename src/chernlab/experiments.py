@@ -307,7 +307,7 @@ def _exp_szego_dense(config, out, report):
         ops = [pd, multiplication_operator(w1, bound), qd,
                multiplication_operator(w2.star(), bound), pd]
         d_op = diagonal_of(ops, window).values
-        d_closed = szego_pair_diagonal(c1, ONES, config["level_cap"], w).values
+        d_closed = szego_pair_diagonal(c1, ONES, config["level_cap"], w).dense()
         err = float(np.max(np.abs(d_op - d_closed)))
         worst = max(worst, err)
         _assert_close(report, f"operator product matches closed form ({name})",

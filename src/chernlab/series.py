@@ -93,11 +93,17 @@ def _coerce_coeff(value, exact: bool):
 
 @dataclass(frozen=True)
 class FourierSeries:
-    """Finitely supported coefficient map on Z (circle) or Z^2 (torus)."""
+    """Finitely supported coefficient map on Z (circle) or Z^2 (torus).
+
+    The canonical key and its hash are computed once, at construction, so
+    coeffs must not be mutated afterwards.
+    """
 
     domain: str
     coeffs: Dict[FrequencyIndex, object] = field(default_factory=dict)
     exact: bool = False
+    _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.domain not in ("circle", "torus"):
@@ -113,6 +119,13 @@ class FourierSeries:
                 continue
             cleaned[k] = v
         object.__setattr__(self, "coeffs", cleaned)
+        items = []
+        for k in sorted(cleaned, key=lambda f: (f,) if self.domain == "circle" else f):
+            v = cleaned[k]
+            items.append((k, (v.re, v.im)) if self.exact else (k, v))
+        key = (self.domain, self.exact, tuple(items))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     # -- constructors -------------------------------------------------
 
@@ -202,19 +215,15 @@ class FourierSeries:
 
     def key(self):
         """A hashable canonical form (for use as dict keys in chains)."""
-        items = []
-        for k in sorted(self.coeffs, key=lambda f: (f,) if self.domain == "circle" else f):
-            v = self.coeffs[k]
-            items.append((k, (v.re, v.im)) if self.exact else (k, v))
-        return (self.domain, self.exact, tuple(items))
+        return self._key
 
     def __eq__(self, other):
         if not isinstance(other, FourierSeries):
             return NotImplemented
-        return self.key() == other.key()
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def evaluate(self, point) -> complex:
         """Evaluate sum a_k e^{i k.theta} at angles in [0, 2pi)^n."""

@@ -1,11 +1,12 @@
 """Logarithmic-mean functionals standing in for singular traces.
 
-A DiagonalSequence is a materialized prefix of diagonal matrix entries
-d_k.  Its log-mean at checkpoint N is (1/log(2+N)) * sum_{k<N} d_k; the
-extended limit that would turn these means into a singular trace is never
-constructed.  Instead an ExtendedLimitProbe reports tail statistics of the
-dyadic checkpoints: convergence claims become "checkpoints converge, flag
-off", existence-of-different-limits claims become "flag on with min/max
+A DiagonalSequence is a prefix of diagonal matrix entries d_k, stored
+entry by entry or as constant runs.  Its log-mean at checkpoint N is
+(1/log(2+N)) * sum_{k<N} d_k; the extended limit that would turn these
+means into a singular trace is never constructed.  Instead an
+ExtendedLimitProbe reports tail statistics of the dyadic checkpoints:
+convergence claims become "checkpoints converge, flag off",
+existence-of-different-limits claims become "flag on with min/max
 separation".
 """
 from __future__ import annotations
@@ -30,25 +31,43 @@ _CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class DiagonalSequence:
-    """A materialized prefix of diagonal entries d_0, d_1, ....
+    """A prefix d_0, d_1, ..., d_(cap-1) of diagonal entries.
+
+    With lengths=None, values holds one entry per index.  Otherwise the
+    prefix is stored as constant runs: values[i] repeats lengths[i] times,
+    and dense() expands it.
 
     finite_tail records that the untruncated sequence is exactly zero
-    beyond the materialized prefix (true for products containing a
-    commutator with a trigonometric polynomial), which lets log-means be
-    evaluated past the cap.
+    beyond the stored prefix (true for products containing a commutator
+    with a trigonometric polynomial), which lets log-means be evaluated
+    past the cap.
     """
 
     values: np.ndarray
     finite_tail: bool = False
     label: str = ""
+    lengths: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values",
                            np.asarray(self.values, dtype=np.complex128))
+        if self.lengths is not None:
+            lengths = np.asarray(self.lengths, dtype=np.int64)
+            if lengths.shape != self.values.shape or np.any(lengths < 0):
+                raise ValueError("run lengths must be nonnegative, one per value")
+            object.__setattr__(self, "lengths", lengths)
 
     @property
     def cap(self) -> int:
-        return len(self.values)
+        if self.lengths is None:
+            return len(self.values)
+        return int(self.lengths.sum())
+
+    def dense(self) -> np.ndarray:
+        """The entries d_0, ..., d_(cap-1), one per index."""
+        if self.lengths is None:
+            return self.values
+        return np.repeat(self.values, self.lengths)
 
     def __add__(self, other: "DiagonalSequence") -> "DiagonalSequence":
         n = max(self.cap, other.cap)
@@ -56,13 +75,14 @@ class DiagonalSequence:
             raise ValueError("cannot add diagonal sequences of different caps "
                              "without a finite-tail guarantee")
         a = np.zeros(n, dtype=np.complex128)
-        a[: self.cap] += self.values
-        a[: other.cap] += other.values
+        a[: self.cap] += self.dense()
+        a[: other.cap] += other.dense()
         return DiagonalSequence(a, self.finite_tail and other.finite_tail,
                                 self.label or other.label)
 
     def scale(self, s) -> "DiagonalSequence":
-        return DiagonalSequence(self.values * complex(s), self.finite_tail, self.label)
+        return DiagonalSequence(self.values * complex(s), self.finite_tail, self.label,
+                                self.lengths)
 
 
 def diagonal_of(product, w: TruncationWindow, cap: int | None = None,
@@ -148,13 +168,30 @@ def _prefix_sums_at(values: np.ndarray, checkpoints: Sequence[int]) -> List[comp
     return out
 
 
+def _run_sums_at(values: np.ndarray, lengths: np.ndarray,
+                 checkpoints: Sequence[int]) -> List[complex]:
+    """Prefix sums of a run-form diagonal.  Run i adds values[i] times the
+    number of its entries below N; real and imaginary parts are combined
+    with math.fsum.  Products by power-of-two counts are exact, so a
+    checkpoint on a run boundary of such runs is the correctly rounded
+    exact prefix sum."""
+    starts = np.cumsum(lengths) - lengths
+    out = []
+    for n in checkpoints:
+        counts = np.clip(n - starts, 0, lengths).astype(np.float64)
+        out.append(complex(math.fsum(values.real * counts),
+                           math.fsum(values.imag * counts)))
+    return out
+
+
 def log_mean(d: DiagonalSequence, schedule: Sequence | None = None,
              label: str = "") -> LogMeanSeries:
     """Prefix-of-length-N logarithmic means at the given checkpoints.
 
     schedule entries are N values or (label, N) pairs; default dyadic
-    N = 2^m for m = 4..24 clipped to the materialized cap unless the
-    sequence has a finite tail.
+    N = 2^m for m = 4..24 clipped to the stored cap unless the sequence has
+    a finite tail.  A run-form sequence is summed run by run, without
+    expanding it.
     """
     if schedule is None:
         m_max = min(24, max(4, int(math.log2(max(d.cap, 16)))))
@@ -167,10 +204,14 @@ def log_mean(d: DiagonalSequence, schedule: Sequence | None = None,
             n = int(item)
             m = math.log2(n) if n > 0 else 0
         if n > d.cap and not d.finite_tail:
-            raise ValueError(f"checkpoint N={n} exceeds materialized cap {d.cap} "
+            raise ValueError(f"checkpoint N={n} exceeds stored cap {d.cap} "
                              "and the sequence has no finite-tail guarantee")
         cps.append((m, n))
-    sums = _prefix_sums_at(d.values, [n for (_, n) in cps])
+    ns = [n for (_, n) in cps]
+    if d.lengths is None:
+        sums = _prefix_sums_at(d.values, ns)
+    else:
+        sums = _run_sums_at(d.values, d.lengths, ns)
     checkpoints = [(m, n, s / math.log(2 + n)) for (m, n), s in zip(cps, sums)]
     return LogMeanSeries(checkpoints, NORMALIZATION_TAG, label or d.label)
 

@@ -1,6 +1,7 @@
 """Cocycle evaluators: exact traces, the fast-path double sum against the
 operator diagonal, the closed-form projector product, and torus grading."""
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -17,7 +18,8 @@ from chernlab.cocycles import (CocycleConsistencyError, FredholmModuleSpec,
                                fast_path_partial_sums, holomorphy_type,
                                pairing_normalization, szego_pair_diagonal,
                                torus_diagonal_kernel, torus_diagonal_operator)
-from chernlab.tracemean import diagonal_of, dyadic_schedule
+from chernlab.experiments import _sequence_by_name
+from chernlab.tracemean import diagonal_of, dyadic_schedule, log_mean
 
 Z = FourierSeries.monomial(1)
 ZI = FourierSeries.monomial(-1)
@@ -202,12 +204,62 @@ class TestSzegoClosedForm:
         for k in (0, 1, 2, 5, 17, 128, 299):
             want = sum((-1.0) ** j * 2.0 ** -j
                        for j in range(9) if (1 << j) > k)
-            assert d.values[k].real == pytest.approx(want, abs=1e-14)
+            assert d.dense()[k].real == pytest.approx(want, abs=1e-14)
 
     def test_finite_tail_flag(self):
         ones = BoundedSequence.constant(1.0)
         assert szego_pair_diagonal(ones, ones, 4, 16).finite_tail
         assert not szego_pair_diagonal(ones, ones, 8, 16).finite_tail
+
+    @pytest.mark.parametrize("name", ["ones", "half-after-8", "two-plus-geometric",
+                                      "threequarter-alternating",
+                                      "dyadic-block-alternating"])
+    def test_run_sums_equal_fsum_of_dense(self, name):
+        seq, _ = _sequence_by_name(name)
+        d = szego_pair_diagonal(seq, BoundedSequence.constant(1.0), 20, 1 << 14)
+        assert d.lengths is not None
+        dense = d.dense()
+        for _, n, v in log_mean(d, dyadic_schedule(4, 14)).checkpoints:
+            assert v.real == math.fsum(dense.real[:n]) / math.log(2 + n)
+            assert v.imag == math.fsum(dense.imag[:n]) / math.log(2 + n)
+
+    def test_run_sums_inside_a_run(self):
+        c1 = BoundedSequence.from_function(lambda j: (0.5 + 1j) ** (j % 3), 1.3)
+        d = szego_pair_diagonal(c1, BoundedSequence.constant(1.0), 20, 300)
+        dense = d.dense()
+        for _, n, v in log_mean(d, [100, 257]).checkpoints:
+            want = complex(math.fsum(dense.real[:n]), math.fsum(dense.imag[:n]))
+            assert v == pytest.approx(want / math.log(2 + n), abs=1e-15)
+        with pytest.raises(ValueError):
+            log_mean(d, [301])
+
+    def test_finite_tail_sums_past_cap(self):
+        ones = BoundedSequence.constant(1.0)
+        d = szego_pair_diagonal(ones, ones, 4, 16)
+        v = log_mean(d, [1000]).last()
+        assert v == math.fsum(d.dense().real) / math.log(1002)
+
+    def test_long_cap_is_held_in_runs(self):
+        ones = BoundedSequence.constant(1.0)
+        tracemalloc.start()
+        try:
+            d = szego_pair_diagonal(ones, ones, 50, 1 << 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.cap == 1 << 24
+        assert len(d.values) <= 52
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("alpha", [0.45, 0.5, 0.55])
+    def test_prefix_sums_match_closed_form(self, alpha):
+        # sum_{k<N} d_k = sum_j gamma_j 2^(-2 alpha j) min(2^j, N)
+        ones = BoundedSequence.constant(1.0)
+        d = szego_pair_diagonal(ones, ones, 50, 1 << 24, alpha)
+        for _, n, v in log_mean(d, dyadic_schedule(4, 24)).checkpoints:
+            want = math.fsum(2.0 ** (-2 * alpha * j) * min(1 << j, n) for j in range(51))
+            assert v.real == pytest.approx(want / math.log(2 + n), rel=1e-15)
+            assert v.imag == 0.0
 
 
 class TestTorusGrading:

@@ -83,6 +83,13 @@ class TestSeriesAlgebra:
         expected = np.exp(1j * th) + 0.5j * np.exp(-2j * th)
         assert f.evaluate(th) == pytest.approx(expected)
 
+    @given(small_series())
+    @settings(max_examples=30, deadline=None)
+    def test_stored_key_ignores_insertion_order(self, a):
+        rebuilt = FourierSeries(a.domain, dict(reversed(list(a.coeffs.items()))), a.exact)
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+        assert rebuilt.key() == a.key()
+
     def test_torus_cross(self):
         assert cross((1, 0), (0, 1)) == 1
         assert cross((2, 3), (4, 6)) == 0

@@ -48,6 +48,30 @@ class TestLogMean:
         assert c.values[5] == 2.0 and c.values[15] == 1.0
 
 
+class TestRunForm:
+    RUNS = DiagonalSequence([1.0, 2.0 - 1.0j, 0.5j, 0.0], True, "", [1, 4, 3, 2])
+
+    def test_dense_expands_runs(self):
+        assert self.RUNS.cap == 10
+        assert np.array_equal(self.RUNS.dense(),
+                              [1, 2 - 1j, 2 - 1j, 2 - 1j, 2 - 1j, 0.5j, 0.5j, 0.5j, 0, 0])
+
+    def test_add_and_scale_match_dense(self):
+        dense = DiagonalSequence(self.RUNS.dense(), True)
+        other = DiagonalSequence(np.arange(12.0) * (1 - 0.25j))
+        assert np.array_equal((self.RUNS + other).values, (dense + other).values)
+        assert np.array_equal((other + self.RUNS).values, (other + dense).values)
+        scaled = self.RUNS.scale(1.5 - 2.0j)
+        assert scaled.lengths is not None
+        assert np.array_equal(scaled.dense(), dense.scale(1.5 - 2.0j).values)
+
+    def test_lengths_must_match_values(self):
+        with pytest.raises(ValueError):
+            DiagonalSequence([1.0, 2.0], lengths=[3])
+        with pytest.raises(ValueError):
+            DiagonalSequence([1.0, 2.0], lengths=[3, -1])
+
+
 class TestProbe:
     def test_recovers_linear_in_inverse_m(self):
         cps = [(m, 1 << m, 3.0 + 5.0 / m) for m in range(4, 21)]
