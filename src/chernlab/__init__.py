@@ -2,8 +2,8 @@
 characters on Holder function algebras over the circle and the torus."""
 
 from .scalars import QGauss
-from .series import (BoundedSequence, FourierSeries, HolderExponent, cross,
-                     lacunary_series, multiply, series_from_text, series_to_text)
+from .series import (BoundedSequence, FourierSeries, cross, lacunary_series,
+                     multiply, series_from_text, series_to_text)
 from .operators import (OperatorModel, SingularValueSequence, SparseOperator,
                         TruncationWindow, WindowLeakageError, commutator,
                         compose, multiplication_operator, product_diagonal,

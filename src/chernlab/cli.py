@@ -45,19 +45,17 @@ def read_config_file(path: str | Path) -> dict:
     return overrides
 
 
-def _print_report(report, stream=None):
-    stream = stream or sys.stdout
+def _print_report(report):
     status = "PASS" if report.passed else "FAIL"
-    print(f"[{status}] {report.name} ({report.wall_time:.2f}s)", file=stream)
+    print(f"[{status}] {report.name} ({report.wall_time:.2f}s)")
     for a in report.assertions:
         mark = "pass" if a.passed else "FAIL"
-        print(f"    {mark}: {a.name}", file=stream)
+        print(f"    {mark}: {a.name}")
         if not a.passed:
             print(f"          measured {a.measured!r}, expected {a.expected!r}"
-                  + (f" (tol {a.tolerance!r})" if a.tolerance is not None else ""),
-                  file=stream)
+                  + (f" (tol {a.tolerance!r})" if a.tolerance is not None else ""))
     for art in report.artifacts:
-        print(f"    artifact: {art}", file=stream)
+        print(f"    artifact: {art}")
 
 
 def cmd_run(args) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -68,18 +68,11 @@ class FredholmModuleSpec:
     def domain(self) -> str:
         return "circle" if self.operator_kind == "circle_F" else "torus"
 
-    @property
-    def parity(self) -> str:
-        return "odd" if self.p % 2 else "even"
-
 
 @dataclass
 class CochainEvaluation:
     """Result record of one multilinear cocycle evaluation."""
 
-    kind: str
-    module: FredholmModuleSpec
-    inputs: List[FourierSeries]
     diagonal: DiagonalSequence | None = None
     series: LogMeanSeries | None = None
     probe_result: ExtendedLimitProbe | None = None
@@ -113,8 +106,7 @@ def _bandwidths(inputs, leading=None):
     return total, support
 
 
-def _circle_diagonal(inputs, schedule, leading=None, prefactor=1,
-                     label="") -> DiagonalSequence:
+def _circle_diagonal(inputs, schedule, leading=None, prefactor=1) -> DiagonalSequence:
     """Diagonal of F [a0] [F,a1]...[F,ap] in symmetric canonical order."""
     total, support = _bandwidths(inputs, leading)
     cap = 2 * support + 3
@@ -123,7 +115,7 @@ def _circle_diagonal(inputs, schedule, leading=None, prefactor=1,
     bound = total + (cap + 1) // 2 + 4
     ops = _circle_ops(inputs, bound, leading)
     window = TruncationWindow.circle_symmetric((cap + 1) // 2 + 1)
-    d = diagonal_of(ops, window, cap=cap, finite_tail=True, label=label)
+    d = diagonal_of(ops, window, cap=cap, finite_tail=True)
     return d if prefactor == 1 else d.scale(prefactor)
 
 
@@ -205,10 +197,10 @@ def torus_diagonal_kernel(a0: FourierSeries, a1: FourierSeries,
 # public evaluators
 # ---------------------------------------------------------------------------
 
-def _finish(kind, spec, inputs, diag, schedule, notes, exact_value=None) -> CochainEvaluation:
-    series = log_mean(diag, schedule, label=kind)
+def _finish(diag, schedule, notes, exact_value=None) -> CochainEvaluation:
+    series = log_mean(diag, schedule)
     pr = probe(series) if len(series.checkpoints) >= 3 else None
-    return CochainEvaluation(kind, spec, list(inputs), diag, series, pr, exact_value, notes)
+    return CochainEvaluation(diag, series, pr, exact_value, notes)
 
 
 def _torus_schedule(schedule, n_points):
@@ -220,7 +212,7 @@ def _torus_schedule(schedule, n_points):
     return cps
 
 
-def _eval_cochain(kind, spec, a, leading, prefactor, schedule, n_shells,
+def _eval_cochain(spec, a, leading, prefactor, schedule, n_shells,
                   notes) -> CochainEvaluation:
     """prefactor times the diagonal of F [leading] [F,b0]...[F,bp], where b
     is a without its leading input when one is given."""
@@ -229,17 +221,16 @@ def _eval_cochain(kind, spec, a, leading, prefactor, schedule, n_shells,
     inputs = list(a[1:] if leading is not None else a)
     if spec.domain == "circle":
         schedule = schedule or dyadic_schedule(4, 20)
-        diag = _circle_diagonal(inputs, schedule, leading, prefactor, label=kind)
+        diag = _circle_diagonal(inputs, schedule, leading, prefactor)
         exact_value = None
         if all(s.exact for s in a):
             exact_value = _exact_circle_trace(inputs, leading) * prefactor
-        return _finish(kind, spec, a, diag, schedule, notes, exact_value)
+        return _finish(diag, schedule, notes, exact_value)
     points = TruncationWindow.torus_shells(n_shells).points()
     vals = torus_diagonal_operator(inputs, points, leading)
     # skip a unit prefactor: a complex multiply by 1 can flip the sign of a zero
-    diag = DiagonalSequence(vals if prefactor == 1 else prefactor * vals,
-                            finite_tail=False, label=kind)
-    return _finish(kind, spec, a, diag, _torus_schedule(schedule, len(points)), notes)
+    diag = DiagonalSequence(vals if prefactor == 1 else prefactor * vals)
+    return _finish(diag, _torus_schedule(schedule, len(points)), notes)
 
 
 def eval_c_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
@@ -252,7 +243,7 @@ def eval_c_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     if len(a) != spec.p + 1:
         raise ValueError(f"c_omega at p={spec.p} takes {spec.p + 1} inputs, got {len(a)}")
     notes = {"pairing_normalization": pairing_normalization(spec.p)}
-    return _eval_cochain("c_omega", spec, a, None, 1, schedule, n_shells, notes)
+    return _eval_cochain(spec, a, None, 1, schedule, n_shells, notes)
 
 
 def eval_h_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
@@ -267,7 +258,7 @@ def eval_h_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
         raise ValueError(f"h_omega at p={spec.p} takes {spec.p + 2} inputs, got {len(a)}")
     notes = {"prefactor": spec.p,
              "pairing_normalization": pairing_normalization(spec.p)}
-    return _eval_cochain("h_omega", spec, a, a[0], spec.p, schedule, n_shells, notes)
+    return _eval_cochain(spec, a, a[0], spec.p, schedule, n_shells, notes)
 
 
 def connes_chern_constant(n: int) -> complex:
@@ -294,8 +285,7 @@ def eval_ch_CC(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     cn = connes_chern_constant(n)
     notes = {"raw_trace": traces[1], "c_n": cn, "window_drift": drift,
              "window_bound": bound}
-    return CochainEvaluation("ch_CC", spec, list(a), None, None, None,
-                             cn * traces[1], notes)
+    return CochainEvaluation(exact_value=cn * traces[1], notes=notes)
 
 
 def check_hochschild_cocycle(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
@@ -322,7 +312,7 @@ def check_hochschild_cocycle(spec: FredholmModuleSpec, a: Sequence[FourierSeries
         term = diag.scale((-1) ** i)
         total = term if total is None else total + term
     notes = {"terms": spec.p + 3}
-    return _finish("b_h_omega", spec, a, total, schedule, notes)
+    return _finish(total, schedule, notes)
 
 
 def check_cyclicity(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
@@ -334,10 +324,10 @@ def check_cyclicity(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
         raise ValueError("cyclicity check takes p+1 inputs")
     schedule = schedule or dyadic_schedule(4, 20)
     rotated = list(a[1:]) + [a[0]]
-    d1 = _circle_diagonal(a, schedule, label="cyclicity")
+    d1 = _circle_diagonal(a, schedule)
     d2 = _circle_diagonal(rotated, schedule)
     diff = d1 + d2.scale(-((-1) ** spec.p))
-    return _finish("cyclicity_defect", spec, a, diff, schedule, {})
+    return _finish(diff, schedule, {})
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +414,8 @@ def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
         total *= 0.5
         cps = [(m, n, complex(v) / math.log(2 + n))
                for (m, n), v in zip(schedule, total)]
-        series = LogMeanSeries(cps, label="wedge_fast")
-        return CochainEvaluation("c_omega_wedge", spec, list(a), None, series,
-                                 probe(series), None, notes)
+        series = LogMeanSeries(cps)
+        return CochainEvaluation(series=series, probe_result=probe(series), notes=notes)
     if method != "operator":
         raise ValueError(f"unknown wedge method {method!r}")
     max_n = max(ns)
@@ -440,14 +429,12 @@ def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     for i, perms in groupby(_S3, key=lambda ps: ps[0][0]):
         left = compose([head, comms[i]])
         for (_, j, k), sign in perms:
-            d = diagonal_of([left, compose([comms[j], comms[k]])], window,
-                            label="wedge_operator")
+            d = diagonal_of([left, compose([comms[j], comms[k]])], window)
             term = d.scale(sign)
             diag_total = term if diag_total is None else diag_total + term
     diag_total = diag_total.scale(0.5 * pairing_normalization(3))
-    series = log_mean(diag_total, schedule, label="wedge_operator")
-    return CochainEvaluation("c_omega_wedge", spec, list(a), diag_total, series,
-                             probe(series), None, notes)
+    series = log_mean(diag_total, schedule)
+    return CochainEvaluation(diag_total, series, probe(series), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -478,4 +465,4 @@ def szego_pair_diagonal(c1, c2, level_cap: int, cap: int,
         values.append(0.0)
         lengths.append(cap - (1 << t))
     finite_tail = cap >= (1 << level_cap)
-    return DiagonalSequence(values, finite_tail, "szego_pair", lengths)
+    return DiagonalSequence(values, finite_tail, lengths)

@@ -244,7 +244,7 @@ def _szego_log_mean(seq: BoundedSequence, config):
 
 @register("lkandapdn-pairing", "cocycle_engine", "lkandapdn",
           "Exact finite-rank pairing of the degree-1 cocycle with z (x) z^-1",
-          {"window": 8})
+          {})
 def _exp_lkandapdn(config, out, report):
     spec = FredholmModuleSpec("circle_F", 1)
     ev = eval_c_omega(spec, [Z, ZI])
@@ -350,9 +350,10 @@ def _exp_fourtedo_crosscheck(config, out, report):
     diff = float(np.max(np.abs(fast.series.values() - oper.series.values())))
     _assert_close(report, "operator path matches fast path at every checkpoint",
                   diff, 0.0, config["tolerance"],
-                  detail="the operator diagonal carries an additional "
-                         "zero-frequency pairing sector that the rearranged "
-                         "double sum drops; see the series artifacts")
+                  detail="the cause of the discrepancy is open: at equal level "
+                         "caps the two paths have opposite signs at every "
+                         "checkpoint (ROADMAP.md, check 2b); see the series "
+                         "artifacts")
 
 
 @register("adnaodnaond-kernel-equivalence", "op_core", "adnaodnaond",
@@ -435,12 +436,15 @@ def _exp_torus_kernel(config, out, report):
           {"window_log2": 13, "level_cap": 13, "count": 2048, "fit_lo": 32,
            "fit_hi": 2048, "slope_target": -0.5, "slope_tol": 0.1})
 def _exp_svd(config, out, report):
+    lo, hi = config["fit_lo"], min(config["fit_hi"], config["count"])
+    if lo < 1 or hi - lo < 2:
+        raise ValueError(f"the slope fit needs at least two ranks k >= 1 in "
+                         f"[fit_lo, min(fit_hi, count)) = [{lo}, {hi})")
     a = lacunary_series(ONES, 0.5, config["level_cap"])
     p_model = OperatorModel("szego_P")
     c = commutator(p_model, a, 1 << config["window_log2"])
     sv = singular_values(c, config["count"])
     _write(out, report, "singular_values.csv", sv.to_csv())
-    lo, hi = config["fit_lo"], min(config["fit_hi"], len(sv.mu))
     ks = np.arange(lo, hi)
     design = np.column_stack([np.ones(len(ks)), np.log(ks)])
     coef, *_ = np.linalg.lstsq(design, np.log(sv.mu[lo:hi]), rcond=None)

@@ -52,9 +52,6 @@ class SampledMetricSpace:
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.size) / self.size
 
-    def n_points(self) -> int:
-        return self.size if self.kind == "circle_grid" else self.size * self.size
-
     def arc(self, offset) -> np.ndarray:
         """Geodesic distance for a grid offset (vectorized)."""
         o = np.mod(np.asarray(offset), self.size)
@@ -265,8 +262,10 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
     on the product grid, with a log-log decay fit against j.
 
     The fitted slope is compared by callers against -(gamma - 0.1) with
-    gamma = min(1 - alpha/beta, beta - alpha).  A j whose cutoff already
-    vanishes at the nearest grid distance 2 pi/m raises ValueError: its
+    gamma = min(1 - alpha/beta, beta - alpha).  j_schedule=None means
+    j = 2, 4, ..., 64.  A schedule with fewer than two distinct j, or with
+    a j < 1, raises ValueError before any work, and so does a j whose
+    cutoff already vanishes at the nearest grid distance 2 pi/m: its
     Delta_j is zero off the diagonal and would enter the fit as log 0.
     """
     if beta <= alpha:
@@ -275,10 +274,14 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
     if x.kind != "circle_grid":
         raise ValueError("the decay experiment runs on a circle grid (the "
                          "product grid is built internally)")
-    j_schedule = list(j_schedule or [2, 4, 8, 16, 32, 64])
+    j_schedule = [2, 4, 8, 16, 32, 64] if j_schedule is None else list(j_schedule)
+    cutoffs = [DiagonalCutoff(j) for j in j_schedule]
+    if len(set(j_schedule)) < 2:
+        raise ValueError(f"the decay fit needs at least two distinct cutoffs j, "
+                         f"got {j_schedule}")
     gamma = min(1.0 - alpha / beta, beta - alpha)
     m = x.size
-    empty = [j for j in j_schedule if chi_profile(j * x.arc(1)) == 0]
+    empty = [c.j for c in cutoffs if c.on_distance(x.arc(1)) == 0]
     if empty:
         raise ValueError(f"cutoffs j={empty} vanish at the nearest grid "
                          f"distance 2 pi/{m}, so Delta_j is zero off the "
@@ -295,8 +298,8 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
     gdiff = fv[None, :] - fv[:, None]
     product = SampledMetricSpace.torus(m)
     norms = []
-    for j in j_schedule:
-        g = chi_profile(j * dmat) * gdiff
+    for cutoff in cutoffs:
+        g = cutoff.on_distance(dmat) * gdiff
         semi = estimate_holder_seminorm(g, product, alpha, pair_cap=pair_cap,
                                         details=True)
         norms.append(float(np.max(np.abs(g))) + semi.value)

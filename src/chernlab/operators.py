@@ -46,14 +46,15 @@ class OperatorModel:
 
     kinds: szego_P (projection onto nonnegative frequencies), circle_F
     (2P-1, with sign(0)=1), torus_U (phase k/|k| with phase 1 at the
-    origin), torus_U_star (its adjoint), torus_F (the off-diagonal block
-    symmetry; has no scalar phase, it is handled by graded evaluators).
+    origin), torus_U_star (its adjoint).  The torus block symmetry
+    [[0, U], [U*, 0]] has no scalar phase; the graded evaluators in
+    cocycles build it from torus_U and torus_U_star.
     """
 
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ("szego_P", "circle_F", "torus_U", "torus_U_star", "torus_F"):
+        if self.kind not in ("szego_P", "circle_F", "torus_U", "torus_U_star"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
 
     @property
@@ -73,13 +74,11 @@ class OperatorModel:
             return 1 if k >= 0 else 0
         if self.kind == "circle_F":
             return 1 if k >= 0 else -1
-        if self.kind in ("torus_U", "torus_U_star"):
-            if k == (0, 0):
-                return 1.0 + 0.0j
-            z = complex(k[0], k[1])
-            u = z / abs(z)
-            return u if self.kind == "torus_U" else u.conjugate()
-        raise ValueError("torus_F has no scalar phase; use the graded evaluator")
+        if k == (0, 0):
+            return 1.0 + 0.0j
+        z = complex(k[0], k[1])
+        u = z / abs(z)
+        return u if self.kind == "torus_U" else u.conjugate()
 
     def phase_array(self, k1: np.ndarray, k2: np.ndarray | None = None) -> np.ndarray:
         """Vectorized phase over integer frequency arrays."""
@@ -385,9 +384,6 @@ def commutator(op: OperatorModel, a: FourierSeries, w: TruncationWindow | int) -
     column radius is bound - max_frequency(a); a nonpositive radius means no
     column is complete and the caller must enlarge the window.
     """
-    if op.kind == "torus_F":
-        raise ValueError("torus_F commutators are evaluated through the graded "
-                         "U/U* difference form; use the cocycle evaluators")
     if op.domain != a.domain:
         raise ValueError(f"domain mismatch: operator {op.domain} vs series {a.domain}")
     bound = w if isinstance(w, int) else w.sup_bound()
@@ -554,7 +550,7 @@ DENSE_SVD_DIM = 512
 GRAM_EIG_DIM = 9000
 
 
-def singular_values(a: SparseOperator, count: int, provenance: str = "") -> SingularValueSequence:
+def singular_values(a: SparseOperator, count: int) -> SingularValueSequence:
     """Top `count` singular values, padded with the exact zeros beyond the rank.
 
     The operator is first compressed to its nonzero rows and columns.  A
@@ -566,7 +562,7 @@ def singular_values(a: SparseOperator, count: int, provenance: str = "") -> Sing
     """
     f = a.to_float()
     if len(f.vals) == 0:
-        return SingularValueSequence(np.zeros(count), provenance or "zero operator")
+        return SingularValueSequence(np.zeros(count), "zero operator")
     rpos, ri = np.unique(f.rows, return_inverse=True)
     cpos, ci = np.unique(f.cols, return_inverse=True)
     nr, nc = len(rpos), len(cpos)
@@ -588,7 +584,7 @@ def singular_values(a: SparseOperator, count: int, provenance: str = "") -> Sing
     # exactly zero; report them so tail quasinorms see the rank
     mu = np.concatenate([mu, np.zeros(max(0, count - len(mu)))])
     mu = np.sort(mu)[::-1][:count]
-    return SingularValueSequence(mu, provenance or f"{method} svd, nnz={f.vals.size}")
+    return SingularValueSequence(mu, f"{method} svd, nnz={f.vals.size}")
 
 
 def weak_quasinorm(mu: SingularValueSequence, p: float) -> tuple:

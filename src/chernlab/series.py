@@ -27,60 +27,35 @@ def cross(m: TorusIndex, n: TorusIndex) -> int:
 
 
 @dataclass(frozen=True)
-class HolderExponent:
-    """A Holder exponent alpha in (0,1] together with the ambient dimension."""
-
-    alpha: float
-    dim: int = 1
-
-    def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise ValueError(f"Holder exponent must lie in (0,1], got {self.alpha}")
-        if self.dim not in (1, 2):
-            raise ValueError("only dimensions 1 (circle) and 2 (torus) are supported")
-
-
-@dataclass(frozen=True)
 class BoundedSequence:
-    """A bounded sequence N -> complex with a designated tail rule.
+    """A sequence N -> complex given by a rule and a declared bound; every
+    value is checked against the bound when it is read."""
 
-    kinds: 'eventually-constant' (values then a constant tail),
-    'explicit-finite' (values then zero tail), 'callback' (arbitrary rule
-    with a declared bound).
-    """
-
-    kind: str
-    values: tuple = ()
-    tail: complex = 0.0
-    rule: Callable[[int], complex] | None = None
-    bound: float = 1.0
+    rule: Callable[[int], complex]
+    bound: float
 
     @staticmethod
     def constant(value) -> "BoundedSequence":
-        return BoundedSequence("eventually-constant", (), value, None, abs(complex(value)))
+        return BoundedSequence(lambda k: value, abs(complex(value)))
 
     @staticmethod
-    def from_list(values, tail=0.0) -> "BoundedSequence":
+    def from_list(values) -> "BoundedSequence":
+        """The listed values, then zeros."""
         vals = tuple(values)
-        kind = "explicit-finite" if tail == 0 else "eventually-constant"
-        bound = max([abs(complex(v)) for v in vals] + [abs(complex(tail))], default=0.0)
-        return BoundedSequence(kind, vals, tail, None, bound)
+        bound = max((abs(complex(v)) for v in vals), default=0.0)
+        return BoundedSequence(lambda k: vals[k] if k < len(vals) else 0.0, bound)
 
     @staticmethod
     def from_function(rule: Callable[[int], complex], bound: float) -> "BoundedSequence":
-        return BoundedSequence("callback", (), 0.0, rule, bound)
+        return BoundedSequence(rule, bound)
 
     def __call__(self, k: int):
         if k < 0:
             raise IndexError("sequence index must be nonnegative")
-        if self.kind == "callback":
-            v = self.rule(k)
-            if abs(complex(v)) > self.bound + 1e-12:
-                raise ValueError(f"sequence value {v} at {k} exceeds declared bound {self.bound}")
-            return v
-        if k < len(self.values):
-            return self.values[k]
-        return self.tail
+        v = self.rule(k)
+        if abs(complex(v)) > self.bound + 1e-12:
+            raise ValueError(f"sequence value {v} at {k} exceeds declared bound {self.bound}")
+        return v
 
 
 def _coerce_coeff(value, exact: bool):
@@ -130,18 +105,14 @@ class FourierSeries:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero(domain: str = "circle", exact: bool = True) -> "FourierSeries":
-        return FourierSeries(domain, {}, exact)
-
-    @staticmethod
     def monomial(freq: FrequencyIndex, coeff=1, domain: str = "circle",
                  exact: bool = True) -> "FourierSeries":
         return FourierSeries(domain, {freq: coeff}, exact)
 
     @staticmethod
-    def one(domain: str = "circle", exact: bool = True) -> "FourierSeries":
+    def one(domain: str = "circle") -> "FourierSeries":
         freq = 0 if domain == "circle" else (0, 0)
-        return FourierSeries.monomial(freq, 1, domain, exact)
+        return FourierSeries.monomial(freq, 1, domain)
 
     # -- basic queries -------------------------------------------------
 
@@ -259,13 +230,12 @@ def multiply(f: FourierSeries, g: FourierSeries) -> FourierSeries:
     return FourierSeries(f.domain, out, exact)
 
 
-def lacunary_series(c: BoundedSequence, alpha: HolderExponent | float,
-                    level_cap: int) -> FourierSeries:
+def lacunary_series(c: BoundedSequence, alpha: float, level_cap: int) -> FourierSeries:
     """The lacunary embedding: sum_k c_k 2^{-alpha k} z^{2^k}, k = 0..level_cap.
 
     Produces a floating circle series supported on powers of two.
     """
-    a = alpha.alpha if isinstance(alpha, HolderExponent) else float(alpha)
+    a = float(alpha)
     if not 0 < a < 1:
         raise ValueError(f"lacunary exponent must lie in (0,1), got {a}")
     if level_cap < 1:

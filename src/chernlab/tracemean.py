@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import ClassVar, List, Sequence
 
 import numpy as np
 
@@ -27,6 +27,9 @@ __all__ = [
 
 NORMALIZATION_TAG = "prefix/log(2+N)"
 _CHUNK = 1 << 14
+PROBE_TAIL = 6
+OSC_TOL = 0.05
+OSC_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,6 @@ class DiagonalSequence:
 
     values: np.ndarray
     finite_tail: bool = False
-    label: str = ""
     lengths: np.ndarray | None = None
 
     def __post_init__(self):
@@ -77,23 +79,21 @@ class DiagonalSequence:
         a = np.zeros(n, dtype=np.complex128)
         a[: self.cap] += self.dense()
         a[: other.cap] += other.dense()
-        return DiagonalSequence(a, self.finite_tail and other.finite_tail,
-                                self.label or other.label)
+        return DiagonalSequence(a, self.finite_tail and other.finite_tail)
 
     def scale(self, s) -> "DiagonalSequence":
-        return DiagonalSequence(self.values * complex(s), self.finite_tail, self.label,
-                                self.lengths)
+        return DiagonalSequence(self.values * complex(s), self.finite_tail, self.lengths)
 
 
 def diagonal_of(product, w: TruncationWindow, cap: int | None = None,
-                finite_tail: bool = False, label: str = "") -> DiagonalSequence:
+                finite_tail: bool = False) -> DiagonalSequence:
     """Diagonal of an operator (or list of factors) in the window's
     canonical order, with exact-column-radius checking."""
     indices = w.points()
     if cap is not None:
         indices = indices[:cap]
     ops = product if isinstance(product, (list, tuple)) else [product]
-    return DiagonalSequence(product_diagonal(list(ops), indices), finite_tail, label)
+    return DiagonalSequence(product_diagonal(list(ops), indices), finite_tail)
 
 
 def dyadic_schedule(m_min: int = 4, m_max: int = 24) -> List[tuple]:
@@ -110,8 +110,7 @@ class LogMeanSeries:
     """
 
     checkpoints: List[tuple]
-    normalization: str = NORMALIZATION_TAG
-    label: str = ""
+    normalization: ClassVar[str] = NORMALIZATION_TAG
 
     def labels(self) -> np.ndarray:
         return np.array([m for (m, _, _) in self.checkpoints], dtype=float)
@@ -130,11 +129,10 @@ class LogMeanSeries:
             raise ValueError("checkpoint schedules differ")
         cps = [(m, n, v + w) for (m, n, v), (_, _, w)
                in zip(self.checkpoints, other.checkpoints)]
-        return LogMeanSeries(cps, self.normalization, self.label or other.label)
+        return LogMeanSeries(cps)
 
     def scale(self, s) -> "LogMeanSeries":
-        return LogMeanSeries([(m, n, v * complex(s)) for (m, n, v) in self.checkpoints],
-                             self.normalization, self.label)
+        return LogMeanSeries([(m, n, v * complex(s)) for (m, n, v) in self.checkpoints])
 
     def to_csv(self) -> str:
         lines = [f"# normalization={self.normalization}", "m,N,value"]
@@ -184,8 +182,7 @@ def _run_sums_at(values: np.ndarray, lengths: np.ndarray,
     return out
 
 
-def log_mean(d: DiagonalSequence, schedule: Sequence | None = None,
-             label: str = "") -> LogMeanSeries:
+def log_mean(d: DiagonalSequence, schedule: Sequence | None = None) -> LogMeanSeries:
     """Prefix-of-length-N logarithmic means at the given checkpoints.
 
     schedule entries are N values or (label, N) pairs; default dyadic
@@ -213,12 +210,12 @@ def log_mean(d: DiagonalSequence, schedule: Sequence | None = None,
     else:
         sums = _run_sums_at(d.values, d.lengths, ns)
     checkpoints = [(m, n, s / math.log(2 + n)) for (m, n), s in zip(cps, sums)]
-    return LogMeanSeries(checkpoints, NORMALIZATION_TAG, label or d.label)
+    return LogMeanSeries(checkpoints)
 
 
 @dataclass(frozen=True)
 class ExtendedLimitProbe:
-    """Tail statistics of a log-mean series over its last T checkpoints."""
+    """Tail statistics of a log-mean series over its last PROBE_TAIL checkpoints."""
 
     min: float
     max: float
@@ -229,7 +226,6 @@ class ExtendedLimitProbe:
     oscillating: bool
     diverging: bool = False
     component: str = "real"
-    tail_length: int = 6
 
     def to_dict(self) -> dict:
         return {
@@ -243,13 +239,12 @@ class ExtendedLimitProbe:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def probe(series: LogMeanSeries, tail: int = 6, osc_tol: float = 0.05,
-          eps: float = 1e-12) -> ExtendedLimitProbe:
+def probe(series: LogMeanSeries) -> ExtendedLimitProbe:
     """Tail min/max/mean/last plus a linear-in-1/m extrapolation.
 
-    The extrapolation fits value = a + b/m over the tail checkpoints and
-    reports the intercept a with the RMS fit residual.  The oscillation
-    flag fires when (max-min)/max(|mean|, eps) > osc_tol.
+    The extrapolation fits value = a + b/m over the last PROBE_TAIL
+    checkpoints and reports the intercept a with the RMS fit residual.  The
+    oscillation flag fires when (max-min)/max(|mean|, OSC_EPS) > OSC_TOL.
     """
     if len(series.checkpoints) < 3:
         raise ValueError("probe needs at least 3 checkpoints")
@@ -261,7 +256,7 @@ def probe(series: LogMeanSeries, tail: int = 6, osc_tol: float = 0.05,
         vals = np.abs(vals_c)
         component = "abs"
     ms = series.labels()
-    t = min(tail, len(vals))
+    t = min(PROBE_TAIL, len(vals))
     tv = vals[-t:]
     tm = ms[-t:]
     vmin, vmax = float(tv.min()), float(tv.max())
@@ -270,9 +265,9 @@ def probe(series: LogMeanSeries, tail: int = 6, osc_tol: float = 0.05,
     coef, *_ = np.linalg.lstsq(design, tv, rcond=None)
     fit = design @ coef
     residual = float(np.sqrt(np.mean((tv - fit) ** 2)))
-    oscillating = (vmax - vmin) / max(abs(vmean), eps) > osc_tol
+    oscillating = (vmax - vmin) / max(abs(vmean), OSC_EPS) > OSC_TOL
     mags = np.abs(tv)
     diverging = bool(len(mags) >= 3 and np.all(np.diff(mags) > 0)
                      and mags[-1] > 1.5 * mags[0] and mags[-1] > 1.0)
     return ExtendedLimitProbe(vmin, vmax, vmean, float(tv[-1]), float(coef[0]),
-                              residual, bool(oscillating), diverging, component, t)
+                              residual, bool(oscillating), diverging, component)

@@ -78,6 +78,26 @@ class TestExitCodes:
         # the run created both directories, so it removes them again
         assert not (tmp_path / "fresh").exists()
 
+    @pytest.mark.parametrize("name, overrides", [
+        ("svd-decay-szego", ["window_log2=8", "level_cap=8", "count=128",
+                             "fit_lo=100", "fit_hi=101"]),
+        ("svd-decay-szego", ["window_log2=8", "level_cap=8", "count=128",
+                             "fit_lo=200"]),
+        ("approxomtienri-decay", ["grid=256", "j_max_log2=1"]),
+        ("approxomtienri-decay", ["grid=256", "j_max_log2=0"]),
+    ])
+    def test_fit_with_fewer_than_two_points_returns_two(self, tmp_path, capsys,
+                                                        name, overrides):
+        # a one-point or empty fit used to report a slope (or a cutoff the
+        # config never asked for); it is now rejected before any work
+        argv = ["run", name, "--out", str(tmp_path / "fresh")]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least two" in err
+        assert not (tmp_path / "fresh").exists()
+
     def test_failed_run_keeps_an_existing_directory(self, tmp_path):
         (tmp_path / "keep.txt").write_text("x")
         assert main(["run", "approxomtienri-decay", "--out", str(tmp_path),

@@ -12,6 +12,13 @@ MODULES = sorted(p for p in Path(chernlab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 
 
+def _all_values(tree) -> list:
+    """The value nodes of the module's `__all__` assignments."""
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+
+
 def unused_imports(source: str) -> list:
     """Names bound by import statements that the module never reads.
 
@@ -28,10 +35,8 @@ def unused_imports(source: str) -> list:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    for value in _all_values(tree):
+        used.update(c.value for c in ast.walk(value) if isinstance(c, ast.Constant))
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
 
@@ -71,3 +76,71 @@ def test_bench_spans_resolve():
         if not callable(obj):
             missing.append(f"{layer}.{path}")
     assert missing == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _is_register_runner(node) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "register" for d in node.decorator_list)
+
+
+def dead_definitions(package: dict, sources: list) -> list:
+    """Module-level functions and classes of `package` ({module: source})
+    that no source names, and methods that no source reads as an attribute.
+
+    Definitions, imports and `__all__` strings are not references.  A
+    dotted string such as a bench span name counts for each of its parts;
+    dunders and `@register` experiment runners are skipped.
+    """
+    names, attrs = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        exports = {id(c) for value in _all_values(tree) for c in ast.walk(value)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in exports):
+                attrs.update(node.value.split("."))
+    dead = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if _is_register_runner(node):
+                continue
+            if node.name not in names | attrs:
+                dead.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                dead += [f"{module}.{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef)
+                         and not (item.name.startswith("__") and item.name.endswith("__"))
+                         and item.name not in attrs]
+    return sorted(dead)
+
+
+def test_no_dead_definitions():
+    package = {p.stem: p.read_text() for p in MODULES}
+    sources = [p.read_text() for d in ("src", "tests", "bench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert dead_definitions(package, sources) == []
+
+
+def test_dead_definition_detector():
+    package = {"m": (
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def spanned(): pass\n"
+        "class K:\n"
+        "    def read(self): pass\n"
+        "    def unread(self): pass\n"
+        "    def __repr__(self): return ''\n"
+        "@register('x')\n"
+        "def runner(): pass\n")}
+    caller = ("from m import unused, K\n__all__ = ['unused', 'unread']\n"
+              "used()\nK().read()\nSPANS = (('m', 'K.spanned'),)\n")
+    assert dead_definitions(package, [package["m"], caller]) == ["m.K.unread", "m.unused"]

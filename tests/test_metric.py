@@ -239,3 +239,18 @@ class TestDecayExperiment:
         r1 = diagonal_decay_experiment(f, 0.3, 0.9, [2, 4], x)
         r2 = diagonal_decay_experiment(f, 0.3, 0.9, [2, 4], x)
         assert r1.to_csv() == r2.to_csv()
+
+    @pytest.mark.parametrize("js, match", [
+        ([0, 2, 4], "j must be >= 1"),
+        ([4], "at least two distinct"),
+        ([4, 4], "at least two distinct"),
+        ([], "at least two distinct"),
+    ])
+    def test_schedule_without_two_cutoffs_is_rejected(self, monkeypatch, js, match):
+        # rejected before any seminorm scan: an empty schedule is not the
+        # default one, and j = 0 is caught by DiagonalCutoff, not by LAPACK
+        import chernlab.metric as metric
+        monkeypatch.setattr(metric, "estimate_holder_seminorm", None)
+        f = lacunary_series(BoundedSequence.constant(1.0), 0.9, 5)
+        with pytest.raises(ValueError, match=match):
+            diagonal_decay_experiment(f, 0.3, 0.9, js, SampledMetricSpace.circle(256))

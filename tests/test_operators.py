@@ -74,6 +74,14 @@ class TestCommutatorOracle:
             commutator(OperatorModel("szego_P"), a, 100)
 
 
+    @pytest.mark.parametrize("kind", ["torus_F", "sign"])
+    def test_kind_without_a_scalar_phase_is_rejected(self, kind):
+        # the torus block symmetry is built by the graded evaluators from
+        # torus_U and torus_U_star; it is not an OperatorModel kind
+        with pytest.raises(ValueError, match="unknown operator kind"):
+            OperatorModel(kind)
+
+
 class TestComposeOracle:
     def test_product_matches_dense(self):
         rng = np.random.default_rng(5)

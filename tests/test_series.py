@@ -117,6 +117,19 @@ class TestLacunary:
         with pytest.raises(ValueError):
             seq(10)
 
+    def test_bounded_sequence_constructors(self):
+        const = BoundedSequence.constant(-0.5j)
+        assert [const(k) for k in (0, 7, 1000)] == [-0.5j] * 3
+        assert const.bound == 0.5
+        listed = BoundedSequence.from_list([1.0, -3.0, 2.0j])
+        assert [listed(k) for k in range(5)] == [1.0, -3.0, 2.0j, 0.0, 0.0]
+        assert listed.bound == 3.0
+        assert BoundedSequence.from_list([]).bound == 0.0
+        alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+        assert [alt(k) for k in range(4)] == [1.0, -1.0, 1.0, -1.0]
+        with pytest.raises(IndexError):
+            listed(-1)
+
 
 class TestSerialization:
     def test_round_trip_exact(self):

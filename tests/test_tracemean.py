@@ -49,7 +49,7 @@ class TestLogMean:
 
 
 class TestRunForm:
-    RUNS = DiagonalSequence([1.0, 2.0 - 1.0j, 0.5j, 0.0], True, "", [1, 4, 3, 2])
+    RUNS = DiagonalSequence([1.0, 2.0 - 1.0j, 0.5j, 0.0], True, [1, 4, 3, 2])
 
     def test_dense_expands_runs(self):
         assert self.RUNS.cap == 10
