@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .scalars import QGauss, format_rational
 from .series import FourierSeries, FrequencyIndex, TorusIndex, cross
@@ -238,9 +237,11 @@ class SparseOperator:
     Entries are read-only coordinate arrays: int64 linear box positions
     (circle k + W, torus (k1 + W)(2W + 1) + (k2 + W)) and values, complex128
     for a float operator and an object array of QGauss for an exact one.
-    Exact operators exist for the finite-rank traces and chain identities;
-    one converts its values to float once and shares its positions.  The
-    CSR matrix is built on the first to_csr() and shared afterwards.
+    Each position occurs at most once.  Exact operators exist for the
+    finite-rank traces and chain identities; one converts its values to
+    float once and shares its positions.  The row-major CSR triple of the
+    float form is built on the first to_csr() and shared afterwards; an
+    operator made by from_csr() keeps the triple it was made from.
     """
 
     domain: str
@@ -252,7 +253,7 @@ class SparseOperator:
     cols: np.ndarray
     vals: np.ndarray
     _float: SparseOperator | None = field(default=None, repr=False, compare=False)
-    _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    _csr: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, np.int64)
@@ -323,31 +324,43 @@ class SparseOperator:
         ri, ci = _linear_index(self.domain, self.bound, [r, c])
         return sum(self.vals[(self.rows == ri) & (self.cols == ci)], zero)
 
+    def _select(self, keep: np.ndarray) -> "SparseOperator":
+        """The operator with only the entries where the mask keep is true."""
+        out = SparseOperator(self.domain, self.bound, self.exact, self.exact_col_radius,
+                             self.bandwidth, self.rows[keep], self.cols[keep], self.vals[keep])
+        if self.exact:
+            out._float = self.to_float()._select(keep)
+        return out
+
     def adjoint(self) -> "SparseOperator":
         return SparseOperator(self.domain, self.bound, self.exact, self.exact_col_radius,
                               self.bandwidth, self.cols, self.rows, np.conj(self.vals))
 
-    # -- scipy bridge ------------------------------------------------------
+    # -- CSR form ----------------------------------------------------------
 
     def dim(self) -> int:
         return 2 * self.bound + 1 if self.domain == "circle" else (2 * self.bound + 1) ** 2
 
-    def to_csr(self) -> sp.csr_matrix:
-        """The complex128 CSR matrix, built on the first call and shared
-        afterwards; callers must not modify it."""
+    def to_csr(self) -> tuple:
+        """The CSR triple (indptr, cols, vals) of the float form: columns
+        ascend within each row and vals is complex128.  Built on the first
+        call and shared afterwards; its arrays are read-only."""
         f = self.to_float()
         if f._csr is None:
             n = f.dim()
-            f._csr = (sp.csr_matrix((f.vals, (f.rows, f.cols)), shape=(n, n))
-                      if len(f.vals) else sp.csr_matrix((n, n), dtype=np.complex128))
+            f._csr = _csr(f.rows, f.cols, f.vals, (n, n))
         return f._csr
 
     @staticmethod
-    def from_csr(mat: sp.spmatrix, domain: str, bound: int,
+    def from_csr(csr: tuple, domain: str, bound: int,
                  exact_col_radius: int, bandwidth: int) -> "SparseOperator":
-        coo = mat.tocoo()
-        return SparseOperator(domain, bound, False, exact_col_radius, bandwidth,
-                              coo.row, coo.col, coo.data)
+        """The float operator of a square CSR triple, which it keeps as its
+        to_csr(), so a chain of products sorts no entry twice."""
+        indptr, cols, vals = csr
+        out = SparseOperator(domain, bound, False, exact_col_radius, bandwidth,
+                             _rows(indptr), cols, vals)
+        out._csr = csr
+        return out
 
     def diagonal_value(self, k) -> object:
         """Exact-or-float diagonal entry at frequency k; range-checked."""
@@ -370,6 +383,133 @@ class SparseOperator:
             else:
                 lines.append(f"{r[0]} {r[1]} {c[0]} {c[1]} {re} {im}")
         return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# CSR kernels
+#
+# A CSR triple (indptr, cols, vals) holds each position once, columns
+# ascending within a row, complex128 values.  The kernels fix their
+# summation order to the last bit, because the artifacts are pinned by
+# digest: a product entry is summed from zero over ascending inner index
+# (Gustavson's row-by-row product, the order of the usual compiled
+# csr_matmat), and a product diagonal reduces each row's nonzero products,
+# in ascending column, with one np.add.reduceat.  Complex products use the
+# textbook formula on real and imaginary parts; numpy's complex multiply can
+# differ from it in the last bit.  The tests check both kernels bit for bit
+# against a compiled sparse library where one is installed.
+# ---------------------------------------------------------------------------
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple) -> tuple:
+    """The read-only CSR triple of entries at unique (row, col) positions."""
+    key = rows * shape[1] + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if np.any(key[1:] == key[:-1]):
+        raise ValueError("two entries share a position; a CSR triple holds each once")
+    return _frozen(_indptr(rows, shape[0]), cols[order],
+                   np.asarray(vals, np.complex128)[order])
+
+
+def _frozen(*arrays) -> tuple:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+# Rows can far outnumber entries (a wide window, a narrow band), so the
+# kernels make no row-length array besides their results (an indptr, a
+# diagonal).
+
+def _indptr(rows: np.ndarray, nrows: int) -> np.ndarray:
+    """The indptr of entries in the given rows."""
+    indptr = np.bincount(rows + 1, minlength=nrows + 1)
+    return np.cumsum(indptr, out=indptr)
+
+
+def _rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of every entry of a CSR triple: entry e is in row
+    #{r >= 1 : indptr[r] <= e}."""
+    nnz = int(indptr[-1])
+    return np.cumsum(np.bincount(indptr[1:-1], minlength=nnz + 1)[:nnz])
+
+
+def _dense(csr: tuple, shape: tuple) -> np.ndarray:
+    """The dense matrix of a CSR triple; entries are added to zero, so a
+    signed zero reads as +0."""
+    indptr, cols, vals = csr
+    out = np.zeros(shape, np.complex128)
+    out[_rows(indptr), cols] += vals
+    return out
+
+
+def _complex_product(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(real, imag) of x * y by the textbook formula."""
+    return x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(len(re), np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def _matmul(a: tuple, b: tuple, ncols: int) -> tuple:
+    """The CSR triple of a @ b, where b has ncols columns; exact zeros are
+    dropped."""
+    ap, aj, ax = a
+    bp, bj, bx = b
+    counts = bp[aj + 1] - bp[aj]
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    # every product in generation order: a's entries row by row, ascending
+    # inner index, each against its row of b
+    src = np.repeat(bp[aj] - ends + counts, counts)
+    src += np.arange(total)
+    key = np.repeat(_rows(ap) * ncols, counts)
+    key += bj[src]
+    re, im = _complex_product(np.repeat(ax, counts), bx[src])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(total, bool)
+    first[1:] = key[1:] != key[:-1]
+    group = np.cumsum(first) - 1
+    # bincount adds each group's weights to zero in input order
+    re = np.bincount(group, weights=re[order])
+    im = np.bincount(group, weights=im[order])
+    keep = (re != 0) | (im != 0)
+    key = key[first][keep]
+    rows = key // ncols
+    return _frozen(_indptr(rows, len(ap) - 1), key - rows * ncols,
+                   _complex(re[keep], im[keep]))
+
+
+def _product_diagonal(left: tuple, right: tuple) -> np.ndarray:
+    """diag(left @ right) of square CSR triples: row i reduces its nonzero
+    products left(i, k) right(k, i), in ascending k, with np.add.reduceat."""
+    lp, lj, lx = left
+    rp, rj, rx = right
+    n = len(lp) - 1
+    out = np.zeros(n, np.complex128)
+    if len(lx) == 0 or len(rx) == 0:
+        return out
+    lrows = _rows(lp)
+    lkey = lrows * n + lj
+    # right(k, i) sits at key i * n + k of the transpose
+    tkey = rj * n + _rows(rp)
+    torder = np.argsort(tkey)
+    tkey = tkey[torder]
+    at = np.minimum(np.searchsorted(tkey, lkey), len(tkey) - 1)
+    hit = np.flatnonzero(tkey[at] == lkey)
+    re, im = _complex_product(lx[hit], rx[torder[at[hit]]])
+    keep = (re != 0) | (im != 0)
+    if not np.any(keep):
+        return out
+    rows = lrows[hit][keep]
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    # added to zero, so a row sum of -0 reads as +0
+    out[rows[starts]] += np.add.reduceat(_complex(re[keep], im[keep]), starts)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +598,21 @@ def multiplication_operator(a: FourierSeries, w: TruncationWindow | int) -> Spar
 # composition
 # ---------------------------------------------------------------------------
 
+def _product_bounds(ops: Sequence[SparseOperator]) -> tuple:
+    """(exact column radius, bandwidth) of the product of ops; raises on a
+    domain or window mismatch."""
+    radius, bw = ops[0].exact_col_radius, ops[0].bandwidth
+    for a, b in zip(ops, ops[1:]):
+        if a.domain != b.domain:
+            raise ValueError("window/domain mismatch in composition")
+        if a.bound != b.bound:
+            raise ValueError(f"window mismatch: bounds {a.bound} vs {b.bound}")
+        radius, bw = min(b.exact_col_radius, radius - b.bandwidth), bw + b.bandwidth
+    return radius, bw
+
+
 def _compose_pair(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    if a.domain != b.domain:
-        raise ValueError("window/domain mismatch in composition")
-    if a.bound != b.bound:
-        raise ValueError(f"window mismatch: bounds {a.bound} vs {b.bound}")
-    radius = min(b.exact_col_radius, a.exact_col_radius - b.bandwidth)
-    bw = a.bandwidth + b.bandwidth
+    radius, bw = _product_bounds([a, b])
     if a.exact and b.exact:
         out: dict = {}
         bycol: Dict[int, list] = {}
@@ -479,9 +627,8 @@ def _compose_pair(a: SparseOperator, b: SparseOperator) -> SparseOperator:
         out = {k: v for k, v in out.items() if v}
         return SparseOperator(a.domain, a.bound, True, radius, bw, [r for r, _ in out],
                               [c for _, c in out], list(out.values()))
-    mat = a.to_csr() @ b.to_csr()
-    mat.eliminate_zeros()
-    return SparseOperator.from_csr(mat, a.domain, a.bound, radius, bw)
+    return SparseOperator.from_csr(_matmul(a.to_csr(), b.to_csr(), a.dim()),
+                                   a.domain, a.bound, radius, bw)
 
 
 def compose(ops: Sequence[SparseOperator]) -> SparseOperator:
@@ -498,7 +645,9 @@ def product_diagonal(ops: Sequence[SparseOperator], indices: Iterable) -> np.nda
     """Diagonal entries of the product of ops at the given frequencies.
 
     Splits the factor list in half and contracts row-by-column, which
-    avoids materializing the full product for long factor lists.
+    avoids materializing the full product for long factor lists.  Only the
+    requested rows of the left half and columns of the right half are
+    formed; each is summed as in the full product.
     """
     ops = list(ops)
     if not ops:
@@ -506,18 +655,22 @@ def product_diagonal(ops: Sequence[SparseOperator], indices: Iterable) -> np.nda
     if len(ops) == 1:
         full = ops[0]
         return np.array([complex(full.diagonal_value(k)) for k in indices])
-    mid = (len(ops) + 1) // 2
-    left = compose(ops[:mid])
-    right = compose(ops[mid:])
-    radius = min(right.exact_col_radius, left.exact_col_radius - right.bandwidth)
+    radius = _product_bounds(ops)[0]
     idx = list(indices)
-    for k in idx:
-        if _norm_inf(k, right.domain) > radius:
-            raise WindowLeakageError(
-                f"diagonal at {k} exceeds the exact column radius {radius}; "
-                f"enlarge the construction window")
-    diag_full = np.asarray(left.to_csr().multiply(right.to_csr().T).sum(axis=1)).ravel()
-    return diag_full[_linear_index(right.domain, right.bound, idx)]
+    k = np.abs(np.asarray(idx, dtype=np.int64))
+    norms = k if ops[0].domain == "circle" else k.reshape(-1, 2).max(axis=1)
+    outside = np.flatnonzero(norms > radius)
+    if len(outside):
+        raise WindowLeakageError(
+            f"diagonal at {idx[outside[0]]} exceeds the exact column radius {radius}; "
+            f"enlarge the construction window")
+    pos = _linear_index(ops[0].domain, ops[0].bound, idx)
+    wanted = np.zeros(ops[0].dim(), bool)
+    wanted[pos] = True
+    mid = (len(ops) + 1) // 2
+    left = compose([ops[0]._select(wanted[ops[0].rows])] + ops[1:mid])
+    right = compose(ops[mid:-1] + [ops[-1]._select(wanted[ops[-1].cols])])
+    return _product_diagonal(left.to_csr(), right.to_csr())[pos]
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +706,12 @@ GRAM_EIG_DIM = 9000
 def singular_values(a: SparseOperator, count: int) -> SingularValueSequence:
     """Top `count` singular values, padded with the exact zeros beyond the rank.
 
-    The operator is first compressed to its nonzero rows and columns.  A
-    compressed matrix with max(shape) <= DENSE_SVD_DIM takes a dense SVD;
-    one with min(shape) <= GRAM_EIG_DIM takes a dense symmetric eigensolve
-    of its smaller Gram matrix.  A larger one raises ValueError before any
-    matrix is built.  The test suite checks both branches against the
+    The operator is first compressed to a CSR triple over its nonzero rows
+    and columns.  A compressed matrix with max(shape) <= DENSE_SVD_DIM
+    takes a dense SVD; one with min(shape) <= GRAM_EIG_DIM takes a dense
+    symmetric eigensolve of its smaller Gram matrix, formed by the CSR
+    product kernel.  A larger one raises ValueError before any matrix is
+    built.  The test suite checks both branches against the
     closed-form spectrum of a lacunary Hankel commutator.
     """
     f = a.to_float()
@@ -570,12 +724,14 @@ def singular_values(a: SparseOperator, count: int) -> SingularValueSequence:
         raise ValueError(f"compressed operator is {nr} x {nc}; singular_values needs "
                          f"min dimension <= GRAM_EIG_DIM = {GRAM_EIG_DIM}; "
                          f"use a smaller window")
-    mat = sp.csr_matrix((f.vals, (ri, ci)), shape=(nr, nc))
+    mat = _csr(ri, ci, f.vals, (nr, nc))
     if max(nr, nc) <= DENSE_SVD_DIM:
-        mu = np.linalg.svd(mat.toarray(), compute_uv=False)
+        mu = np.linalg.svd(_dense(mat, (nr, nc)), compute_uv=False)
         method = "dense"
     else:
-        g = ((mat @ mat.getH()) if nr <= nc else (mat.getH() @ mat)).toarray()
+        adj = _csr(ci, ri, np.conj(f.vals), (nc, nr))
+        g = (_dense(_matmul(mat, adj, nr), (nr, nr)) if nr <= nc
+             else _dense(_matmul(adj, mat, nc), (nc, nc)))
         if np.max(np.abs(g.imag)) == 0.0:
             g = g.real
         mu = np.sqrt(np.clip(np.linalg.eigvalsh(g), 0.0, None))

@@ -2,6 +2,9 @@
 every name it exports exists."""
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,6 +82,20 @@ def test_bench_spans_resolve():
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_a_pass_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency; a lazy `import scipy` inside an
+    # operator would only move the import's cost into the first pass
+    script = ("import sys, chernlab\n"
+              "report = chernlab.run_experiment('szego-diagonal-dense-check', {}, sys.argv[1])\n"
+              "assert all(a.passed for a in report.assertions)\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(chernlab.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def _is_register_runner(node) -> bool:

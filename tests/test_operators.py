@@ -11,6 +11,7 @@ from chernlab.scalars import QGauss
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
 from chernlab.operators import (OperatorModel, SparseOperator,
                                 TruncationWindow, WindowLeakageError,
+                                _matmul, _product_diagonal,
                                 commutator, complex_cross, compose,
                                 multiplication_operator, product_diagonal,
                                 rho_exact_terms, singular_values,
@@ -138,6 +139,32 @@ class TestComposeOracle:
         with pytest.raises(WindowLeakageError):
             product_diagonal([c, c], list(range(-8, 9)))
 
+    def test_leakage_names_the_first_index_past_the_radius(self):
+        c = commutator(OperatorModel("circle_F"), FourierSeries.monomial(1), 8)
+        # the product's exact column radius is 8 - 1 - 1 = 6
+        with pytest.raises(WindowLeakageError, match=r"diagonal at 7 exceeds .* radius 6;"):
+            product_diagonal([c, c], [0, -6, 7, -8, 3])
+        a = FourierSeries("torus", {(1, 0): 1.0}, False)
+        t = commutator(OperatorModel("torus_U"), a, 5)
+        with pytest.raises(WindowLeakageError, match=r"diagonal at \(1, -4\) exceeds .* radius 3;"):
+            product_diagonal([t, t], [(0, 0), (3, -3), (1, -4), (5, 0)])
+
+    def test_diagonal_of_selected_rows_is_bit_identical(self):
+        """Forming only the requested rows and columns gives the same bits
+        as the diagonal of the full halves."""
+        rng = np.random.default_rng(17)
+        mk = lambda: FourierSeries(
+            "circle", {int(k): complex(*rng.standard_normal(2))
+                       for k in rng.integers(-9, 10, size=6)}, False)
+        phase = SparseOperator.diagonal_phase(OperatorModel("szego_P"), WINDOW)
+        model = OperatorModel("circle_F")
+        ops = [phase, multiplication_operator(mk(), WINDOW), commutator(model, mk(), WINDOW),
+               multiplication_operator(mk(), WINDOW), phase]
+        idx = [0, 5, -3, 17, -20, 2]
+        full = _product_diagonal(compose(ops[:3]).to_csr(), compose(ops[3:]).to_csr())
+        want = full[np.array(idx) + WINDOW]
+        assert product_diagonal(ops, idx).tobytes() == want.tobytes()
+
 
 def box_points(bound: int) -> list:
     return [(i, j) for i in range(-bound, bound + 1) for j in range(-bound, bound + 1)]
@@ -260,6 +287,83 @@ class TestTorusOracle:
         assert c.diagonal_value((0, 0)) == 0j
 
 
+def dense_from_csr(csr) -> np.ndarray:
+    indptr, cols, vals = csr
+    m = np.zeros((len(indptr) - 1, max(len(indptr) - 1, int(cols.max(initial=-1)) + 1)),
+                 dtype=complex)
+    for r in range(len(indptr) - 1):
+        for j in range(indptr[r], indptr[r + 1]):
+            m[r, cols[j]] = vals[j]
+    return m
+
+
+def random_csr(rng, n: int, per_row: int) -> tuple:
+    """A square CSR triple with per_row entries in every row.
+
+    Values mix Gaussian numbers with small dyadic ones, so that products
+    cancel exactly, and include signed zeros in either part."""
+    dyadic = np.array([1, -1, 0.5, -0.5, 2, -2, 1j, -1j, 0.5 + 0.5j, -0.5 - 0.5j,
+                       complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0)])
+    cols = np.concatenate([np.sort(rng.choice(n, per_row, replace=False)) for _ in range(n)])
+    gauss = rng.standard_normal(n * per_row) + 1j * rng.standard_normal(n * per_row)
+    vals = np.where(rng.random(n * per_row) < 0.6, dyadic[rng.integers(len(dyadic),
+                                                                        size=n * per_row)],
+                    gauss)
+    return np.arange(0, n * per_row + 1, per_row), cols, vals
+
+
+class TestCSRKernels:
+    """The product and product-diagonal kernels against a dense oracle and,
+    where scipy is installed, against scipy.sparse bit for bit: the kernels
+    keep its summation order, on which the pinned artifact digests rest."""
+
+    CASES = [(7, 40, 9), (8, 60, 13), (9, 25, 25)]
+
+    @pytest.mark.parametrize("seed,n,per_row", CASES)
+    def test_matmul_matches_dense(self, seed, n, per_row):
+        rng = np.random.default_rng(seed)
+        a, b = random_csr(rng, n, per_row), random_csr(rng, n, per_row)
+        got = _matmul(a, b, n)
+        assert np.allclose(dense_from_csr(got), dense_from_csr(a) @ dense_from_csr(b),
+                           rtol=0, atol=1e-12)
+        assert not np.any(got[2] == 0)
+
+    @pytest.mark.parametrize("seed,n,per_row", CASES)
+    def test_product_diagonal_matches_dense(self, seed, n, per_row):
+        rng = np.random.default_rng(seed)
+        a, b = random_csr(rng, n, per_row), random_csr(rng, n, per_row)
+        want = np.diag(dense_from_csr(a) @ dense_from_csr(b))
+        assert np.allclose(_product_diagonal(a, b), want, rtol=0, atol=1e-12)
+
+    def test_empty_operands(self):
+        empty = (np.zeros(5, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))
+        full = random_csr(np.random.default_rng(0), 4, 2)
+        for a, b in ((empty, full), (full, empty)):
+            indptr, cols, vals = _matmul(a, b, 4)
+            assert np.array_equal(indptr, np.zeros(5)) and len(cols) == len(vals) == 0
+            assert np.array_equal(_product_diagonal(a, b), np.zeros(4))
+
+    @pytest.mark.parametrize("seed,n,per_row", CASES)
+    def test_matmul_matches_scipy_bit_for_bit(self, seed, n, per_row):
+        sp = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(seed)
+        a, b = random_csr(rng, n, per_row), random_csr(rng, n, per_row)
+        want = sp.csr_matrix(a[::-1], shape=(n, n)) @ sp.csr_matrix(b[::-1], shape=(n, n))
+        want.sort_indices()
+        indptr, cols, vals = _matmul(a, b, n)
+        assert np.array_equal(indptr, want.indptr) and np.array_equal(cols, want.indices)
+        assert vals.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("seed,n,per_row", CASES)
+    def test_product_diagonal_matches_scipy_bit_for_bit(self, seed, n, per_row):
+        sp = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(seed)
+        a, b = random_csr(rng, n, per_row), random_csr(rng, n, per_row)
+        left, right = (sp.csr_matrix(m[::-1], shape=(n, n)) for m in (a, b))
+        want = np.asarray(left.multiply(right.T).sum(axis=1)).ravel()
+        assert _product_diagonal(a, b).tobytes() == want.tobytes()
+
+
 class TestFloatForm:
     def _float_commutator(self):
         a = FourierSeries("circle", {2: 1.5 - 0.5j, -1: 0.25}, False)
@@ -275,20 +379,33 @@ class TestFloatForm:
 
     def test_float_arrays_are_read_only(self):
         c = self._float_commutator()
-        c.to_csr()
-        for arr in (c.rows, c.cols, c.vals):
+        for arr in (c.rows, c.cols, c.vals) + c.to_csr():
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
 
+    def test_csr_triple_is_row_major(self):
+        c = self._float_commutator()
+        indptr, cols, vals = c.to_csr()
+        assert indptr.dtype == cols.dtype == np.int64 and vals.dtype == np.complex128
+        assert indptr[0] == 0 and indptr[-1] == c.nnz() and len(indptr) == c.dim() + 1
+        for r in range(c.dim()):
+            assert np.all(np.diff(cols[indptr[r]:indptr[r + 1]]) > 0)
+        assert np.array_equal(dense_from_csr(c.to_csr()), dense_circle(c, 8))
+
+    def test_duplicate_position_raises(self):
+        op = SparseOperator("circle", 2, False, 2, 0, [1, 3, 1], [1, 0, 1], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="share a position"):
+            op.to_csr()
+
     def test_adjoint_leaves_the_operator_alone(self):
         c = self._float_commutator()
-        before = c.to_csr().toarray()
+        before = dense_from_csr(c.to_csr())
         vals = c.vals.copy()
         adj = c.adjoint()
         assert adj is not c
         assert np.array_equal(c.vals, vals)
-        assert c.to_csr().toarray() == pytest.approx(before)
-        assert np.array_equal(adj.to_csr().toarray(), before.conj().T)
+        assert np.array_equal(dense_from_csr(c.to_csr()), before)
+        assert np.array_equal(dense_from_csr(adj.to_csr()), before.conj().T)
 
     def test_exact_phase_float_form_matches_conversion(self):
         for kind in ("szego_P", "circle_F"):
