@@ -3,15 +3,15 @@
 Raw values use F-commutators throughout.  The reported pairing numbers of
 the source computations correspond to the halved-commutator convention
 ([F,a] = 2[P,a]), so named experiments apply the documented constant
-(1/2)^(p+1); the evaluators themselves always return raw values plus that
-constant in their notes.
+(1/2)^(p+1) (pairing_normalization); the evaluators themselves always
+return raw values.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .tracemean import (DiagonalSequence, ExtendedLimitProbe, LogMeanSeries,
                         diagonal_of, dyadic_schedule, log_mean, probe)
 
 __all__ = [
-    "FredholmModuleSpec", "CochainEvaluation", "CocycleConsistencyError",
+    "FredholmModuleSpec", "CochainEvaluation", "CharacterCochainValue",
+    "CocycleConsistencyError",
     "pairing_normalization", "eval_c_omega", "eval_h_omega", "eval_ch_CC",
     "check_hochschild_cocycle", "check_cyclicity", "holomorphy_type",
     "fast_path_partial_sums", "eval_c_omega_wedge",
@@ -77,11 +78,20 @@ class CochainEvaluation:
     series: LogMeanSeries | None = None
     probe_result: ExtendedLimitProbe | None = None
     exact_value: object = None
-    notes: Dict[str, object] = field(default_factory=dict)
 
     @property
     def exact(self) -> bool:
         return self.exact_value is not None
+
+
+@dataclass(frozen=True)
+class CharacterCochainValue:
+    """The normalized character cochain c_n * raw_trace, with the drift of
+    the windowed trace under window doubling."""
+
+    exact_value: complex
+    raw_trace: complex
+    window_drift: float
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +129,9 @@ def _circle_diagonal(inputs, schedule, leading=None, prefactor=1) -> DiagonalSeq
     return d if prefactor == 1 else d.scale(prefactor)
 
 
-def _trace(prod: SparseOperator):
-    """Sum of the stored diagonal: a QGauss for an exact operator, else complex."""
-    return sum(prod.vals[prod.rows == prod.cols], QGauss() if prod.exact else 0j)
-
-
 def _exact_circle_trace(inputs, leading=None) -> QGauss:
     total, _ = _bandwidths(inputs, leading)
-    return _trace(compose(_circle_ops(inputs, 2 * total + 4, leading)))
+    return compose(_circle_ops(inputs, 2 * total + 4, leading)).trace()
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +202,10 @@ def torus_diagonal_kernel(a0: FourierSeries, a1: FourierSeries,
 # public evaluators
 # ---------------------------------------------------------------------------
 
-def _finish(diag, schedule, notes, exact_value=None) -> CochainEvaluation:
+def _finish(diag, schedule, exact_value=None) -> CochainEvaluation:
     series = log_mean(diag, schedule)
     pr = probe(series) if len(series.checkpoints) >= 3 else None
-    return CochainEvaluation(diag, series, pr, exact_value, notes)
+    return CochainEvaluation(diag, series, pr, exact_value)
 
 
 def _torus_schedule(schedule, n_points):
@@ -212,8 +217,7 @@ def _torus_schedule(schedule, n_points):
     return cps
 
 
-def _eval_cochain(spec, a, leading, prefactor, schedule, n_shells,
-                  notes) -> CochainEvaluation:
+def _eval_cochain(spec, a, leading, prefactor, schedule, n_shells) -> CochainEvaluation:
     """prefactor times the diagonal of F [leading] [F,b0]...[F,bp], where b
     is a without its leading input when one is given."""
     if any(s.domain != spec.domain for s in a):
@@ -225,12 +229,12 @@ def _eval_cochain(spec, a, leading, prefactor, schedule, n_shells,
         exact_value = None
         if all(s.exact for s in a):
             exact_value = _exact_circle_trace(inputs, leading) * prefactor
-        return _finish(diag, schedule, notes, exact_value)
+        return _finish(diag, schedule, exact_value)
     points = TruncationWindow.torus_shells(n_shells).points()
     vals = torus_diagonal_operator(inputs, points, leading)
     # skip a unit prefactor: a complex multiply by 1 can flip the sign of a zero
     diag = DiagonalSequence(vals if prefactor == 1 else prefactor * vals)
-    return _finish(diag, _torus_schedule(schedule, len(points)), notes)
+    return _finish(diag, _torus_schedule(schedule, len(points)))
 
 
 def eval_c_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
@@ -242,8 +246,7 @@ def eval_c_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     """
     if len(a) != spec.p + 1:
         raise ValueError(f"c_omega at p={spec.p} takes {spec.p + 1} inputs, got {len(a)}")
-    notes = {"pairing_normalization": pairing_normalization(spec.p)}
-    return _eval_cochain(spec, a, None, 1, schedule, n_shells, notes)
+    return _eval_cochain(spec, a, None, 1, schedule, n_shells)
 
 
 def eval_h_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
@@ -256,9 +259,7 @@ def eval_h_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     """
     if len(a) != spec.p + 2:
         raise ValueError(f"h_omega at p={spec.p} takes {spec.p + 2} inputs, got {len(a)}")
-    notes = {"prefactor": spec.p,
-             "pairing_normalization": pairing_normalization(spec.p)}
-    return _eval_cochain(spec, a, a[0], spec.p, schedule, n_shells, notes)
+    return _eval_cochain(spec, a, a[0], spec.p, schedule, n_shells)
 
 
 def connes_chern_constant(n: int) -> complex:
@@ -270,22 +271,19 @@ def connes_chern_constant(n: int) -> complex:
 
 
 def eval_ch_CC(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
-               stability_tol: float = 1e-10) -> CochainEvaluation:
+               stability_tol: float = 1e-10) -> CharacterCochainValue:
     """The normalized character cochain: c_n * Tr(F [F,a0]...[F,a_n]) with an
     exact windowed trace and a window-doubling stability report."""
     n = len(a) - 1
     if spec.domain != "circle":
         raise NotImplementedError("the character cochain is implemented on the circle")
     bound = 2 * sum(s.max_frequency() for s in a) + 4
-    traces = [complex(_trace(compose(_circle_ops(a, b)))) for b in (bound, 2 * bound)]
+    traces = [complex(compose(_circle_ops(a, b)).trace()) for b in (bound, 2 * bound)]
     drift = abs(traces[1] - traces[0])
     if drift > stability_tol * max(1.0, abs(traces[1])):
         raise CocycleConsistencyError(
             f"windowed trace drifts under doubling: {traces[0]} vs {traces[1]}")
-    cn = connes_chern_constant(n)
-    notes = {"raw_trace": traces[1], "c_n": cn, "window_drift": drift,
-             "window_bound": bound}
-    return CochainEvaluation(exact_value=cn * traces[1], notes=notes)
+    return CharacterCochainValue(connes_chern_constant(n) * traces[1], traces[1], drift)
 
 
 def check_hochschild_cocycle(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
@@ -311,8 +309,7 @@ def check_hochschild_cocycle(spec: FredholmModuleSpec, a: Sequence[FourierSeries
                                 prefactor=spec.p)
         term = diag.scale((-1) ** i)
         total = term if total is None else total + term
-    notes = {"terms": spec.p + 3}
-    return _finish(total, schedule, notes)
+    return _finish(total, schedule)
 
 
 def check_cyclicity(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
@@ -327,7 +324,7 @@ def check_cyclicity(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     d1 = _circle_diagonal(a, schedule)
     d2 = _circle_diagonal(rotated, schedule)
     diff = d1 + d2.scale(-((-1) ** spec.p))
-    return _finish(diff, schedule, {})
+    return _finish(diff, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +402,6 @@ def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
         raise ValueError("the wedge evaluator is the p = 3, 4-input form")
     schedule = schedule or dyadic_schedule(4, 20)
     ns = [n for (_, n) in schedule]
-    notes = {"normalization": "half wedge sum, quarter-commutator scale"}
     if method == "fast":
         total = np.zeros(len(ns), dtype=np.complex128)
         for perm, sign in _S3:
@@ -415,7 +411,7 @@ def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
         cps = [(m, n, complex(v) / math.log(2 + n))
                for (m, n), v in zip(schedule, total)]
         series = LogMeanSeries(cps)
-        return CochainEvaluation(series=series, probe_result=probe(series), notes=notes)
+        return CochainEvaluation(series=series, probe_result=probe(series))
     if method != "operator":
         raise ValueError(f"unknown wedge method {method!r}")
     max_n = max(ns)
@@ -434,7 +430,7 @@ def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
             diag_total = term if diag_total is None else diag_total + term
     diag_total = diag_total.scale(0.5 * pairing_normalization(3))
     series = log_mean(diag_total, schedule)
-    return CochainEvaluation(diag_total, series, probe(series), notes=notes)
+    return CochainEvaluation(diag_total, series, probe(series))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -26,8 +26,7 @@ __all__ = [
     "OperatorModel", "TruncationWindow", "SparseOperator",
     "SingularValueSequence", "WindowLeakageError", "commutator", "compose",
     "product_diagonal", "singular_values", "weak_quasinorm",
-    "torus_phase_kernel_rho", "rho_exact_terms", "surd_sum_equal",
-    "complex_cross",
+    "torus_phase_kernel_rho", "rho_exact_terms",
 ]
 
 
@@ -153,21 +152,6 @@ class TruncationWindow:
     def torus_shells(n: int) -> "TruncationWindow":
         return TruncationWindow("torus", "torus_shells", n)
 
-    def sup_bound(self) -> int:
-        """Max coordinate magnitude of any index in the window."""
-        if self.domain == "circle":
-            return self.size
-        pts = self.points()
-        return max((max(abs(i), abs(j)) for (i, j) in pts), default=0)
-
-    def contains(self, k: FrequencyIndex) -> bool:
-        if self.kind == "circle_symmetric":
-            return -self.size <= k <= self.size
-        if self.kind == "circle_one_sided":
-            return 0 <= k <= self.size
-        _, lam_max = _torus_shells(self.size)
-        return k[0] * k[0] + k[1] * k[1] <= lam_max
-
     def points(self) -> Sequence:
         """Canonical diagonal ordering of the window's indices (a shared
         tuple on the torus)."""
@@ -206,6 +190,10 @@ def _frequency_index(domain: str, bound: int, pos: np.ndarray) -> list:
     return list(zip((k1 - bound).tolist(), (k2 - bound).tolist()))
 
 
+def _dim(domain: str, bound: int) -> int:
+    return 2 * bound + 1 if domain == "circle" else (2 * bound + 1) ** 2
+
+
 def _concat(parts: list, dtype) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
 
@@ -221,11 +209,7 @@ def _band(domain: str, bound: int, f) -> tuple:
     return (c1[:, None] * side + c2).ravel(), f[0] * side + f[1]
 
 
-def _dtype(exact: bool):
-    return object if exact else np.complex128
-
-
-@dataclass
+@dataclass(frozen=True)
 class SparseOperator:
     """Sparse matrix over frequency indices within a symmetric box window.
 
@@ -234,141 +218,143 @@ class SparseOperator:
         untruncated operator column; reads outside it raise.
     bandwidth: max |row - col|_inf over entries.
 
-    Entries are read-only coordinate arrays: int64 linear box positions
-    (circle k + W, torus (k1 + W)(2W + 1) + (k2 + W)) and values, complex128
-    for a float operator and an object array of QGauss for an exact one.
-    Each position occurs at most once.  Exact operators exist for the
-    finite-rank traces and chain identities; one converts its values to
-    float once and shares its positions.  The row-major CSR triple of the
-    float form is built on the first to_csr() and shared afterwards; an
-    operator made by from_csr() keeps the triple it was made from.
+    The entries are one read-only row-major CSR triple over the linear box
+    positions (circle k + W, torus (k1 + W)(2W + 1) + (k2 + W)): int64
+    indptr, int64 cols ascending within each row, and complex128 vals.
+    Each position occurs at most once.  An exact operator, for the
+    finite-rank traces and chain identities, also holds qvals, its QGauss
+    values in the same order; vals is then their float form.
     """
 
     domain: str
     bound: int
-    exact: bool
     exact_col_radius: int
     bandwidth: int
-    rows: np.ndarray
+    indptr: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    _float: SparseOperator | None = field(default=None, repr=False, compare=False)
-    _csr: tuple | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, np.int64)
-        self.cols = np.asarray(self.cols, np.int64)
-        self.vals = np.asarray(self.vals, _dtype(self.exact))
-        for arr in (self.rows, self.cols, self.vals):
-            arr.setflags(write=False)
+    qvals: np.ndarray | None = None
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def from_dict(domain: str, bound: int, entries: dict, exact: bool,
-                  exact_col_radius: int, bandwidth: int) -> "SparseOperator":
-        """From {(row, col): value} keyed by frequency indices; zeros are dropped."""
-        conv = QGauss.of if exact else complex
-        items = [(r, c, v) for (r, c), v in ((k, conv(v)) for k, v in entries.items()) if v]
-        return SparseOperator(domain, bound, exact, exact_col_radius, bandwidth,
-                              _linear_index(domain, bound, [r for r, _, _ in items]),
-                              _linear_index(domain, bound, [c for _, c, _ in items]),
-                              [v for _, _, v in items])
+    def from_entries(domain: str, bound: int, exact: bool, exact_col_radius: int,
+                     bandwidth: int, rows, cols, vals) -> "SparseOperator":
+        """From entries in any order at linear box positions; vals are QGauss
+        for an exact operator, else complex.  Raises ValueError when two
+        entries share a position."""
+        n = _dim(domain, bound)
+        cols = np.asarray(cols, np.int64)
+        indptr, order = _row_major(np.asarray(rows, np.int64), cols, (n, n))
+        cols = cols[order]
+        if not exact:
+            return SparseOperator(domain, bound, exact_col_radius, bandwidth,
+                                  *_frozen(indptr, cols, np.asarray(vals, np.complex128)[order]))
+        qvals = np.asarray(vals, object)[order]
+        vals = np.fromiter((v.to_complex() for v in qvals), np.complex128, len(qvals))
+        return SparseOperator(domain, bound, exact_col_radius, bandwidth,
+                              *_frozen(indptr, cols, vals, qvals))
+
+    @staticmethod
+    def from_dict(domain: str, bound: int, entries: dict, exact_col_radius: int,
+                  bandwidth: int) -> "SparseOperator":
+        """The float operator of {(row, col): value} keyed by frequency
+        indices; zeros are dropped."""
+        items = [(r, c, v) for (r, c), v in ((k, complex(v)) for k, v in entries.items()) if v]
+        return SparseOperator.from_entries(
+            domain, bound, False, exact_col_radius, bandwidth,
+            _linear_index(domain, bound, [r for r, _, _ in items]),
+            _linear_index(domain, bound, [c for _, c, _ in items]), [v for _, _, v in items])
 
     @staticmethod
     def diagonal_phase(op: OperatorModel, bound: int) -> "SparseOperator":
         """The phase operator itself, truncated to the box window.
 
         The circle phases (values 0 and +-1) are exact: their values share
-        two QGauss constants and their float form is set from the
-        vectorized phase, so no entry goes through QGauss arithmetic.
+        two QGauss constants and vals is the vectorized phase, so no entry
+        goes through QGauss arithmetic.
         """
+        n = _dim(op.domain, bound)
         if op.domain == "torus":
-            pos = np.arange((2 * bound + 1) ** 2)
+            pos = np.arange(n)
             vals = [op.phase((i, j)) for i in range(-bound, bound + 1)
                     for j in range(-bound, bound + 1)]
-            return SparseOperator("torus", bound, False, bound, 0, pos, pos, vals)
+            return SparseOperator("torus", bound, bound, 0, *_frozen(
+                _indptr(pos, n), pos, np.asarray(vals, np.complex128)))
         phase = op.phase_array(np.arange(-bound, bound + 1, dtype=np.int64))
         pos = np.flatnonzero(phase)
         units = np.array([QGauss.of(1), QGauss.of(-1)], dtype=object)
-        out = SparseOperator("circle", bound, True, bound, 0, pos, pos,
-                             units[(phase[pos] < 0).astype(np.intp)])
-        out._float = SparseOperator("circle", bound, False, bound, 0, pos, pos, phase[pos])
-        return out
-
-    # -- basic queries -----------------------------------------------------
-
-    def nnz(self) -> int:
-        return len(self.vals)
-
-    def items(self):
-        """(row, col, value) triples with frequency indices."""
-        return zip(_frequency_index(self.domain, self.bound, self.rows),
-                   _frequency_index(self.domain, self.bound, self.cols), self.vals)
-
-    def to_float(self) -> "SparseOperator":
-        """The float form; an exact operator converts once and keeps it."""
-        if not self.exact:
-            return self
-        if self._float is None:
-            vals = np.fromiter((v.to_complex() for v in self.vals), np.complex128,
-                               len(self.vals))
-            self._float = SparseOperator(self.domain, self.bound, False, self.exact_col_radius,
-                                         self.bandwidth, self.rows, self.cols, vals)
-        return self._float
-
-    def entry(self, r, c):
-        zero = QGauss() if self.exact else 0j
-        if max(_norm_inf(r, self.domain), _norm_inf(c, self.domain)) > self.bound:
-            return zero
-        ri, ci = _linear_index(self.domain, self.bound, [r, c])
-        return sum(self.vals[(self.rows == ri) & (self.cols == ci)], zero)
-
-    def _select(self, keep: np.ndarray) -> "SparseOperator":
-        """The operator with only the entries where the mask keep is true."""
-        out = SparseOperator(self.domain, self.bound, self.exact, self.exact_col_radius,
-                             self.bandwidth, self.rows[keep], self.cols[keep], self.vals[keep])
-        if self.exact:
-            out._float = self.to_float()._select(keep)
-        return out
-
-    def adjoint(self) -> "SparseOperator":
-        return SparseOperator(self.domain, self.bound, self.exact, self.exact_col_radius,
-                              self.bandwidth, self.cols, self.rows, np.conj(self.vals))
-
-    # -- CSR form ----------------------------------------------------------
-
-    def dim(self) -> int:
-        return 2 * self.bound + 1 if self.domain == "circle" else (2 * self.bound + 1) ** 2
-
-    def to_csr(self) -> tuple:
-        """The CSR triple (indptr, cols, vals) of the float form: columns
-        ascend within each row and vals is complex128.  Built on the first
-        call and shared afterwards; its arrays are read-only."""
-        f = self.to_float()
-        if f._csr is None:
-            n = f.dim()
-            f._csr = _csr(f.rows, f.cols, f.vals, (n, n))
-        return f._csr
+        return SparseOperator("circle", bound, bound, 0, *_frozen(
+            _indptr(pos, n), pos, phase[pos].astype(np.complex128),
+            units[(phase[pos] < 0).astype(np.intp)]))
 
     @staticmethod
     def from_csr(csr: tuple, domain: str, bound: int,
                  exact_col_radius: int, bandwidth: int) -> "SparseOperator":
-        """The float operator of a square CSR triple, which it keeps as its
-        to_csr(), so a chain of products sorts no entry twice."""
-        indptr, cols, vals = csr
-        out = SparseOperator(domain, bound, False, exact_col_radius, bandwidth,
-                             _rows(indptr), cols, vals)
-        out._csr = csr
-        return out
+        """The float operator of a read-only square CSR triple."""
+        return SparseOperator(domain, bound, exact_col_radius, bandwidth, *csr)
 
-    def diagonal_value(self, k) -> object:
-        """Exact-or-float diagonal entry at frequency k; range-checked."""
-        if _norm_inf(k, self.domain) > self.exact_col_radius:
-            raise WindowLeakageError(
-                f"diagonal at {k} exceeds the exact column radius "
-                f"{self.exact_col_radius}; enlarge the construction window")
-        return self.entry(k, k)
+    # -- basic queries -----------------------------------------------------
+
+    @property
+    def exact(self) -> bool:
+        return self.qvals is not None
+
+    def nnz(self) -> int:
+        return len(self.vals)
+
+    def dim(self) -> int:
+        return _dim(self.domain, self.bound)
+
+    def items(self):
+        """(row, col, value) triples with frequency indices, row by row;
+        the values are QGauss for an exact operator."""
+        return zip(_frequency_index(self.domain, self.bound, _rows(self.indptr)),
+                   _frequency_index(self.domain, self.bound, self.cols),
+                   self.vals if self.qvals is None else self.qvals)
+
+    def to_float(self) -> "SparseOperator":
+        """The float form: the same arrays without qvals."""
+        return replace(self, qvals=None) if self.exact else self
+
+    def to_csr(self) -> tuple:
+        """The CSR triple (indptr, cols, vals) of the float form."""
+        f = self.to_float()
+        return f.indptr, f.cols, f.vals
+
+    def entry(self, r, c):
+        """The value at frequencies (r, c); zero outside the stored entries."""
+        zero = QGauss() if self.exact else 0j
+        if max(_norm_inf(r, self.domain), _norm_inf(c, self.domain)) > self.bound:
+            return zero
+        ri, ci = _linear_index(self.domain, self.bound, [r, c])
+        lo, hi = self.indptr[ri], self.indptr[ri + 1]
+        at = lo + np.searchsorted(self.cols[lo:hi], ci)
+        if at == hi or self.cols[at] != ci:
+            return zero
+        return self.qvals[at] if self.exact else self.vals[at]
+
+    def trace(self):
+        """Sum of the stored diagonal, row by row: a QGauss for an exact
+        operator, else complex."""
+        on_diagonal = self.cols == _rows(self.indptr)
+        if self.exact:
+            return sum(self.qvals[on_diagonal], QGauss())
+        return sum(self.vals[on_diagonal], 0j)
+
+    def _select(self, keep: np.ndarray) -> "SparseOperator":
+        """The operator with only the entries where the mask keep is true."""
+        return SparseOperator(self.domain, self.bound, self.exact_col_radius, self.bandwidth,
+                              *_frozen(_indptr(_rows(self.indptr)[keep], self.dim()),
+                                       self.cols[keep], self.vals[keep],
+                                       None if self.qvals is None else self.qvals[keep]))
+
+    def adjoint(self) -> "SparseOperator":
+        """The conjugate transpose; an exact operator conjugates qvals and
+        converts them again."""
+        return SparseOperator.from_entries(
+            self.domain, self.bound, self.exact, self.exact_col_radius, self.bandwidth,
+            self.cols, _rows(self.indptr), np.conj(self.vals if self.qvals is None else self.qvals))
 
     def to_text(self) -> str:
         lines = [f"# domain={self.domain} bound={self.bound} exact={1 if self.exact else 0} "
@@ -400,20 +386,28 @@ class SparseOperator:
 # against a compiled sparse library where one is installed.
 # ---------------------------------------------------------------------------
 
-def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple) -> tuple:
-    """The read-only CSR triple of entries at unique (row, col) positions."""
+def _row_major(rows: np.ndarray, cols: np.ndarray, shape: tuple) -> tuple:
+    """The indptr of entries at (row, col) positions and the order that
+    sorts them row-major; raises ValueError when two share a position."""
     key = rows * shape[1] + cols
     order = np.argsort(key, kind="stable")
     key = key[order]
     if np.any(key[1:] == key[:-1]):
         raise ValueError("two entries share a position; a CSR triple holds each once")
-    return _frozen(_indptr(rows, shape[0]), cols[order],
-                   np.asarray(vals, np.complex128)[order])
+    return _indptr(rows, shape[0]), order
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple) -> tuple:
+    """The read-only CSR triple of entries at unique (row, col) positions."""
+    indptr, order = _row_major(rows, cols, shape)
+    return _frozen(indptr, cols[order], np.asarray(vals, np.complex128)[order])
 
 
 def _frozen(*arrays) -> tuple:
+    """The arrays, made read-only; None passes through."""
     for arr in arrays:
-        arr.setflags(write=False)
+        if arr is not None:
+            arr.setflags(write=False)
     return arrays
 
 
@@ -516,7 +510,7 @@ def _product_diagonal(left: tuple, right: tuple) -> np.ndarray:
 # commutators
 # ---------------------------------------------------------------------------
 
-def commutator(op: OperatorModel, a: FourierSeries, w: TruncationWindow | int) -> SparseOperator:
+def commutator(op: OperatorModel, a: FourierSeries, bound: int) -> SparseOperator:
     """The matrix of [op, M_a] on the window: entry (r, c) = a_{r-c} (phase(r) - phase(c)).
 
     Entries are exact values of the untruncated commutator (truncation only
@@ -526,7 +520,6 @@ def commutator(op: OperatorModel, a: FourierSeries, w: TruncationWindow | int) -
     """
     if op.domain != a.domain:
         raise ValueError(f"domain mismatch: operator {op.domain} vs series {a.domain}")
-    bound = w if isinstance(w, int) else w.sup_bound()
     bw = a.max_frequency()
     radius = bound - bw
     if radius < 0:
@@ -540,7 +533,7 @@ def commutator(op: OperatorModel, a: FourierSeries, w: TruncationWindow | int) -
 def _commutator_circle(op: OperatorModel, a: FourierSeries, bound: int,
                        radius: int, bw: int) -> SparseOperator:
     step = 1 if op.kind == "szego_P" else 2
-    dtype = _dtype(a.exact)
+    dtype = object if a.exact else np.complex128
     rows, cols, vals = [], [], []
     for f, coeff in a.coeffs.items():
         if f == 0:
@@ -556,8 +549,9 @@ def _commutator_circle(op: OperatorModel, a: FourierSeries, bound: int,
             rows.append(cs + f)
             cols.append(cs)
             vals.append(np.full(hi - lo, coeff * sgn, dtype))
-    return SparseOperator("circle", bound, a.exact, radius, bw, _concat(rows, np.int64),
-                          _concat(cols, np.int64), _concat(vals, dtype))
+    return SparseOperator.from_entries("circle", bound, a.exact, radius, bw,
+                                       _concat(rows, np.int64), _concat(cols, np.int64),
+                                       _concat(vals, dtype))
 
 
 def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int,
@@ -573,21 +567,21 @@ def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int,
         cols.append(col[nz])
         rows.append(col[nz] + shift)
         vals.append(complex(coeff) * pv[nz])
-    return SparseOperator("torus", bound, False, radius, bw, _concat(rows, np.int64),
-                          _concat(cols, np.int64), _concat(vals, np.complex128))
+    return SparseOperator.from_entries("torus", bound, False, radius, bw,
+                                       _concat(rows, np.int64), _concat(cols, np.int64),
+                                       _concat(vals, np.complex128))
 
 
-def multiplication_operator(a: FourierSeries, w: TruncationWindow | int) -> SparseOperator:
+def multiplication_operator(a: FourierSeries, bound: int) -> SparseOperator:
     """The matrix of M_a on the box window: entry (c+f, c) = a_f."""
-    bound = w if isinstance(w, int) else w.sup_bound()
     bw = a.max_frequency()
     radius = bound - bw
     if radius < 0:
         raise WindowLeakageError(
             f"window bound {bound} is smaller than the series bandwidth {bw}")
     bands = [(_band(a.domain, bound, f), coeff) for f, coeff in a.coeffs.items()]
-    dtype = _dtype(a.exact)
-    return SparseOperator(
+    dtype = object if a.exact else np.complex128
+    return SparseOperator.from_entries(
         a.domain, bound, a.exact, radius, bw,
         _concat([col + shift for (col, shift), _ in bands], np.int64),
         _concat([col for (col, _), _ in bands], np.int64),
@@ -615,18 +609,17 @@ def _compose_pair(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     radius, bw = _product_bounds([a, b])
     if a.exact and b.exact:
         out: dict = {}
-        bycol: Dict[int, list] = {}
-        for s, c, v in zip(b.rows.tolist(), b.cols.tolist(), b.vals):
-            bycol.setdefault(s, []).append((c, v))
-        for r, s, va in zip(a.rows.tolist(), a.cols.tolist(), a.vals):
-            for c, vb in bycol.get(s, ()):  # (A B)(r,c) = sum_s A(r,s) B(s,c)
-                key = (r, c)
-                prod = va * vb
+        bp, bj, bq = b.indptr.tolist(), b.cols.tolist(), b.qvals.tolist()
+        for r, s, va in zip(_rows(a.indptr).tolist(), a.cols.tolist(), a.qvals):
+            for e in range(bp[s], bp[s + 1]):  # (A B)(r,c) = sum_s A(r,s) B(s,c)
+                key = (r, bj[e])
+                prod = va * bq[e]
                 cur = out.get(key)
                 out[key] = prod if cur is None else cur + prod
         out = {k: v for k, v in out.items() if v}
-        return SparseOperator(a.domain, a.bound, True, radius, bw, [r for r, _ in out],
-                              [c for _, c in out], list(out.values()))
+        return SparseOperator.from_entries(a.domain, a.bound, True, radius, bw,
+                                           [r for r, _ in out], [c for _, c in out],
+                                           list(out.values()))
     return SparseOperator.from_csr(_matmul(a.to_csr(), b.to_csr(), a.dim()),
                                    a.domain, a.bound, radius, bw)
 
@@ -642,7 +635,8 @@ def compose(ops: Sequence[SparseOperator]) -> SparseOperator:
 
 
 def product_diagonal(ops: Sequence[SparseOperator], indices: Iterable) -> np.ndarray:
-    """Diagonal entries of the product of ops at the given frequencies.
+    """Diagonal entries of the product of two or more ops at the given
+    frequencies.
 
     Splits the factor list in half and contracts row-by-column, which
     avoids materializing the full product for long factor lists.  Only the
@@ -650,11 +644,8 @@ def product_diagonal(ops: Sequence[SparseOperator], indices: Iterable) -> np.nda
     formed; each is summed as in the full product.
     """
     ops = list(ops)
-    if not ops:
-        raise ValueError("need at least one operator")
-    if len(ops) == 1:
-        full = ops[0]
-        return np.array([complex(full.diagonal_value(k)) for k in indices])
+    if len(ops) < 2:
+        raise ValueError("product_diagonal needs at least two operators")
     radius = _product_bounds(ops)[0]
     idx = list(indices)
     k = np.abs(np.asarray(idx, dtype=np.int64))
@@ -668,7 +659,7 @@ def product_diagonal(ops: Sequence[SparseOperator], indices: Iterable) -> np.nda
     wanted = np.zeros(ops[0].dim(), bool)
     wanted[pos] = True
     mid = (len(ops) + 1) // 2
-    left = compose([ops[0]._select(wanted[ops[0].rows])] + ops[1:mid])
+    left = compose([ops[0]._select(wanted[_rows(ops[0].indptr)])] + ops[1:mid])
     right = compose(ops[mid:-1] + [ops[-1]._select(wanted[ops[-1].cols])])
     return _product_diagonal(left.to_csr(), right.to_csr())[pos]
 
@@ -714,22 +705,21 @@ def singular_values(a: SparseOperator, count: int) -> SingularValueSequence:
     built.  The test suite checks both branches against the
     closed-form spectrum of a lacunary Hankel commutator.
     """
-    f = a.to_float()
-    if len(f.vals) == 0:
+    if len(a.vals) == 0:
         return SingularValueSequence(np.zeros(count), "zero operator")
-    rpos, ri = np.unique(f.rows, return_inverse=True)
-    cpos, ci = np.unique(f.cols, return_inverse=True)
+    rpos, ri = np.unique(_rows(a.indptr), return_inverse=True)
+    cpos, ci = np.unique(a.cols, return_inverse=True)
     nr, nc = len(rpos), len(cpos)
     if min(nr, nc) > GRAM_EIG_DIM:
         raise ValueError(f"compressed operator is {nr} x {nc}; singular_values needs "
                          f"min dimension <= GRAM_EIG_DIM = {GRAM_EIG_DIM}; "
                          f"use a smaller window")
-    mat = _csr(ri, ci, f.vals, (nr, nc))
+    mat = _csr(ri, ci, a.vals, (nr, nc))
     if max(nr, nc) <= DENSE_SVD_DIM:
         mu = np.linalg.svd(_dense(mat, (nr, nc)), compute_uv=False)
         method = "dense"
     else:
-        adj = _csr(ci, ri, np.conj(f.vals), (nc, nr))
+        adj = _csr(ci, ri, np.conj(a.vals), (nc, nr))
         g = (_dense(_matmul(mat, adj, nr), (nr, nr)) if nr <= nc
              else _dense(_matmul(adj, mat, nc), (nc, nc)))
         if np.max(np.abs(g.imag)) == 0.0:
@@ -740,7 +730,7 @@ def singular_values(a: SparseOperator, count: int) -> SingularValueSequence:
     # exactly zero; report them so tail quasinorms see the rank
     mu = np.concatenate([mu, np.zeros(max(0, count - len(mu)))])
     mu = np.sort(mu)[::-1][:count]
-    return SingularValueSequence(mu, f"{method} svd, nnz={f.vals.size}")
+    return SingularValueSequence(mu, f"{method} svd, nnz={a.vals.size}")
 
 
 def weak_quasinorm(mu: SingularValueSequence, p: float) -> tuple:
@@ -763,11 +753,6 @@ def weak_quasinorm(mu: SingularValueSequence, p: float) -> tuple:
 # ---------------------------------------------------------------------------
 # torus kernel
 # ---------------------------------------------------------------------------
-
-def complex_cross(z: complex, w: complex) -> float:
-    """Im(conj(z) w), the scalar cross product under C = R^2."""
-    return (z.conjugate() * w).imag
-
 
 def _rho_guards(k: TorusIndex, m: TorusIndex, n: TorusIndex) -> list:
     failed = []
@@ -837,9 +822,3 @@ def rho_exact_terms(k: TorusIndex, m: TorusIndex, n: TorusIndex) -> dict:
         coeff = Fraction(num, s * f)
         out[s] = out.get(s, Fraction(0)) + coeff
     return {s: c for s, c in out.items() if c != 0}
-
-
-def surd_sum_equal(a: dict, b: dict) -> bool:
-    """Exact equality of surd sums (sqrt(s) over distinct squarefree s are
-    linearly independent over Q, so componentwise equality is equivalence)."""
-    return a == b

@@ -18,7 +18,7 @@ from typing import ClassVar, List, Sequence
 
 import numpy as np
 
-from .operators import TruncationWindow, product_diagonal
+from .operators import SparseOperator, TruncationWindow, product_diagonal
 
 __all__ = [
     "DiagonalSequence", "LogMeanSeries", "ExtendedLimitProbe",
@@ -85,15 +85,14 @@ class DiagonalSequence:
         return DiagonalSequence(self.values * complex(s), self.finite_tail, self.lengths)
 
 
-def diagonal_of(product, w: TruncationWindow, cap: int | None = None,
+def diagonal_of(ops: Sequence[SparseOperator], w: TruncationWindow, cap: int | None = None,
                 finite_tail: bool = False) -> DiagonalSequence:
-    """Diagonal of an operator (or list of factors) in the window's
+    """Diagonal of the product of two or more factors in the window's
     canonical order, with exact-column-radius checking."""
     indices = w.points()
     if cap is not None:
         indices = indices[:cap]
-    ops = product if isinstance(product, (list, tuple)) else [product]
-    return DiagonalSequence(product_diagonal(list(ops), indices), finite_tail)
+    return DiagonalSequence(product_diagonal(ops, indices), finite_tail)
 
 
 def dyadic_schedule(m_min: int = 4, m_max: int = 24) -> List[tuple]:

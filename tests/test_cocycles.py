@@ -193,7 +193,8 @@ class TestChCC:
     def test_value_and_stability(self):
         ev = eval_ch_CC(SPEC1, [Z, ZI])
         assert ev.exact_value == pytest.approx(connes_chern_constant(1) * -4)
-        assert ev.notes["window_drift"] == 0.0
+        assert ev.window_drift == 0.0
+        assert ev.raw_trace == -4
 
 
 class TestSzegoClosedForm:

@@ -2,6 +2,7 @@
 every name it exports exists."""
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -96,6 +97,19 @@ def test_a_pass_loads_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_bench_spans_are_called():
+    # a span that no pass calls (a renamed call path, an entry point the
+    # program stopped using) shows only in a traced benchmark run
+    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "operator-diagonals",
+           "--seed", "1", "--seconds", "1", "--trace", "1"]
+    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    info = json.loads(next(line for line in lines if line.startswith("info "))[len("info "):])
+    assert info["silent_spans"] == []
+    assert json.loads(lines[-1])["correct"] is True
 
 
 def _is_register_runner(node) -> bool:

@@ -1,6 +1,7 @@
 """Sparse operator assembly against dense oracles, window-leakage
 accounting, singular values, and the torus phase kernel."""
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +13,10 @@ from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
 from chernlab.operators import (OperatorModel, SparseOperator,
                                 TruncationWindow, WindowLeakageError,
                                 _matmul, _product_diagonal,
-                                commutator, complex_cross, compose,
+                                commutator, compose,
                                 multiplication_operator, product_diagonal,
                                 rho_exact_terms, singular_values,
-                                surd_sum_equal, torus_phase_kernel_rho,
-                                weak_quasinorm)
+                                torus_phase_kernel_rho, weak_quasinorm)
 
 WINDOW = 64
 
@@ -284,7 +284,7 @@ class TestTorusOracle:
         # (0, 2) lies outside the box; its linear position would be (1, -1)'s
         assert c.entry((1, -1), (1, 0)) != 0j
         assert c.entry((0, 2), (1, 0)) == 0j
-        assert c.diagonal_value((0, 0)) == 0j
+        assert c.entry((0, 0), (0, 0)) == 0j
 
 
 def dense_from_csr(csr) -> np.ndarray:
@@ -370,18 +370,22 @@ class TestFloatForm:
         return commutator(OperatorModel("circle_F"), a, 8)
 
     def test_csr_is_built_once(self):
+        # the triple is the storage: to_csr() hands out the stored arrays,
+        # and an exact operator's float form shares them
         c = self._float_commutator()
-        assert c.to_csr() is c.to_csr()
+        assert all(x is y for x, y in zip(c.to_csr(), (c.indptr, c.cols, c.vals)))
+        assert c.to_float() is c
         phase = SparseOperator.diagonal_phase(OperatorModel("circle_F"), 8)
-        assert phase.exact
-        assert phase.to_float() is phase.to_float()
-        assert phase.to_csr() is phase.to_float().to_csr()
+        assert phase.exact and not phase.to_float().exact
+        assert all(x is y for x, y in zip(phase.to_csr(), (phase.indptr, phase.cols, phase.vals)))
 
     def test_float_arrays_are_read_only(self):
         c = self._float_commutator()
-        for arr in (c.rows, c.cols, c.vals) + c.to_csr():
-            with pytest.raises(ValueError):
-                arr[0] = arr[1]
+        for op in (c, c.adjoint(), compose([c, c]), SparseOperator.from_dict(
+                "circle", 8, {(1, 2): 1.0, (0, 0): 2j}, 8, 0)):
+            for arr in (op.indptr, op.cols, op.vals):
+                with pytest.raises(ValueError):
+                    arr[0] = arr[1]
 
     def test_csr_triple_is_row_major(self):
         c = self._float_commutator()
@@ -393,9 +397,10 @@ class TestFloatForm:
         assert np.array_equal(dense_from_csr(c.to_csr()), dense_circle(c, 8))
 
     def test_duplicate_position_raises(self):
-        op = SparseOperator("circle", 2, False, 2, 0, [1, 3, 1], [1, 0, 1], [1.0, 2.0, 3.0])
+        # at construction, before any product reads the entries
         with pytest.raises(ValueError, match="share a position"):
-            op.to_csr()
+            SparseOperator.from_entries("circle", 2, False, 2, 0,
+                                        [1, 3, 1], [1, 0, 1], [1.0, 2.0, 3.0])
 
     def test_adjoint_leaves_the_operator_alone(self):
         c = self._float_commutator()
@@ -411,14 +416,50 @@ class TestFloatForm:
         for kind in ("szego_P", "circle_F"):
             phase = SparseOperator.diagonal_phase(OperatorModel(kind), 6)
             converted = SparseOperator.from_dict(
-                "circle", 6, {(r, c): v.to_complex() for r, c, v in phase.items()},
-                False, 6, 0)
-            f = phase.to_float()
+                "circle", 6, {(r, c): v.to_complex() for r, c, v in phase.items()}, 6, 0)
             # bit for bit, signed zeros included
-            for got, want in ((f.rows, converted.rows), (f.cols, converted.cols),
-                              (f.vals, converted.vals)):
+            for got, want in zip(phase.to_csr(), converted.to_csr()):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+class TestStorage:
+    """Entries in any order build one read-only row-major CSR triple."""
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_entries_build_a_read_only_row_major_triple(self, data, exact):
+        bound = data.draw(st.integers(0, 3))
+        n = 2 * bound + 1
+        cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   unique=True, max_size=12))
+        part = st.fractions(-4, 4, max_denominator=3)
+        vals = [QGauss(data.draw(part), data.draw(part)) for _ in cells]
+        if not exact:
+            vals = [v.to_complex() for v in vals]
+        rows, cols = [r for r, _ in cells], [c for _, c in cells]
+        op = SparseOperator.from_entries("circle", bound, exact, bound, 0, rows, cols, vals)
+        assert op.exact == exact
+        indptr, csr_cols, _ = op.to_csr()
+        assert len(indptr) == n + 1 and indptr[0] == 0 and indptr[-1] == len(cells)
+        assert np.all(np.diff(indptr) >= 0)
+        for r in range(n):
+            assert np.all(np.diff(csr_cols[indptr[r]:indptr[r + 1]]) > 0)
+        want = np.zeros((n, n), complex)
+        for (r, c), v in zip(cells, vals):
+            want[r, c] = complex(v)
+        assert np.array_equal(dense_from_csr(op.to_csr()), want)
+        assert {(r + bound, c + bound): v for r, c, v in op.items()} == dict(zip(cells, vals))
+        for arr in (op.indptr, op.cols, op.vals) + ((op.qvals,) if exact else ()):
+            assert not arr.flags.writeable
+        if cells:
+            with pytest.raises(ValueError, match="share a position"):
+                SparseOperator.from_entries("circle", bound, exact, bound, 0, rows + rows[:1],
+                                            cols + cols[:1], vals + vals[:1])
+        with pytest.raises(FrozenInstanceError):
+            op.vals = op.vals
+        with pytest.raises(FrozenInstanceError):
+            op.bound = bound + 1
 
 
 class TestExactForm:
@@ -433,14 +474,17 @@ class TestExactForm:
 
     def test_values_are_qgauss_and_read_only(self):
         c = commutator(OperatorModel("circle_F"), self.CIRCLE, 8)
-        assert c.exact and c.vals.dtype == object
-        assert all(isinstance(v, QGauss) for v in c.vals)
-        assert c.rows.dtype == c.cols.dtype == np.int64
-        for arr in (c.rows, c.cols, c.vals):
+        assert c.exact and c.qvals.dtype == object and c.vals.dtype == np.complex128
+        assert all(isinstance(v, QGauss) for v in c.qvals)
+        assert c.indptr.dtype == c.cols.dtype == np.int64
+        # vals is the per-entry conversion of qvals, in the same order
+        converted = np.array([v.to_complex() for v in c.qvals], np.complex128)
+        assert c.vals.tobytes() == converted.tobytes()
+        for arr in (c.indptr, c.cols, c.vals, c.qvals):
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
         f = c.to_float()
-        assert f.rows is c.rows and f.cols is c.cols
+        assert not f.exact and f.cols is c.cols and f.vals is c.vals
 
     def test_adjoint_conjugates_values(self):
         m = multiplication_operator(self.CIRCLE, 8)
@@ -501,8 +545,6 @@ class TestWindows:
         assert pts is TruncationWindow.torus_shells(10).points()
         with pytest.raises(TypeError):
             pts[0] = (9, 9)
-        assert w.contains((1, 1)) and not w.contains((9, 9))
-        assert w.sup_bound() == max(max(abs(i), abs(j)) for i, j in pts)
 
 
 def hankel_singular_values(coeffs) -> np.ndarray:
@@ -605,7 +647,7 @@ class TestTorusKernel:
             return
         scaled = rho_exact_terms((t * k[0], t * k[1]), (t * m[0], t * m[1]),
                                  (t * n[0], t * n[1]))
-        assert surd_sum_equal(base, scaled)
+        assert base == scaled
 
     @given(torus_index(), torus_index(), torus_index())
     @settings(max_examples=60, deadline=None)
@@ -615,11 +657,7 @@ class TestTorusKernel:
             swapped = rho_exact_terms(k, n, m)
         except ZeroDivisionError:
             return
-        assert surd_sum_equal({s: -c for s, c in base.items()}, swapped)
-
-    def test_complex_cross(self):
-        assert complex_cross(1j, 1.0) == -1.0
-        assert complex_cross(1.0, 1j) == 1.0
+        assert {s: -c for s, c in base.items()} == swapped
 
 
 class TestSerialization:
