@@ -5,9 +5,10 @@ from .scalars import QGauss
 from .series import (BoundedSequence, FourierSeries, cross, lacunary_series,
                      multiply, series_from_text, series_to_text)
 from .operators import (OperatorModel, SingularValueSequence, SparseOperator,
-                        TruncationWindow, WindowLeakageError, commutator,
-                        compose, multiplication_operator, product_diagonal,
-                        singular_values, torus_phase_kernel_rho, weak_quasinorm)
+                        WindowLeakageError, commutator, compose,
+                        multiplication_operator, product_diagonal,
+                        singular_values, symmetric_order, torus_phase_kernel_rho,
+                        torus_shells, weak_quasinorm)
 from .tracemean import (DiagonalSequence, ExtendedLimitProbe, LogMeanSeries,
                         diagonal_of, dyadic_schedule, log_mean, probe)
 from .cocycles import (CochainEvaluation, CocycleConsistencyError,
@@ -17,7 +18,7 @@ from .cocycles import (CochainEvaluation, CocycleConsistencyError,
                        fast_path_partial_sums, pairing_normalization,
                        szego_pair_diagonal, torus_diagonal_kernel,
                        torus_diagonal_operator)
-from .chains import LaurentChain, PairResult, boundary_b, cyclic_lambda, pair, wedge
+from .chains import LaurentChain, boundary_b, cyclic_lambda, pair, wedge
 from .metric import (DecayFitReport, DiagonalCutoff, SampledMetricSpace,
                      chi_profile, delta_alpha, diagonal_decay_experiment,
                      estimate_holder_seminorm)

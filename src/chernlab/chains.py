@@ -14,9 +14,9 @@ from typing import Callable, Dict, Sequence, Tuple
 from .scalars import QGauss
 from .series import FourierSeries, multiply
 from .tracemean import LogMeanSeries, probe
+from .cocycles import CochainEvaluation
 
-__all__ = ["LaurentChain", "boundary_b", "cyclic_lambda", "wedge",
-           "pair", "PairResult"]
+__all__ = ["LaurentChain", "boundary_b", "cyclic_lambda", "wedge", "pair"]
 
 
 def _check_factor(f: FourierSeries):
@@ -130,25 +130,18 @@ def wedge(a: Sequence[FourierSeries]) -> LaurentChain:
     return LaurentChain(k, out)
 
 
-@dataclass(frozen=True)
-class PairResult:
-    """Weighted combination of cochain evaluations over a chain's terms."""
-
-    exact_value: object = None
-    series: LogMeanSeries | None = None
-    probe_result: object = None
-
-
-def pair(recipe: Callable, x: LaurentChain) -> PairResult:
+def pair(recipe: Callable, x: LaurentChain) -> CochainEvaluation:
     """Apply a cochain evaluator to every elementary tensor and combine
     with the chain weights: a QGauss sum when every evaluation has an exact
     value, else the re-probed sum of the checkpoint series (an evaluation's
-    `.series`, or the LogMeanSeries the recipe returns)."""
+    `.series`, or the LogMeanSeries the recipe returns).  The result has no
+    diagonal."""
     if x.is_zero():
-        return PairResult(exact_value=QGauss())
+        return CochainEvaluation(exact_value=QGauss())
     evals = [(w, recipe(tensor)) for tensor, w in x.terms.items()]
     if all(isinstance(getattr(ev, "exact_value", None), QGauss) for _, ev in evals):
-        return PairResult(exact_value=sum((w * ev.exact_value for w, ev in evals), QGauss()))
+        return CochainEvaluation(
+            exact_value=sum((w * ev.exact_value for w, ev in evals), QGauss()))
     combined = None
     for w, ev in evals:
         series = ev if isinstance(ev, LogMeanSeries) else ev.series
@@ -156,5 +149,6 @@ def pair(recipe: Callable, x: LaurentChain) -> PairResult:
             raise ValueError("inexact pairing term without checkpoint data")
         term = series.scale(w.to_complex())
         combined = term if combined is None else combined + term
-    return PairResult(series=combined,
-                      probe_result=probe(combined) if len(combined.checkpoints) >= 3 else None)
+    return CochainEvaluation(
+        series=combined,
+        probe_result=probe(combined) if len(combined.checkpoints) >= 3 else None)

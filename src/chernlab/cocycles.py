@@ -17,9 +17,9 @@ import numpy as np
 
 from .scalars import QGauss
 from .series import FourierSeries, multiply
-from .operators import (OperatorModel, SparseOperator, TruncationWindow,
-                        commutator, compose, multiplication_operator,
-                        product_diagonal, torus_phase_kernel_rho)
+from .operators import (OperatorModel, SparseOperator, commutator, compose,
+                        multiplication_operator, product_diagonal,
+                        symmetric_order, torus_phase_kernel_rho, torus_shells)
 from .tracemean import (DiagonalSequence, ExtendedLimitProbe, LogMeanSeries,
                         diagonal_of, dyadic_schedule, log_mean, probe)
 
@@ -72,7 +72,8 @@ class FredholmModuleSpec:
 
 @dataclass
 class CochainEvaluation:
-    """Result record of one multilinear cocycle evaluation."""
+    """Result record of one multilinear cocycle evaluation, or of a chain
+    pairing (chains.pair), which has no diagonal."""
 
     diagonal: DiagonalSequence | None = None
     series: LogMeanSeries | None = None
@@ -119,13 +120,10 @@ def _bandwidths(inputs, leading=None):
 def _circle_diagonal(inputs, schedule, leading=None, prefactor=1) -> DiagonalSequence:
     """Diagonal of F [a0] [F,a1]...[F,ap] in symmetric canonical order."""
     total, support = _bandwidths(inputs, leading)
-    cap = 2 * support + 3
-    max_n = max(n for (_, n) in schedule) if schedule else cap
-    cap = min(cap, max(max_n, 8))
+    cap = min(2 * support + 3, max(max(schedule), 8))
     bound = total + (cap + 1) // 2 + 4
     ops = _circle_ops(inputs, bound, leading)
-    window = TruncationWindow.circle_symmetric((cap + 1) // 2 + 1)
-    d = diagonal_of(ops, window, cap=cap, finite_tail=True)
+    d = diagonal_of(ops, symmetric_order(cap), finite_tail=True)
     return d if prefactor == 1 else d.scale(prefactor)
 
 
@@ -208,13 +206,17 @@ def _finish(diag, schedule, exact_value=None) -> CochainEvaluation:
     return CochainEvaluation(diag, series, pr, exact_value)
 
 
-def _torus_schedule(schedule, n_points):
-    if schedule is not None:
-        return schedule
-    cps = [(m, 1 << m) for m in range(2, 24) if (1 << m) <= n_points]
-    if not cps or cps[-1][1] != n_points:
-        cps.append((math.log2(n_points), n_points))
-    return cps
+def _circle_schedule(schedule):
+    """The circle evaluators' checkpoints: N = 2^4..2^20 unless given."""
+    return dyadic_schedule(4, 20) if schedule is None else schedule
+
+
+def _torus_schedule(n_points):
+    """N = 4, 8, ... up to the shell point count, ending at that count."""
+    ns = [1 << m for m in range(2, 24) if (1 << m) <= n_points]
+    if not ns or ns[-1] != n_points:
+        ns.append(n_points)
+    return ns
 
 
 def _eval_cochain(spec, a, leading, prefactor, schedule, n_shells) -> CochainEvaluation:
@@ -224,17 +226,17 @@ def _eval_cochain(spec, a, leading, prefactor, schedule, n_shells) -> CochainEva
         raise ValueError("input domain does not match the module")
     inputs = list(a[1:] if leading is not None else a)
     if spec.domain == "circle":
-        schedule = schedule or dyadic_schedule(4, 20)
+        schedule = _circle_schedule(schedule)
         diag = _circle_diagonal(inputs, schedule, leading, prefactor)
         exact_value = None
         if all(s.exact for s in a):
             exact_value = _exact_circle_trace(inputs, leading) * prefactor
         return _finish(diag, schedule, exact_value)
-    points = TruncationWindow.torus_shells(n_shells).points()
+    points = torus_shells(n_shells)
     vals = torus_diagonal_operator(inputs, points, leading)
     # skip a unit prefactor: a complex multiply by 1 can flip the sign of a zero
     diag = DiagonalSequence(vals if prefactor == 1 else prefactor * vals)
-    return _finish(diag, _torus_schedule(schedule, len(points)))
+    return _finish(diag, _torus_schedule(len(points)) if schedule is None else schedule)
 
 
 def eval_c_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
@@ -298,7 +300,7 @@ def check_hochschild_cocycle(spec: FredholmModuleSpec, a: Sequence[FourierSeries
         raise ValueError(f"b h_omega at p={spec.p} takes {spec.p + 3} inputs")
     if spec.domain != "circle":
         raise NotImplementedError("coboundary checks are implemented on the circle")
-    schedule = schedule or dyadic_schedule(4, 20)
+    schedule = _circle_schedule(schedule)
     total = None
     for i in range(spec.p + 3):
         if i < spec.p + 2:
@@ -319,7 +321,7 @@ def check_cyclicity(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     (rotate one commutator around the trace and move it past F)."""
     if len(a) != spec.p + 1:
         raise ValueError("cyclicity check takes p+1 inputs")
-    schedule = schedule or dyadic_schedule(4, 20)
+    schedule = _circle_schedule(schedule)
     rotated = list(a[1:]) + [a[0]]
     d1 = _circle_diagonal(a, schedule)
     d2 = _circle_diagonal(rotated, schedule)
@@ -400,24 +402,21 @@ def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     """
     if spec.p != 3 or len(a) != 4:
         raise ValueError("the wedge evaluator is the p = 3, 4-input form")
-    schedule = schedule or dyadic_schedule(4, 20)
-    ns = [n for (_, n) in schedule]
+    schedule = _circle_schedule(schedule)
     if method == "fast":
-        total = np.zeros(len(ns), dtype=np.complex128)
+        total = np.zeros(len(schedule), dtype=np.complex128)
         for perm, sign in _S3:
             tup = [a[0]] + [a[j] for j in perm]
-            total += sign * fast_path_partial_sums(tup, ns)
+            total += sign * fast_path_partial_sums(tup, schedule)
         total *= 0.5
-        cps = [(m, n, complex(v) / math.log(2 + n))
-               for (m, n), v in zip(schedule, total)]
-        series = LogMeanSeries(cps)
+        series = LogMeanSeries([(n, complex(v) / math.log(2 + n))
+                                for n, v in zip(schedule, total)])
         return CochainEvaluation(series=series, probe_result=probe(series))
     if method != "operator":
         raise ValueError(f"unknown wedge method {method!r}")
-    max_n = max(ns)
+    max_n = max(schedule)
     bound = sum(s.max_frequency() for s in a) + max_n + 4
     f_diag, *comms = _circle_ops(a, bound)
-    window = TruncationWindow.circle_one_sided(max_n - 1)
     # product_diagonal's split of F[F,a0][F,a_i][F,a_j][F,a_k]: F[F,a0] once,
     # one left half (F[F,a0])[F,a_i] per group of _S3, a right half [F,a_j][F,a_k]
     head = compose([f_diag, comms[0]])
@@ -425,7 +424,7 @@ def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     for i, perms in groupby(_S3, key=lambda ps: ps[0][0]):
         left = compose([head, comms[i]])
         for (_, j, k), sign in perms:
-            d = diagonal_of([left, compose([comms[j], comms[k]])], window)
+            d = diagonal_of([left, compose([comms[j], comms[k]])], range(max_n))
             term = d.scale(sign)
             diag_total = term if diag_total is None else diag_total + term
     diag_total = diag_total.scale(0.5 * pairing_normalization(3))

@@ -18,9 +18,9 @@ import numpy as np
 
 from .scalars import QGauss
 from .series import BoundedSequence, FourierSeries, lacunary_series, series_to_text
-from .operators import (OperatorModel, SparseOperator, TruncationWindow,
-                        commutator, multiplication_operator, rho_exact_terms,
-                        singular_values, weak_quasinorm)
+from .operators import (OperatorModel, SparseOperator, commutator,
+                        multiplication_operator, rho_exact_terms,
+                        singular_values, torus_shells, weak_quasinorm)
 from .tracemean import diagonal_of, dyadic_schedule, log_mean, probe
 from .cocycles import (CocycleConsistencyError, FredholmModuleSpec,
                        check_cyclicity, check_hochschild_cocycle,
@@ -234,8 +234,9 @@ def _lacunary_quadruple(alpha: float, level_cap: int) -> list:
 
 def _szego_log_mean(seq: BoundedSequence, config):
     """Dyadic log-means of the closed-form pair diagonal of seq against ONES."""
+    schedule = dyadic_schedule(config["m_min"], config["m_max"])
     d = szego_pair_diagonal(seq, ONES, config["level_cap"], 1 << config["m_max"])
-    return log_mean(d, dyadic_schedule(config["m_min"], config["m_max"]))
+    return log_mean(d, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +300,13 @@ def _exp_szego_dense(config, out, report):
     # Q = 1 - P as an explicit diagonal
     qent = {(k, k): (0.0 if k >= 0 else 1.0) for k in range(-bound, bound + 1)}
     qd = SparseOperator.from_dict("circle", bound, qent, bound, 0)
-    window = TruncationWindow.circle_one_sided(w - 1)
     worst = 0.0
     for name, c1 in (("ones", ONES), ("alternating", ALTERNATING)):
         w1 = lacunary_series(c1, 0.5, config["level_cap"])
         w2 = lacunary_series(ONES, 0.5, config["level_cap"])
         ops = [pd, multiplication_operator(w1, bound), qd,
                multiplication_operator(w2.star(), bound), pd]
-        d_op = diagonal_of(ops, window).values
+        d_op = diagonal_of(ops, range(w)).values
         d_closed = szego_pair_diagonal(c1, ONES, config["level_cap"], w).dense()
         err = float(np.max(np.abs(d_op - d_closed)))
         worst = max(worst, err)
@@ -363,6 +363,7 @@ def _exp_fourtedo_crosscheck(config, out, report):
            "samples": 1000, "seed": 20260823, "tolerance": 1e-10,
            "identity_tol": 1e-12})
 def _exp_torus_kernel(config, out, report):
+    pts = torus_shells(config["n_shells"])
     rng = np.random.default_rng(config["seed"])
 
     def rand_index():
@@ -405,7 +406,6 @@ def _exp_torus_kernel(config, out, report):
     _assert_close(report, "modulus-1 identity", worst_ident, 0.0,
                   config["identity_tol"])
 
-    pts = TruncationWindow.torus_shells(config["n_shells"]).points()
     a1, a2 = (random_trig_poly(rng, config["degree"], config["terms"],
                                1.0, domain="torus") for _ in range(2))
     # close the frequency triples so the diagonal is not identically zero
@@ -573,6 +573,7 @@ def _exp_chains(config, out, report):
           "lacunary wedge inputs",
           {"alpha": 0.25, "level_cap": 10, "m_max": 20, "last_tol": 1e-2})
 def _exp_cyclicity(config, out, report):
+    schedule = dyadic_schedule(4, config["m_max"])
     spec1 = FredholmModuleSpec("circle_F", 1)
     ev = check_cyclicity(spec1, [Z, ZI])
     total = complex(np.sum(ev.diagonal.values))
@@ -581,7 +582,6 @@ def _exp_cyclicity(config, out, report):
                   detail="the full windowed traces cancel; individual "
                          "diagonal entries need not")
     spec3 = FredholmModuleSpec("circle_F", 3)
-    schedule = dyadic_schedule(4, config["m_max"])
     ev3 = check_cyclicity(spec3, _lacunary_quadruple(config["alpha"], config["level_cap"]),
                           schedule)
     _write(out, report, "cyclicity_defect.csv", ev3.series.to_csv())

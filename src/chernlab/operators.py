@@ -23,7 +23,7 @@ from .scalars import QGauss, format_rational
 from .series import FourierSeries, FrequencyIndex, TorusIndex, cross
 
 __all__ = [
-    "OperatorModel", "TruncationWindow", "SparseOperator",
+    "OperatorModel", "SparseOperator", "symmetric_order", "torus_shells",
     "SingularValueSequence", "WindowLeakageError", "commutator", "compose",
     "product_diagonal", "singular_values", "weak_quasinorm",
     "torus_phase_kernel_rho", "rho_exact_terms",
@@ -91,78 +91,36 @@ class OperatorModel:
 
 
 # ---------------------------------------------------------------------------
-# truncation windows
+# diagonal orders
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _torus_shells(n_shells: int) -> Tuple[Tuple[TorusIndex, ...], int]:
-    """Lattice points of the first n_shells distinct values of |k|^2.
+def symmetric_order(n: int) -> list:
+    """The first n circle frequencies in the order 0, -1, 1, -2, 2, ..."""
+    return [k // 2 if k % 2 == 0 else -(k + 1) // 2 for k in range(n)]
 
-    Returns (points in canonical order, the largest retained |k|^2), as
-    immutable values because they are computed once per n_shells.
-    Canonical order: increasing |k|^2, ties lexicographic by (k1, k2).
+
+@functools.lru_cache(maxsize=None)
+def torus_shells(n: int) -> Tuple[TorusIndex, ...]:
+    """Lattice points of the first n distinct values of |k|^2.
+
+    Ordered by increasing |k|^2, ties lexicographic by (k1, k2); an
+    immutable tuple, computed once per n and shared.
     """
-    radius = int(math.isqrt(2 * n_shells)) + 2
+    if n < 1:
+        raise ValueError(f"torus_shells needs at least one shell, got {n}")
+    radius = int(math.isqrt(2 * n)) + 2
     while True:
         pts = [(i, j) for i in range(-radius, radius + 1)
                for j in range(-radius, radius + 1)]
         norms = sorted({i * i + j * j for (i, j) in pts})
         # distinct norms below radius^2 are guaranteed complete
         complete = [q for q in norms if q <= radius * radius]
-        if len(complete) >= n_shells:
+        if len(complete) >= n:
             break
         radius *= 2
-    lam_max = complete[:n_shells][-1]
+    lam_max = complete[n - 1]
     kept = sorted((i * i + j * j, i, j) for (i, j) in pts if i * i + j * j <= lam_max)
-    return tuple((i, j) for (_, i, j) in kept), lam_max
-
-
-@dataclass(frozen=True)
-class TruncationWindow:
-    """A finite index window with a canonical diagonal ordering.
-
-    kinds:
-      circle_symmetric(N): frequencies -N..N, order 0,-1,1,-2,2,...
-      circle_one_sided(N): frequencies 0..N, order 0,1,2,...
-      torus_shells(N):     E_N, all k with |k|^2 <= the N-th distinct
-                           squared norm; order by (|k|^2, k1, k2).
-    """
-
-    domain: str
-    kind: str
-    size: int
-
-    def __post_init__(self):
-        valid = {("circle", "circle_symmetric"), ("circle", "circle_one_sided"),
-                 ("torus", "torus_shells")}
-        if (self.domain, self.kind) not in valid:
-            raise ValueError(f"invalid window {self.domain}/{self.kind}")
-        if self.size < 0:
-            raise ValueError("window size must be nonnegative")
-
-    @staticmethod
-    def circle_symmetric(n: int) -> "TruncationWindow":
-        return TruncationWindow("circle", "circle_symmetric", n)
-
-    @staticmethod
-    def circle_one_sided(n: int) -> "TruncationWindow":
-        return TruncationWindow("circle", "circle_one_sided", n)
-
-    @staticmethod
-    def torus_shells(n: int) -> "TruncationWindow":
-        return TruncationWindow("torus", "torus_shells", n)
-
-    def points(self) -> Sequence:
-        """Canonical diagonal ordering of the window's indices (a shared
-        tuple on the torus)."""
-        if self.kind == "circle_one_sided":
-            return list(range(self.size + 1))
-        if self.kind == "circle_symmetric":
-            out = [0]
-            for k in range(1, self.size + 1):
-                out.extend([-k, k])
-            return out
-        return _torus_shells(self.size)[0]
+    return tuple((i, j) for (_, i, j) in kept)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +606,8 @@ def product_diagonal(ops: Sequence[SparseOperator], indices: Iterable) -> np.nda
         raise ValueError("product_diagonal needs at least two operators")
     radius = _product_bounds(ops)[0]
     idx = list(indices)
+    if not idx:
+        raise ValueError("product_diagonal needs at least one frequency index")
     k = np.abs(np.asarray(idx, dtype=np.int64))
     norms = k if ops[0].domain == "circle" else k.reshape(-1, 2).max(axis=1)
     outside = np.flatnonzero(norms > radius)

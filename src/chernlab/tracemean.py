@@ -14,11 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import ClassVar, List, Sequence
+from typing import ClassVar, Iterable, List, Sequence
 
 import numpy as np
 
-from .operators import SparseOperator, TruncationWindow, product_diagonal
+from .operators import SparseOperator, product_diagonal
 
 __all__ = [
     "DiagonalSequence", "LogMeanSeries", "ExtendedLimitProbe",
@@ -85,26 +85,25 @@ class DiagonalSequence:
         return DiagonalSequence(self.values * complex(s), self.finite_tail, self.lengths)
 
 
-def diagonal_of(ops: Sequence[SparseOperator], w: TruncationWindow, cap: int | None = None,
+def diagonal_of(ops: Sequence[SparseOperator], indices: Iterable,
                 finite_tail: bool = False) -> DiagonalSequence:
-    """Diagonal of the product of two or more factors in the window's
-    canonical order, with exact-column-radius checking."""
-    indices = w.points()
-    if cap is not None:
-        indices = indices[:cap]
+    """Diagonal of the product of two or more factors at the given
+    frequencies, in their order, with exact-column-radius checking."""
     return DiagonalSequence(product_diagonal(ops, indices), finite_tail)
 
 
-def dyadic_schedule(m_min: int = 4, m_max: int = 24) -> List[tuple]:
-    """Checkpoints (m, N = 2^m)."""
-    return [(m, 1 << m) for m in range(m_min, m_max + 1)]
+def dyadic_schedule(m_min: int, m_max: int) -> List[int]:
+    """Checkpoints N = 2^m for m = m_min..m_max."""
+    if m_min > m_max:
+        raise ValueError(f"empty dyadic schedule: m_min={m_min} > m_max={m_max}")
+    return [1 << m for m in range(m_min, m_max + 1)]
 
 
 @dataclass(frozen=True)
 class LogMeanSeries:
     """Checkpoint values N -> (1/log(2+N)) * sum_{k<N} d_k.
 
-    checkpoints: list of (label m, N, complex value); for dyadic schedules
+    checkpoints: list of (N, complex value); a checkpoint's label is
     m = log2(N).  normalization records the denominator convention.
     """
 
@@ -112,30 +111,30 @@ class LogMeanSeries:
     normalization: ClassVar[str] = NORMALIZATION_TAG
 
     def labels(self) -> np.ndarray:
-        return np.array([m for (m, _, _) in self.checkpoints], dtype=float)
+        return np.array([math.log2(n) for (n, _) in self.checkpoints], dtype=float)
 
     def ns(self) -> np.ndarray:
-        return np.array([n for (_, n, _) in self.checkpoints], dtype=float)
+        return np.array([n for (n, _) in self.checkpoints], dtype=float)
 
     def values(self) -> np.ndarray:
-        return np.array([v for (_, _, v) in self.checkpoints], dtype=np.complex128)
+        return np.array([v for (_, v) in self.checkpoints], dtype=np.complex128)
 
     def last(self) -> complex:
-        return self.checkpoints[-1][2]
+        return self.checkpoints[-1][1]
 
     def __add__(self, other: "LogMeanSeries") -> "LogMeanSeries":
-        if [c[:2] for c in self.checkpoints] != [c[:2] for c in other.checkpoints]:
+        if [n for (n, _) in self.checkpoints] != [n for (n, _) in other.checkpoints]:
             raise ValueError("checkpoint schedules differ")
-        cps = [(m, n, v + w) for (m, n, v), (_, _, w)
-               in zip(self.checkpoints, other.checkpoints)]
+        cps = [(n, v + w) for (n, v), (_, w) in zip(self.checkpoints, other.checkpoints)]
         return LogMeanSeries(cps)
 
     def scale(self, s) -> "LogMeanSeries":
-        return LogMeanSeries([(m, n, v * complex(s)) for (m, n, v) in self.checkpoints])
+        return LogMeanSeries([(n, v * complex(s)) for (n, v) in self.checkpoints])
 
     def to_csv(self) -> str:
         lines = [f"# normalization={self.normalization}", "m,N,value"]
-        for m, n, v in self.checkpoints:
+        for n, v in self.checkpoints:
+            m = math.log2(n)
             v = complex(v)
             if abs(v.imag) <= 1e-12 * max(1.0, abs(v.real)):
                 lines.append(f"{m:g},{n},{v.real:.12g}")
@@ -145,8 +144,9 @@ class LogMeanSeries:
 
 
 def _prefix_sums_at(values: np.ndarray, checkpoints: Sequence[int]) -> List[complex]:
-    """Compensated prefix sums: exact per-chunk pairwise sums combined with
-    math.fsum, so each checkpoint value carries a single accumulation pass."""
+    """Compensated prefix sums at increasing checkpoints: exact per-chunk
+    pairwise sums combined with math.fsum, so each checkpoint value carries
+    a single accumulation pass."""
     block_re: List[float] = []
     block_im: List[float] = []
     out = []
@@ -181,35 +181,25 @@ def _run_sums_at(values: np.ndarray, lengths: np.ndarray,
     return out
 
 
-def log_mean(d: DiagonalSequence, schedule: Sequence | None = None) -> LogMeanSeries:
-    """Prefix-of-length-N logarithmic means at the given checkpoints.
+def log_mean(d: DiagonalSequence, schedule: Sequence[int]) -> LogMeanSeries:
+    """Prefix-of-length-N logarithmic means at the checkpoints N of the
+    schedule, a nonempty, strictly increasing list of positive N.
 
-    schedule entries are N values or (label, N) pairs; default dyadic
-    N = 2^m for m = 4..24 clipped to the stored cap unless the sequence has
-    a finite tail.  A run-form sequence is summed run by run, without
-    expanding it.
+    N may pass the stored cap only when the sequence has a finite tail.  A
+    run-form sequence is summed run by run, without expanding it.
     """
-    if schedule is None:
-        m_max = min(24, max(4, int(math.log2(max(d.cap, 16)))))
-        schedule = dyadic_schedule(4, m_max)
-    cps = []
-    for item in schedule:
-        if isinstance(item, tuple):
-            m, n = item
-        else:
-            n = int(item)
-            m = math.log2(n) if n > 0 else 0
-        if n > d.cap and not d.finite_tail:
-            raise ValueError(f"checkpoint N={n} exceeds stored cap {d.cap} "
-                             "and the sequence has no finite-tail guarantee")
-        cps.append((m, n))
-    ns = [n for (_, n) in cps]
+    ns = [int(n) for n in schedule]
+    if not ns or ns[0] < 1 or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"a schedule is a nonempty, strictly increasing list "
+                         f"of positive N, got {ns}")
+    if ns[-1] > d.cap and not d.finite_tail:
+        raise ValueError(f"checkpoint N={ns[-1]} exceeds stored cap {d.cap} "
+                         "and the sequence has no finite-tail guarantee")
     if d.lengths is None:
         sums = _prefix_sums_at(d.values, ns)
     else:
         sums = _run_sums_at(d.values, d.lengths, ns)
-    checkpoints = [(m, n, s / math.log(2 + n)) for (m, n), s in zip(cps, sums)]
-    return LogMeanSeries(checkpoints)
+    return LogMeanSeries([(n, s / math.log(2 + n)) for n, s in zip(ns, sums)])
 
 
 @dataclass(frozen=True)

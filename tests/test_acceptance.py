@@ -2,11 +2,12 @@
 
 Each check drives the corresponding catalog experiment at its default
 configuration and asserts every experiment assertion at the stated
-tolerance.  Check 2b is expected to fail: the operator-path diagonal of
-the antisymmetrized degree-3 evaluation carries a zero-frequency sector
-that the rearranged fast-path double sum provably drops, so agreement at
-1e-8 is not attainable; the red assertion documents that, and the
-artifact CSVs written next to the report show the constant offset.
+tolerance.  Check 2b is expected to fail: the operator path and the
+fast path of the antisymmetrized degree-3 evaluation do not agree at
+1e-8, and no constant closes the gap (at equal level caps they have
+opposite signs at every checkpoint).  The cause is open; ROADMAP.md
+item 2 gives the measurements and the plan to decide it, and the
+artifact CSVs written next to the report hold both series.
 """
 import sys
 

@@ -122,12 +122,11 @@ class TestPairing:
         a2 = lacunary_series(BoundedSequence.constant(1.0), 0.25, 10).exactify()
         quad = [a0, a0.star(), a2, a2.star()]
         schedule = dyadic_schedule(4, 12)
-        ns = [n for (_, n) in schedule]
 
         def recipe(tensor):
-            vals = fast_path_partial_sums(list(tensor), ns)
-            return LogMeanSeries([(m, n, v / math.log(2 + n))
-                                  for (m, n), v in zip(schedule, vals)])
+            vals = fast_path_partial_sums(list(tensor), schedule)
+            return LogMeanSeries([(n, v / math.log(2 + n))
+                                  for n, v in zip(schedule, vals)])
 
         paired = pair(recipe, wedge(quad))
         spec = FredholmModuleSpec("circle_F", 3)

@@ -65,10 +65,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, overrides", [
         ("svd-decay-szego", ["window_log2=14", "level_cap=14"]),
         ("approxomtienri-decay", ["j_max_log2=8"]),
+        ("fourtedo-limit", ["m_max=3"]),
+        ("fourtedo-operator-crosscheck", ["m_max=3"]),
+        ("cyclicity-check", ["m_max=3"]),
+        ("hochschild-cocycle-vanishing", ["m_max=3"]),
+        ("adnaodnaond-kernel-equivalence", ["n_shells=0"]),
+        ("szego-diagonal-dense-check", ["window=0"]),
     ])
     def test_unrunnable_config_returns_two(self, tmp_path, capsys, name, overrides):
-        # both raise ValueError before any heavy work: an oversized
-        # spectrum and a cutoff that vanishes on the grid
+        # each raises ValueError before any heavy work: an oversized
+        # spectrum, a cutoff that vanishes on the grid, an empty checkpoint
+        # schedule (m_min > m_max, never replaced by a default), no torus
+        # shell, an empty diagonal window
         argv = ["run", name, "--out", str(tmp_path / "fresh" / "out")]
         for item in overrides:
             argv += ["--set", item]

@@ -9,8 +9,8 @@ import pytest
 
 from chernlab.scalars import QGauss
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
-from chernlab.operators import (OperatorModel, SparseOperator, TruncationWindow,
-                                commutator)
+from chernlab.operators import (OperatorModel, SparseOperator, commutator,
+                                torus_shells)
 from chernlab.cocycles import (CocycleConsistencyError, FredholmModuleSpec,
                                check_cyclicity, check_hochschild_cocycle,
                                connes_chern_constant, eval_c_omega,
@@ -59,7 +59,7 @@ class TestExactCirclePairing:
 
     def test_log_mean_saturates_to_trace_over_log(self):
         ev = eval_c_omega(SPEC1, [Z, ZI], dyadic_schedule(4, 12))
-        m, n, v = ev.series.checkpoints[-1]
+        n, v = ev.series.checkpoints[-1]
         assert v.real == pytest.approx(-4 / math.log(2 + n), rel=1e-12)
 
 
@@ -145,9 +145,9 @@ class TestFastPath:
 
 class TestWedgeOperatorPath:
     def test_small_window_paths_share_normalization(self):
-        # at tiny level caps both paths see the same truncated inputs; the
-        # discrepancy is the documented zero-frequency sector, which the
-        # fast path drops, so only the order of magnitude is pinned here
+        # at tiny level caps both paths see the same truncated inputs; they
+        # still disagree, with a cause that is open (ROADMAP.md item 2,
+        # check 2b), so only the order of magnitude is pinned here
         alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
         a0 = lacunary_series(alt, 0.25, 6)
         a2 = lacunary_series(BoundedSequence.constant(1.0), 0.25, 6)
@@ -167,17 +167,16 @@ class TestWedgeOperatorPath:
         quad = [a0, a0.star(), a2, a2.star()]
         sched = dyadic_schedule(4, 8)
         oper = eval_c_omega_wedge(SPEC3, quad, sched, method="operator")
-        max_n = max(n for (_, n) in sched)
+        max_n = max(sched)
         bound = sum(s.max_frequency() for s in quad) + max_n + 4
         f_model = OperatorModel("circle_F")
         f_diag = SparseOperator.diagonal_phase(f_model, bound)
         comms = [commutator(f_model, s, bound) for s in quad]
-        window = TruncationWindow.circle_one_sided(max_n - 1)
         total = None
         for perm in permutations((1, 2, 3)):
             inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
             ops = [f_diag, comms[0]] + [comms[j] for j in perm]
-            term = diagonal_of(ops, window).scale((-1) ** inversions)
+            term = diagonal_of(ops, range(max_n)).scale((-1) ** inversions)
             total = term if total is None else total + term
         want = total.scale(0.5 * pairing_normalization(3)).values
         assert np.any(want != 0)
@@ -220,7 +219,7 @@ class TestSzegoClosedForm:
         d = szego_pair_diagonal(seq, BoundedSequence.constant(1.0), 20, 1 << 14)
         assert d.lengths is not None
         dense = d.dense()
-        for _, n, v in log_mean(d, dyadic_schedule(4, 14)).checkpoints:
+        for n, v in log_mean(d, dyadic_schedule(4, 14)).checkpoints:
             assert v.real == math.fsum(dense.real[:n]) / math.log(2 + n)
             assert v.imag == math.fsum(dense.imag[:n]) / math.log(2 + n)
 
@@ -228,7 +227,7 @@ class TestSzegoClosedForm:
         c1 = BoundedSequence.from_function(lambda j: (0.5 + 1j) ** (j % 3), 1.3)
         d = szego_pair_diagonal(c1, BoundedSequence.constant(1.0), 20, 300)
         dense = d.dense()
-        for _, n, v in log_mean(d, [100, 257]).checkpoints:
+        for n, v in log_mean(d, [100, 257]).checkpoints:
             want = complex(math.fsum(dense.real[:n]), math.fsum(dense.imag[:n]))
             assert v == pytest.approx(want / math.log(2 + n), abs=1e-15)
         with pytest.raises(ValueError):
@@ -257,7 +256,7 @@ class TestSzegoClosedForm:
         # sum_{k<N} d_k = sum_j gamma_j 2^(-2 alpha j) min(2^j, N)
         ones = BoundedSequence.constant(1.0)
         d = szego_pair_diagonal(ones, ones, 50, 1 << 24, alpha)
-        for _, n, v in log_mean(d, dyadic_schedule(4, 24)).checkpoints:
+        for n, v in log_mean(d, dyadic_schedule(4, 24)).checkpoints:
             want = math.fsum(2.0 ** (-2 * alpha * j) * min(1 << j, n) for j in range(51))
             assert v.real == pytest.approx(want / math.log(2 + n), rel=1e-15)
             assert v.imag == 0.0
@@ -270,7 +269,7 @@ class TestTorusGrading:
             "torus", {(int(rng.integers(-2, 3)), int(rng.integers(-2, 3))):
                       complex(*rng.standard_normal(2)) for _ in range(4)}, False)
         a0, a1, a2 = mk(), mk(), mk()
-        pts = TruncationWindow.torus_shells(30).points()
+        pts = torus_shells(30)
         d_op = torus_diagonal_operator([a0, a1, a2], pts)
         d_ker = torus_diagonal_kernel(a0, a1, a2, pts)
         assert np.max(np.abs(d_op - d_ker)) < 1e-12
@@ -281,5 +280,4 @@ class TestTorusGrading:
                                     (0, 1): 0.5}, False)
         ev = eval_c_omega(spec, [f, f, f], n_shells=12)
         assert ev.series is not None
-        assert len(ev.diagonal.values) == len(
-            TruncationWindow.torus_shells(12).points())
+        assert len(ev.diagonal.values) == len(torus_shells(12))

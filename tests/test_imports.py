@@ -117,15 +117,23 @@ def _is_register_runner(node) -> bool:
                and d.func.id == "register" for d in node.decorator_list)
 
 
+def _is_static(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod"
+               for d in node.decorator_list)
+
+
 def dead_definitions(package: dict, sources: list) -> list:
     """Module-level functions and classes of `package` ({module: source})
     that no source names, and methods that no source reads as an attribute.
 
     Definitions, imports and `__all__` strings are not references.  A
-    dotted string such as a bench span name counts for each of its parts;
-    dunders and `@register` experiment runners are skipped.
+    dotted string such as a bench span name counts for each of its parts.
+    A static method counts only where it is named with its own class,
+    `Class.name` or a dotted string ending in it, so a same-named method
+    of another class does not keep it alive.  Dunders and `@register`
+    experiment runners are skipped.
     """
-    names, attrs = set(), set()
+    names, attrs, qualified = set(), set(), set()
     for source in sources:
         tree = ast.parse(source)
         exports = {id(c) for value in _all_values(tree) for c in ast.walk(value)}
@@ -134,9 +142,13 @@ def dead_definitions(package: dict, sources: list) -> list:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    qualified.add(f"{node.value.id}.{node.attr}")
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and id(node) not in exports):
-                attrs.update(node.value.split("."))
+                parts = node.value.split(".")
+                attrs.update(parts)
+                qualified.add(".".join(parts[-2:]))
     dead = []
     for module, source in package.items():
         for node in ast.parse(source).body:
@@ -150,7 +162,8 @@ def dead_definitions(package: dict, sources: list) -> list:
                 dead += [f"{module}.{node.name}.{item.name}" for item in node.body
                          if isinstance(item, ast.FunctionDef)
                          and not (item.name.startswith("__") and item.name.endswith("__"))
-                         and item.name not in attrs]
+                         and (f"{node.name}.{item.name}" not in qualified
+                              if _is_static(item) else item.name not in attrs)]
     return sorted(dead)
 
 
@@ -171,7 +184,18 @@ def test_dead_definition_detector():
         "    def unread(self): pass\n"
         "    def __repr__(self): return ''\n"
         "@register('x')\n"
-        "def runner(): pass\n")}
+        "def runner(): pass\n"
+        "class A:\n"
+        "    @staticmethod\n"
+        "    def zero(): pass\n"
+        "    @staticmethod\n"
+        "    def spanned_static(): pass\n"
+        "class B:\n"
+        "    @staticmethod\n"
+        "    def zero(): pass\n")}
+    # A.zero() is the only call of a `zero`; it must not keep B.zero alive
     caller = ("from m import unused, K\n__all__ = ['unused', 'unread']\n"
-              "used()\nK().read()\nSPANS = (('m', 'K.spanned'),)\n")
-    assert dead_definitions(package, [package["m"], caller]) == ["m.K.unread", "m.unused"]
+              "used()\nK().read()\nSPANS = (('m', 'K.spanned'), ('m', 'A.spanned_static'))\n"
+              "A.zero()\nB()\n")
+    assert dead_definitions(package, [package["m"], caller]) == [
+        "m.B.zero", "m.K.unread", "m.unused"]

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 from chernlab.scalars import QGauss
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
 from chernlab.operators import (OperatorModel, SparseOperator,
-                                TruncationWindow, WindowLeakageError,
-                                _matmul, _product_diagonal,
+                                WindowLeakageError, _matmul, _product_diagonal,
                                 commutator, compose,
                                 multiplication_operator, product_diagonal,
                                 rho_exact_terms, singular_values,
-                                torus_phase_kernel_rho, weak_quasinorm)
+                                symmetric_order, torus_phase_kernel_rho,
+                                torus_shells, weak_quasinorm)
+from chernlab.tracemean import diagonal_of
 
 WINDOW = 64
 
@@ -149,6 +150,11 @@ class TestComposeOracle:
         with pytest.raises(WindowLeakageError, match=r"diagonal at \(1, -4\) exceeds .* radius 3;"):
             product_diagonal([t, t], [(0, 0), (3, -3), (1, -4), (5, 0)])
 
+    def test_empty_index_list_raises(self):
+        c = commutator(OperatorModel("circle_F"), FourierSeries.monomial(1), 8)
+        with pytest.raises(ValueError, match="at least one frequency index"):
+            product_diagonal([c, c], [])
+
     def test_diagonal_of_selected_rows_is_bit_identical(self):
         """Forming only the requested rows and columns gives the same bits
         as the diagonal of the full halves."""
@@ -267,7 +273,7 @@ class TestTorusOracle:
         for o in ops[1:]:
             expected = expected @ dense_torus(o, TORUS_BOUND)
         radius = compose(ops).exact_col_radius
-        pts = [k for k in TruncationWindow.torus_shells(8).points()
+        pts = [k for k in torus_shells(8)
                if max(abs(k[0]), abs(k[1])) <= radius]
         got = product_diagonal(ops, pts)
         want = np.array([expected[box_position(k, TORUS_BOUND),
@@ -525,26 +531,41 @@ class TestExactForm:
 
 class TestWindows:
     def test_symmetric_order(self):
-        w = TruncationWindow.circle_symmetric(2)
-        assert list(w.points()) == [0, -1, 1, -2, 2]
+        assert symmetric_order(5) == [0, -1, 1, -2, 2]
+        assert symmetric_order(4) == [0, -1, 1, -2]
+        assert symmetric_order(0) == []
 
     def test_one_sided_order(self):
-        w = TruncationWindow.circle_one_sided(3)
-        assert list(w.points()) == [0, 1, 2, 3]
+        # the one-sided order is range(n): the diagonal at 0, 1, ..., n - 1
+        model = OperatorModel("circle_F")
+        a = FourierSeries("circle", {1: 0.5, -2: 1j, 3: 0.25}, False)
+        ops = [SparseOperator.diagonal_phase(model, WINDOW), commutator(model, a, WINDOW),
+               commutator(model, a.star(), WINDOW)]
+        got = diagonal_of(ops, range(9)).values
+        expected = dense_circle(ops[0], WINDOW)
+        for o in ops[1:]:
+            expected = expected @ dense_circle(o, WINDOW)
+        assert np.any(got != 0)
+        assert np.allclose(got, np.diag(expected)[WINDOW: WINDOW + 9], rtol=0, atol=1e-12)
 
     def test_torus_shells_sorted_by_norm(self):
-        w = TruncationWindow.torus_shells(10)
-        pts = w.points()
+        pts = torus_shells(10)
         norms = [k[0] ** 2 + k[1] ** 2 for k in pts]
         assert norms == sorted(norms)
+        assert len(set(norms)) == 10
         assert pts[0] == (0, 0)
+        assert torus_shells(1) == ((0, 0),)
 
     def test_torus_shells_are_shared_and_immutable(self):
-        w = TruncationWindow.torus_shells(10)
-        pts = w.points()
-        assert pts is TruncationWindow.torus_shells(10).points()
+        pts = torus_shells(10)
+        assert pts is torus_shells(10)
         with pytest.raises(TypeError):
             pts[0] = (9, 9)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_torus_shells_need_one_shell(self, n):
+        with pytest.raises(ValueError, match="at least one shell"):
+            torus_shells(n)
 
 
 def hankel_singular_values(coeffs) -> np.ndarray:
