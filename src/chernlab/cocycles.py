@@ -279,6 +279,8 @@ def eval_ch_CC(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     n = len(a) - 1
     if spec.domain != "circle":
         raise NotImplementedError("the character cochain is implemented on the circle")
+    if stability_tol < 0:
+        raise ValueError(f"stability_tol={stability_tol} must be >= 0")
     bound = 2 * sum(s.max_frequency() for s in a) + 4
     traces = [complex(compose(_circle_ops(a, b)).trace()) for b in (bound, 2 * bound)]
     drift = abs(traces[1] - traces[0])

@@ -123,8 +123,8 @@ def register(name: str, module: str, anchor: str, description: str,
 
 
 def validate_config(spec: ExperimentSpec, overrides: Dict[str, str]) -> dict:
-    """Typed merge of overrides into the experiment defaults; unknown keys
-    and unparseable values are rejected."""
+    """Typed merge of overrides into the experiment defaults; unknown keys,
+    unparseable values and non-finite floats are rejected."""
     config = dict(spec.defaults)
     for key, raw in overrides.items():
         if key not in config:
@@ -145,6 +145,9 @@ def validate_config(spec: ExperimentSpec, overrides: Dict[str, str]) -> dict:
         except ValueError as exc:
             raise ConfigError(f"cannot parse {key}={raw!r} as "
                               f"{type(default).__name__}") from exc
+        if isinstance(default, float) and not math.isfinite(config[key]):
+            # a comparison with nan is false, so a nan gate would pass
+            raise ConfigError(f"{key}={raw!r} is not a finite number")
     return config
 
 
@@ -194,6 +197,12 @@ def random_trig_poly(rng: np.random.Generator, degree: int, terms: int,
                      l1_scale: float, domain: str = "circle") -> FourierSeries:
     """A random trigonometric polynomial with complex Gaussian coefficients
     rescaled to the given l1 coefficient mass."""
+    side = max(0, 2 * degree + 1)
+    frequencies = side if domain == "circle" else side * side
+    if not 1 <= terms <= frequencies:
+        # the draw below needs `terms` distinct frequencies to stop
+        raise ValueError(f"terms={terms} must lie in [1, {frequencies}], the number "
+                         f"of {domain} frequencies of degree <= {degree}")
     coeffs: dict = {}
     while len(coeffs) < terms:
         if domain == "circle":
@@ -445,6 +454,10 @@ def _exp_svd(config, out, report):
     p_model = OperatorModel("szego_P")
     c = commutator(p_model, a, 1 << config["window_log2"])
     sv = singular_values(c, config["count"])
+    if not sv.mu[lo:hi].all():
+        # mu_k is exactly zero past the operator's rank, where log mu_k is -inf
+        raise ValueError(f"the slope fit over [{lo}, {hi}) reaches past the "
+                         f"commutator's rank {np.count_nonzero(sv.mu)}")
     _write(out, report, "singular_values.csv", sv.to_csv())
     ks = np.arange(lo, hi)
     design = np.column_stack([np.ones(len(ks)), np.log(ks)])

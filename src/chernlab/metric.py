@@ -181,10 +181,11 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace, alpha: float,
     if x.kind == "circle_grid":
         budget = max(1, pair_cap // m)
         offsets, truncated = _offset_ladder(m // 2, budget)
+        # twice[o:o + m][a] = vals[(a + o) mod m]: one slice per offset
+        twice = np.concatenate([vals, vals])
         best = 0.0
         for o, arc in zip(offsets, x.arc(offsets).tolist()):
-            diff = max(np.max(np.abs(vals[:m - o] - vals[o:])),
-                       np.max(np.abs(vals[m - o:] - vals[:o])))
+            diff = np.abs(vals - twice[o:o + m]).max()
             best = max(best, diff / arc ** alpha)
         est = SeminormEstimate(best, truncated, len(offsets) * m)
         return est if details else est.value

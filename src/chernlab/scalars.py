@@ -11,8 +11,10 @@ from fractions import Fraction
 from numbers import Rational
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_rational(x) -> int | Fraction:
+    # a plain int stays an int: int arithmetic is exact and far cheaper than
+    # Fraction's, and a Fraction operand promotes the result when needed
+    if type(x) is int or isinstance(x, Fraction):
         return x
     if isinstance(x, (int, Rational)):
         return Fraction(x)
@@ -24,10 +26,14 @@ def _as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class QGauss:
-    """A Gaussian rational re + im*i with Fraction components."""
+    """A Gaussian rational re + im*i with int or Fraction components.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    A component stays an int until an operation with a Fraction makes it
+    one; the two are interchangeable (equal values compare and hash equal).
+    """
+
+    re: int | Fraction = 0
+    im: int | Fraction = 0
 
     @staticmethod
     def of(value) -> "QGauss":
@@ -35,8 +41,8 @@ class QGauss:
         if isinstance(value, QGauss):
             return value
         if isinstance(value, complex):
-            return QGauss(_as_fraction(value.real), _as_fraction(value.imag))
-        return QGauss(_as_fraction(value))
+            return QGauss(_as_rational(value.real), _as_rational(value.imag))
+        return QGauss(_as_rational(value))
 
     def __add__(self, other) -> "QGauss":
         other = QGauss.of(other)
@@ -79,8 +85,8 @@ class QGauss:
         return not self.is_zero()
 
 
-def format_rational(x: Fraction) -> str:
-    """Serialize a Fraction as `p` or `p/q`."""
+def format_rational(x: int | Fraction) -> str:
+    """Serialize an int or Fraction as `p` or `p/q`."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -1,9 +1,13 @@
 """CLI behavior: subcommands, config validation, exit codes, artifacts."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import chernlab
 from chernlab.cli import main, read_config_file
 from chernlab.experiments import REGISTRY, ConfigError, validate_config
 
@@ -62,6 +66,10 @@ class TestExitCodes:
     def test_usage_error_returns_two(self):
         assert main([]) == 2
 
+    # without its guard this config loops forever, so it runs in a child
+    # process: a regression then fails on the timeout instead of hanging
+    MAY_HANG = ("smooth-vanishing-comega", ["degree=2"])
+
     @pytest.mark.parametrize("name, overrides", [
         ("svd-decay-szego", ["window_log2=14", "level_cap=14"]),
         ("approxomtienri-decay", ["j_max_log2=8"]),
@@ -71,18 +79,36 @@ class TestExitCodes:
         ("hochschild-cocycle-vanishing", ["m_max=3"]),
         ("adnaodnaond-kernel-equivalence", ["n_shells=0"]),
         ("szego-diagonal-dense-check", ["window=0"]),
+        ("smooth-vanishing-comega", ["degree=2"]),
+        ("hochschild-cocycle-vanishing", ["terms=0"]),
+        ("hochschild-cocycle-vanishing", ["l1_scale=nan"]),
+        ("smooth-vanishing-comega", ["l1_scale=inf"]),
+        ("ch-cc-normalization", ["stability_tol=-1"]),
+        ("svd-decay-szego", ["level_cap=1"]),
     ])
     def test_unrunnable_config_returns_two(self, tmp_path, capsys, name, overrides):
         # each raises ValueError before any heavy work: an oversized
         # spectrum, a cutoff that vanishes on the grid, an empty checkpoint
         # schedule (m_min > m_max, never replaced by a default), no torus
-        # shell, an empty diagonal window
+        # shell, an empty diagonal window, more distinct frequencies than
+        # the degree has or none, a non-finite float, a negative tolerance,
+        # a slope fit past the operator's rank
         argv = ["run", name, "--out", str(tmp_path / "fresh" / "out")]
         for item in overrides:
             argv += ["--set", item]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        if (name, overrides) == self.MAY_HANG:
+            env = dict(os.environ,
+                       PYTHONPATH=str(Path(chernlab.__file__).resolve().parents[1]))
+            done = subprocess.run([sys.executable, "-m", "chernlab.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            code, err = done.returncode, done.stderr
+        else:
+            code, err = main(argv), capsys.readouterr().err
+        assert code == 2
+        # validate_config rejects a non-finite float as a config error
+        non_finite = any(item.endswith(("=nan", "=inf")) for item in overrides)
+        prefix = "config error: " if non_finite else "error: "
+        assert err.startswith(prefix) and len(err.strip().splitlines()) == 1
         # the run created both directories, so it removes them again
         assert not (tmp_path / "fresh").exists()
 

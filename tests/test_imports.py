@@ -99,17 +99,25 @@ def test_a_pass_loads_no_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
-def test_bench_spans_are_called():
+@pytest.mark.parametrize("workload, also_called", [
+    ("operator-diagonals", []),
+    # the circle seminorm path; its span is pinned to holder-grid
+    ("small-catalog", ["metric.estimate_holder_seminorm"]),
+], ids=["operator-diagonals", "small-catalog"])
+def test_bench_spans_are_called(workload, also_called):
     # a span that no pass calls (a renamed call path, an entry point the
     # program stopped using) shows only in a traced benchmark run
-    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "operator-diagonals",
+    cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
            "--seed", "1", "--seconds", "1", "--trace", "1"]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     info = json.loads(next(line for line in lines if line.startswith("info "))[len("info "):])
     assert info["silent_spans"] == []
-    assert json.loads(lines[-1])["correct"] is True
+    result = json.loads(lines[-1])
+    assert result["correct"] is True
+    for span in also_called:
+        assert result["metrics"][f"{span}.calls"]["value"] > 0
 
 
 def _is_register_runner(node) -> bool:

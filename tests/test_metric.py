@@ -165,14 +165,23 @@ class TestBandedTorusScan:
         if "truncated" in case:
             assert est.truncated
 
-    def test_circle_scan_matches_rolled_scan(self):
-        x = SampledMetricSpace.circle(97)
-        vals = _on_diagonals(97, range(97), 8)[0]
+    @pytest.mark.parametrize("m, cap", [
+        (96, 10_000_000),  # even: offset m/2, where the two halves meet
+        (97, 10_000_000),
+        (97, 97 * 20),     # a truncated ladder: 1..10, then geometric to 48
+    ], ids=["even", "odd", "truncated"])
+    def test_circle_scan_matches_rolled_scan(self, m, cap):
+        x = SampledMetricSpace.circle(m)
+        vals = _on_diagonals(m, range(m), 8)[0]
         vals[0], vals[-1] = 5.0, -5.0  # the largest jump straddles the seam
-        offsets, _ = _offset_ladder(48, 10_000_000 // 97)
+        offsets, truncated = _offset_ladder(m // 2, cap // m)
+        assert m // 2 in offsets and truncated == (len(offsets) < m // 2)
         ref = max(np.max(np.abs(vals - np.roll(vals, -o))) / float(x.arc(o)) ** 0.4
                   for o in offsets)
-        assert estimate_holder_seminorm(vals, x, 0.4) == ref
+        est = estimate_holder_seminorm(vals, x, 0.4, pair_cap=cap, details=True)
+        assert est.value == ref
+        assert est.truncated == truncated
+        assert est.pairs_used == len(offsets) * m
 
 
 class TestDeltaAlpha:

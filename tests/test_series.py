@@ -28,8 +28,33 @@ class TestScalars:
         assert a.conjugate().im == Fraction(3)
         assert complex(a.to_complex()) == 0.5 - 3j
 
+    @given(*[st.integers(-10**6, 10**6)] * 4)
+    @settings(max_examples=100, deadline=None)
+    def test_int_components_agree_with_fractions(self, a, b, c, d):
+        # an int component is a cheap stand-in for the equal Fraction
+        x, y = QGauss(a, b), QGauss(c, d)
+        fx, fy = QGauss(Fraction(a), Fraction(b)), QGauss(Fraction(c), Fraction(d))
+        for got, want in [(x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy),
+                          (-x, -fx), (x.conjugate(), fx.conjugate()),
+                          (x + 3, fx + 3), (2 * x, 2 * fx)]:
+            assert got == want and hash(got) == hash(want)
+            assert str(got.re) == str(want.re) and str(got.im) == str(want.im)
+            assert got.to_complex() == want.to_complex()
+        assert (x == y) == (fx == fy)
+
+    def test_components_stay_int_until_a_fraction_enters(self):
+        assert type(QGauss.of(3).re) is int and type(QGauss().im) is int
+        assert type((QGauss.of(3) * QGauss(2, -1)).im) is int
+        prod = QGauss.of(3) * Fraction(1, 3)
+        assert type(prod.re) is Fraction and type(prod.im) is Fraction
+        assert prod == QGauss.of(1)
+        # bool, numpy integers and floats still become Fractions
+        for value in (True, np.int64(3), 0.5):
+            assert type(QGauss.of(value).re) is Fraction
+
     def test_rational_text(self):
         assert format_rational(Fraction(-7, 3)) == "-7/3"
+        assert format_rational(-7) == "-7"
         assert parse_rational("-7/3") == Fraction(-7, 3)
         assert parse_rational("5") == Fraction(5)
 
