@@ -80,10 +80,6 @@ class CochainEvaluation:
     probe_result: ExtendedLimitProbe | None = None
     exact_value: object = None
 
-    @property
-    def exact(self) -> bool:
-        return self.exact_value is not None
-
 
 @dataclass(frozen=True)
 class CharacterCochainValue:
@@ -128,8 +124,33 @@ def _circle_diagonal(inputs, schedule, leading=None, prefactor=1) -> DiagonalSeq
 
 
 def _exact_circle_trace(inputs, leading=None) -> QGauss:
-    total, _ = _bandwidths(inputs, leading)
-    return compose(_circle_ops(inputs, 2 * total + 4, leading)).trace()
+    """Tr(F [leading] [F,b0]...[F,bp]) of the untruncated operator, exactly.
+
+    [F,b] e_c = sum_f b_f (sign(c+f) - sign(c)) e_(c+f) vanishes unless
+    |c| <= max_frequency(b), so the operator has finite rank and its trace
+    is a finite sum over those c.  Each e_c is pushed through the factors,
+    right to left, as a sparse {frequency: QGauss} vector; no window is
+    involved.
+    """
+    sign = OperatorModel("circle_F").phase
+    factors = [(b, True) for b in reversed(inputs)]
+    if leading is not None:
+        factors.append((leading, False))
+    last = inputs[-1].max_frequency()
+    total = QGauss()
+    for c in range(-last, last + 1):
+        vec = {c: QGauss.of(1)}
+        for b, is_commutator in factors:
+            out: dict = {}
+            for k, v in vec.items():
+                for f, coeff in b.coeffs.items():
+                    s = sign(k + f) - sign(k) if is_commutator else 1
+                    if s:
+                        out[k + f] = out.get(k + f, 0) + coeff * v * s
+            vec = out
+        if c in vec:
+            total += sign(c) * vec[c]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +265,8 @@ def eval_c_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     """The cyclic cocycle: log-means of the diagonal of F [F,a0]...[F,ap]
     (circle) or its graded torus analogue, plus the limit probe.
 
-    Finite-rank exact inputs also get an exact windowed trace.
+    Exact inputs also get the exact trace of the untruncated finite-rank
+    operator.
     """
     if len(a) != spec.p + 1:
         raise ValueError(f"c_omega at p={spec.p} takes {spec.p + 1} inputs, got {len(a)}")
@@ -274,15 +296,15 @@ def connes_chern_constant(n: int) -> complex:
 
 def eval_ch_CC(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
                stability_tol: float = 1e-10) -> CharacterCochainValue:
-    """The normalized character cochain: c_n * Tr(F [F,a0]...[F,a_n]) with an
-    exact windowed trace and a window-doubling stability report."""
+    """The normalized character cochain: c_n * Tr(F [F,a0]...[F,a_n]) from a
+    float windowed trace, with a window-doubling stability report."""
     n = len(a) - 1
     if spec.domain != "circle":
         raise NotImplementedError("the character cochain is implemented on the circle")
     if stability_tol < 0:
         raise ValueError(f"stability_tol={stability_tol} must be >= 0")
     bound = 2 * sum(s.max_frequency() for s in a) + 4
-    traces = [complex(compose(_circle_ops(a, b)).trace()) for b in (bound, 2 * bound)]
+    traces = [compose(_circle_ops(a, b)).trace() for b in (bound, 2 * bound)]
     drift = abs(traces[1] - traces[0])
     if drift > stability_tol * max(1.0, abs(traces[1])):
         raise CocycleConsistencyError(

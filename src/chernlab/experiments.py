@@ -122,9 +122,23 @@ def register(name: str, module: str, anchor: str, description: str,
     return wrap
 
 
+# a count below 1 or a nonpositive scale would test nothing and pass
+_COUNT_KEYS = ("tuples", "triples", "samples", "n_random", "n_wedges", "support")
+
+
+def _check_range(key: str, value) -> None:
+    if key in _COUNT_KEYS and value < 1:
+        raise ConfigError(f"{key}={value} must be at least 1")
+    if key == "l1_scale" and value <= 0:
+        raise ConfigError(f"l1_scale={value} must be positive")
+    if (key == "tolerance" or key.endswith("_tol")) and value < 0:
+        raise ConfigError(f"{key}={value} must be >= 0")
+
+
 def validate_config(spec: ExperimentSpec, overrides: Dict[str, str]) -> dict:
     """Typed merge of overrides into the experiment defaults; unknown keys,
-    unparseable values and non-finite floats are rejected."""
+    unparseable values, non-finite floats, counts below 1, a nonpositive
+    l1_scale and negative tolerances are rejected."""
     config = dict(spec.defaults)
     for key, raw in overrides.items():
         if key not in config:
@@ -148,6 +162,7 @@ def validate_config(spec: ExperimentSpec, overrides: Dict[str, str]) -> dict:
         if isinstance(default, float) and not math.isfinite(config[key]):
             # a comparison with nan is false, so a nan gate would pass
             raise ConfigError(f"{key}={raw!r} is not a finite number")
+        _check_range(key, config[key])
     return config
 
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import ClassVar, Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import QGauss, format_rational
 from .series import FourierSeries, FrequencyIndex, TorusIndex, cross
 
 __all__ = [
@@ -127,10 +126,6 @@ def torus_shells(n: int) -> Tuple[TorusIndex, ...]:
 # sparse operators
 # ---------------------------------------------------------------------------
 
-def _norm_inf(k: FrequencyIndex, domain: str) -> int:
-    return abs(k) if domain == "circle" else max(abs(k[0]), abs(k[1]))
-
-
 def _linear_index(domain: str, bound: int, idx) -> np.ndarray:
     """Box positions of frequency indices: k + W on the circle and
     (k1 + W)(2W + 1) + (k2 + W) on the torus."""
@@ -179,9 +174,9 @@ class SparseOperator:
     The entries are one read-only row-major CSR triple over the linear box
     positions (circle k + W, torus (k1 + W)(2W + 1) + (k2 + W)): int64
     indptr, int64 cols ascending within each row, and complex128 vals.
-    Each position occurs at most once.  An exact operator, for the
-    finite-rank traces and chain identities, also holds qvals, its QGauss
-    values in the same order; vals is then their float form.
+    Each position occurs at most once.  Exact-coefficient inputs build the
+    same float form; exact finite-rank traces are computed without an
+    operator (cocycles).
     """
 
     domain: str
@@ -191,27 +186,20 @@ class SparseOperator:
     indptr: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    qvals: np.ndarray | None = None
+    # no operator is exact; the benchmark's trace hook (bench/spans.py) reads it
+    exact: ClassVar[bool] = False
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def from_entries(domain: str, bound: int, exact: bool, exact_col_radius: int,
-                     bandwidth: int, rows, cols, vals) -> "SparseOperator":
-        """From entries in any order at linear box positions; vals are QGauss
-        for an exact operator, else complex.  Raises ValueError when two
-        entries share a position."""
+    def from_entries(domain: str, bound: int, exact_col_radius: int, bandwidth: int,
+                     rows, cols, vals) -> "SparseOperator":
+        """From complex entries in any order at linear box positions.
+        Raises ValueError when two entries share a position."""
         n = _dim(domain, bound)
-        cols = np.asarray(cols, np.int64)
-        indptr, order = _row_major(np.asarray(rows, np.int64), cols, (n, n))
-        cols = cols[order]
-        if not exact:
-            return SparseOperator(domain, bound, exact_col_radius, bandwidth,
-                                  *_frozen(indptr, cols, np.asarray(vals, np.complex128)[order]))
-        qvals = np.asarray(vals, object)[order]
-        vals = np.fromiter((v.to_complex() for v in qvals), np.complex128, len(qvals))
         return SparseOperator(domain, bound, exact_col_radius, bandwidth,
-                              *_frozen(indptr, cols, vals, qvals))
+                              *_csr(np.asarray(rows, np.int64), np.asarray(cols, np.int64),
+                                    vals, (n, n)))
 
     @staticmethod
     def from_dict(domain: str, bound: int, entries: dict, exact_col_radius: int,
@@ -220,18 +208,13 @@ class SparseOperator:
         indices; zeros are dropped."""
         items = [(r, c, v) for (r, c), v in ((k, complex(v)) for k, v in entries.items()) if v]
         return SparseOperator.from_entries(
-            domain, bound, False, exact_col_radius, bandwidth,
+            domain, bound, exact_col_radius, bandwidth,
             _linear_index(domain, bound, [r for r, _, _ in items]),
             _linear_index(domain, bound, [c for _, c, _ in items]), [v for _, _, v in items])
 
     @staticmethod
     def diagonal_phase(op: OperatorModel, bound: int) -> "SparseOperator":
-        """The phase operator itself, truncated to the box window.
-
-        The circle phases (values 0 and +-1) are exact: their values share
-        two QGauss constants and vals is the vectorized phase, so no entry
-        goes through QGauss arithmetic.
-        """
+        """The phase operator itself, truncated to the box window."""
         n = _dim(op.domain, bound)
         if op.domain == "torus":
             pos = np.arange(n)
@@ -241,10 +224,8 @@ class SparseOperator:
                 _indptr(pos, n), pos, np.asarray(vals, np.complex128)))
         phase = op.phase_array(np.arange(-bound, bound + 1, dtype=np.int64))
         pos = np.flatnonzero(phase)
-        units = np.array([QGauss.of(1), QGauss.of(-1)], dtype=object)
         return SparseOperator("circle", bound, bound, 0, *_frozen(
-            _indptr(pos, n), pos, phase[pos].astype(np.complex128),
-            units[(phase[pos] < 0).astype(np.intp)]))
+            _indptr(pos, n), pos, phase[pos].astype(np.complex128)))
 
     @staticmethod
     def from_csr(csr: tuple, domain: str, bound: int,
@@ -254,10 +235,6 @@ class SparseOperator:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def exact(self) -> bool:
-        return self.qvals is not None
-
     def nnz(self) -> int:
         return len(self.vals)
 
@@ -265,68 +242,29 @@ class SparseOperator:
         return _dim(self.domain, self.bound)
 
     def items(self):
-        """(row, col, value) triples with frequency indices, row by row;
-        the values are QGauss for an exact operator."""
+        """(row, col, value) triples with frequency indices, row by row."""
         return zip(_frequency_index(self.domain, self.bound, _rows(self.indptr)),
-                   _frequency_index(self.domain, self.bound, self.cols),
-                   self.vals if self.qvals is None else self.qvals)
+                   _frequency_index(self.domain, self.bound, self.cols), self.vals)
 
     def to_float(self) -> "SparseOperator":
-        """The float form: the same arrays without qvals."""
-        return replace(self, qvals=None) if self.exact else self
+        """The operator itself; kept because bench/spans.py times it on the
+        to_csr path."""
+        return self
 
     def to_csr(self) -> tuple:
-        """The CSR triple (indptr, cols, vals) of the float form."""
+        """The CSR triple (indptr, cols, vals)."""
         f = self.to_float()
         return f.indptr, f.cols, f.vals
 
-    def entry(self, r, c):
-        """The value at frequencies (r, c); zero outside the stored entries."""
-        zero = QGauss() if self.exact else 0j
-        if max(_norm_inf(r, self.domain), _norm_inf(c, self.domain)) > self.bound:
-            return zero
-        ri, ci = _linear_index(self.domain, self.bound, [r, c])
-        lo, hi = self.indptr[ri], self.indptr[ri + 1]
-        at = lo + np.searchsorted(self.cols[lo:hi], ci)
-        if at == hi or self.cols[at] != ci:
-            return zero
-        return self.qvals[at] if self.exact else self.vals[at]
-
-    def trace(self):
-        """Sum of the stored diagonal, row by row: a QGauss for an exact
-        operator, else complex."""
-        on_diagonal = self.cols == _rows(self.indptr)
-        if self.exact:
-            return sum(self.qvals[on_diagonal], QGauss())
-        return sum(self.vals[on_diagonal], 0j)
+    def trace(self) -> complex:
+        """Sum of the stored diagonal, row by row."""
+        return sum(self.vals[self.cols == _rows(self.indptr)], 0j)
 
     def _select(self, keep: np.ndarray) -> "SparseOperator":
         """The operator with only the entries where the mask keep is true."""
         return SparseOperator(self.domain, self.bound, self.exact_col_radius, self.bandwidth,
                               *_frozen(_indptr(_rows(self.indptr)[keep], self.dim()),
-                                       self.cols[keep], self.vals[keep],
-                                       None if self.qvals is None else self.qvals[keep]))
-
-    def adjoint(self) -> "SparseOperator":
-        """The conjugate transpose; an exact operator conjugates qvals and
-        converts them again."""
-        return SparseOperator.from_entries(
-            self.domain, self.bound, self.exact, self.exact_col_radius, self.bandwidth,
-            self.cols, _rows(self.indptr), np.conj(self.vals if self.qvals is None else self.qvals))
-
-    def to_text(self) -> str:
-        lines = [f"# domain={self.domain} bound={self.bound} exact={1 if self.exact else 0} "
-                 f"exact_col_radius={self.exact_col_radius} bandwidth={self.bandwidth}"]
-        for r, c, v in sorted(self.items(), key=lambda t: (str(t[0]), str(t[1]))):
-            if self.exact:
-                re, im = format_rational(v.re), format_rational(v.im)
-            else:
-                re, im = repr(float(v.real)), repr(float(v.imag))
-            if self.domain == "circle":
-                lines.append(f"{r} {c} {re} {im}")
-            else:
-                lines.append(f"{r[0]} {r[1]} {c[0]} {c[1]} {re} {im}")
-        return "\n".join(lines) + "\n"
+                                       self.cols[keep], self.vals[keep]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,28 +282,21 @@ class SparseOperator:
 # against a compiled sparse library where one is installed.
 # ---------------------------------------------------------------------------
 
-def _row_major(rows: np.ndarray, cols: np.ndarray, shape: tuple) -> tuple:
-    """The indptr of entries at (row, col) positions and the order that
-    sorts them row-major; raises ValueError when two share a position."""
+def _csr(rows: np.ndarray, cols: np.ndarray, vals, shape: tuple) -> tuple:
+    """The read-only CSR triple of entries at (row, col) positions in any
+    order; raises ValueError when two share a position."""
     key = rows * shape[1] + cols
     order = np.argsort(key, kind="stable")
     key = key[order]
     if np.any(key[1:] == key[:-1]):
         raise ValueError("two entries share a position; a CSR triple holds each once")
-    return _indptr(rows, shape[0]), order
-
-
-def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple) -> tuple:
-    """The read-only CSR triple of entries at unique (row, col) positions."""
-    indptr, order = _row_major(rows, cols, shape)
-    return _frozen(indptr, cols[order], np.asarray(vals, np.complex128)[order])
+    return _frozen(_indptr(rows, shape[0]), cols[order], np.asarray(vals, np.complex128)[order])
 
 
 def _frozen(*arrays) -> tuple:
-    """The arrays, made read-only; None passes through."""
+    """The arrays, made read-only."""
     for arr in arrays:
-        if arr is not None:
-            arr.setflags(write=False)
+        arr.setflags(write=False)
     return arrays
 
 
@@ -491,7 +422,6 @@ def commutator(op: OperatorModel, a: FourierSeries, bound: int) -> SparseOperato
 def _commutator_circle(op: OperatorModel, a: FourierSeries, bound: int,
                        radius: int, bw: int) -> SparseOperator:
     step = 1 if op.kind == "szego_P" else 2
-    dtype = object if a.exact else np.complex128
     rows, cols, vals = [], [], []
     for f, coeff in a.coeffs.items():
         if f == 0:
@@ -506,10 +436,11 @@ def _commutator_circle(op: OperatorModel, a: FourierSeries, bound: int,
             cs = np.arange(lo, hi, dtype=np.int64) + bound
             rows.append(cs + f)
             cols.append(cs)
-            vals.append(np.full(hi - lo, coeff * sgn, dtype))
-    return SparseOperator.from_entries("circle", bound, a.exact, radius, bw,
+            # an exact coefficient is scaled before it is rounded
+            vals.append(np.full(hi - lo, complex(coeff * sgn), np.complex128))
+    return SparseOperator.from_entries("circle", bound, radius, bw,
                                        _concat(rows, np.int64), _concat(cols, np.int64),
-                                       _concat(vals, dtype))
+                                       _concat(vals, np.complex128))
 
 
 def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int,
@@ -525,7 +456,7 @@ def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int,
         cols.append(col[nz])
         rows.append(col[nz] + shift)
         vals.append(complex(coeff) * pv[nz])
-    return SparseOperator.from_entries("torus", bound, False, radius, bw,
+    return SparseOperator.from_entries("torus", bound, radius, bw,
                                        _concat(rows, np.int64), _concat(cols, np.int64),
                                        _concat(vals, np.complex128))
 
@@ -538,12 +469,12 @@ def multiplication_operator(a: FourierSeries, bound: int) -> SparseOperator:
         raise WindowLeakageError(
             f"window bound {bound} is smaller than the series bandwidth {bw}")
     bands = [(_band(a.domain, bound, f), coeff) for f, coeff in a.coeffs.items()]
-    dtype = object if a.exact else np.complex128
     return SparseOperator.from_entries(
-        a.domain, bound, a.exact, radius, bw,
+        a.domain, bound, radius, bw,
         _concat([col + shift for (col, shift), _ in bands], np.int64),
         _concat([col for (col, _), _ in bands], np.int64),
-        _concat([np.full(len(col), coeff, dtype) for (col, _), coeff in bands], dtype))
+        _concat([np.full(len(col), complex(coeff), np.complex128)
+                 for (col, _), coeff in bands], np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -565,19 +496,6 @@ def _product_bounds(ops: Sequence[SparseOperator]) -> tuple:
 
 def _compose_pair(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     radius, bw = _product_bounds([a, b])
-    if a.exact and b.exact:
-        out: dict = {}
-        bp, bj, bq = b.indptr.tolist(), b.cols.tolist(), b.qvals.tolist()
-        for r, s, va in zip(_rows(a.indptr).tolist(), a.cols.tolist(), a.qvals):
-            for e in range(bp[s], bp[s + 1]):  # (A B)(r,c) = sum_s A(r,s) B(s,c)
-                key = (r, bj[e])
-                prod = va * bq[e]
-                cur = out.get(key)
-                out[key] = prod if cur is None else cur + prod
-        out = {k: v for k, v in out.items() if v}
-        return SparseOperator.from_entries(a.domain, a.bound, True, radius, bw,
-                                           [r for r, _ in out], [c for _, c in out],
-                                           list(out.values()))
     return SparseOperator.from_csr(_matmul(a.to_csr(), b.to_csr(), a.dim()),
                                    a.domain, a.bound, radius, bw)
 

@@ -29,6 +29,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(spec, {"m_max": "twelve"})
 
+    def test_range_bounds_are_inclusive(self):
+        spec = REGISTRY["hochschild-cocycle-vanishing"]
+        cfg = validate_config(spec, {"tuples": "1", "last_tol": "0", "l1_scale": "1e-300"})
+        assert (cfg["tuples"], cfg["last_tol"], cfg["l1_scale"]) == (1, 0.0, 1e-300)
+        for key, raw in (("tuples", "0"), ("last_tol", "-1e-300"), ("l1_scale", "0")):
+            with pytest.raises(ConfigError, match=key):
+                validate_config(spec, {key: raw})
+
     def test_config_file_parsing(self, tmp_path):
         p = tmp_path / "cfg"
         p.write_text("# comment\nm_max = 10\n\nlevel_cap=30\n")
@@ -37,6 +45,12 @@ class TestConfigValidation:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
             read_config_file(tmp_path / "absent")
+
+
+# keys whose bad values fail in validate_config; in the cases below they
+# are the keys set out of range
+CONFIG_CHECKED = ("tuples", "triples", "samples", "n_random", "n_wedges", "support",
+                  "l1_scale", "stability_tol", "last_tol", "tolerance", "slope_tol")
 
 
 class TestExitCodes:
@@ -85,6 +99,14 @@ class TestExitCodes:
         ("smooth-vanishing-comega", ["l1_scale=inf"]),
         ("ch-cc-normalization", ["stability_tol=-1"]),
         ("svd-decay-szego", ["level_cap=1"]),
+        ("hochschild-cocycle-vanishing", ["tuples=0"]),
+        ("chain-identities", ["n_random=0", "n_wedges=0"]),
+        ("chain-identities", ["support=-1"]),
+        ("smooth-vanishing-comega", ["l1_scale=0"]),
+        ("adnaodnaond-kernel-equivalence", ["triples=0", "samples=0"]),
+        ("hochschild-cocycle-vanishing", ["last_tol=-1"]),
+        ("szego-diagonal-dense-check", ["tolerance=-1"]),
+        ("svd-decay-szego", ["slope_tol=-1"]),
     ])
     def test_unrunnable_config_returns_two(self, tmp_path, capsys, name, overrides):
         # each raises ValueError before any heavy work: an oversized
@@ -92,7 +114,8 @@ class TestExitCodes:
         # schedule (m_min > m_max, never replaced by a default), no torus
         # shell, an empty diagonal window, more distinct frequencies than
         # the degree has or none, a non-finite float, a negative tolerance,
-        # a slope fit past the operator's rank
+        # a slope fit past the operator's rank, a count below 1 or a zero
+        # l1_scale, none of which may pass on no input
         argv = ["run", name, "--out", str(tmp_path / "fresh" / "out")]
         for item in overrides:
             argv += ["--set", item]
@@ -105,9 +128,12 @@ class TestExitCodes:
         else:
             code, err = main(argv), capsys.readouterr().err
         assert code == 2
-        # validate_config rejects a non-finite float as a config error
-        non_finite = any(item.endswith(("=nan", "=inf")) for item in overrides)
-        prefix = "config error: " if non_finite else "error: "
+        # validate_config rejects a non-finite float, a count below 1, a
+        # nonpositive l1_scale and a negative tolerance as config errors
+        keys = {item.split("=")[0] for item in overrides}
+        config_error = (any(item.endswith(("=nan", "=inf")) for item in overrides)
+                        or bool(keys & set(CONFIG_CHECKED)))
+        prefix = "config error: " if config_error else "error: "
         assert err.startswith(prefix) and len(err.strip().splitlines()) == 1
         # the run created both directories, so it removes them again
         assert not (tmp_path / "fresh").exists()

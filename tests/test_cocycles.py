@@ -2,15 +2,17 @@
 operator diagonal, the closed-form projector product, and torus grading."""
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chernlab.scalars import QGauss
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
-from chernlab.operators import (OperatorModel, SparseOperator, commutator,
-                                torus_shells)
+from chernlab.operators import (OperatorModel, SparseOperator, commutator, compose,
+                                multiplication_operator, torus_shells)
 from chernlab.cocycles import (CocycleConsistencyError, FredholmModuleSpec,
                                check_cyclicity, check_hochschild_cocycle,
                                connes_chern_constant, eval_c_omega,
@@ -44,7 +46,7 @@ class TestModuleSpec:
 class TestExactCirclePairing:
     def test_generator_pairing_is_minus_four(self):
         ev = eval_c_omega(SPEC1, [Z, ZI])
-        assert ev.exact and ev.exact_value == QGauss.of(-4)
+        assert ev.exact_value == QGauss.of(-4)
 
     def test_powers_scale_with_winding(self):
         for n in (2, 3):
@@ -61,6 +63,91 @@ class TestExactCirclePairing:
         ev = eval_c_omega(SPEC1, [Z, ZI], dyadic_schedule(4, 12))
         n, v = ev.series.checkpoints[-1]
         assert v.real == pytest.approx(-4 / math.log(2 + n), rel=1e-12)
+
+
+def _sign(k: int) -> int:
+    return 1 if k >= 0 else -1
+
+
+def dense_exact_trace(inputs, leading, window: int) -> QGauss:
+    """Tr(F [leading] [F,b0]...[F,bp]) from dense QGauss matrices on
+    |k| <= window, with entries a_(r-c) (sign r - sign c) for [F,a].
+
+    [F,b] maps e_c into |k| <= max_frequency(b), and zero unless |c| is
+    that small too, so a window of the summed bandwidths holds every path
+    that reaches the trace.
+    """
+    idx = range(-window, window + 1)
+
+    def matrix(a, commutes):
+        return [[a.coeff(r - c) * ((_sign(r) - _sign(c)) if commutes else 1)
+                 for c in idx] for r in idx]
+
+    def product(x, y):
+        n = len(idx)
+        out = [[QGauss() for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                if x[i][k]:
+                    for j in range(n):
+                        if y[k][j]:
+                            out[i][j] += x[i][k] * y[k][j]
+        return out
+
+    right = matrix(inputs[0], True)
+    for b in inputs[1:]:
+        right = product(right, matrix(b, True))
+    left = [[QGauss.of(_sign(r) if r == c else 0) for c in idx] for r in idx]
+    if leading is not None:
+        left = product(left, matrix(leading, False))
+    n = len(idx)
+    return sum((left[i][j] * right[j][i] for i in range(n) for j in range(n)
+                if left[i][j] and right[j][i]), QGauss())
+
+
+def float_trace(inputs, leading, bound: int) -> complex:
+    model = OperatorModel("circle_F")
+    ops = [SparseOperator.diagonal_phase(model, bound)]
+    if leading is not None:
+        ops.append(multiplication_operator(leading, bound))
+    ops += [commutator(model, b, bound) for b in inputs]
+    return compose(ops).trace()
+
+
+# non-dyadic rationals, so a float product of these is not exact; a
+# nonzero real part keeps every drawn frequency in the support
+_DENOMINATOR = st.sampled_from([3, 5, 7])
+_COEFF = st.builds(QGauss,
+                   st.builds(Fraction, st.integers(1, 3) | st.integers(-3, -1), _DENOMINATOR),
+                   st.builds(Fraction, st.integers(-3, 3), _DENOMINATOR))
+_EXACT_TRIG = st.dictionaries(st.integers(-2, 2), _COEFF, min_size=2, max_size=4).map(
+    lambda c: FourierSeries("circle", c, True))
+
+
+class TestExactTraceOracle:
+    """The exact value of c and h on exact trigonometric polynomials is the
+    trace of the untruncated finite-rank operator."""
+
+    @given(st.sampled_from([1, 3]), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_exact_product_and_float_trace(self, p, with_leading, data):
+        spec = FredholmModuleSpec("circle_F", p)
+        a = data.draw(st.lists(_EXACT_TRIG, min_size=p + 1 + with_leading,
+                               max_size=p + 1 + with_leading))
+        schedule = dyadic_schedule(4, 6)
+        if with_leading:
+            leading, inputs = a[0], a[1:]
+            got = eval_h_omega(spec, a, schedule).exact_value
+            prefactor = p
+        else:
+            leading, inputs = None, a
+            got = eval_c_omega(spec, a, schedule).exact_value
+            prefactor = 1
+        total = sum(s.max_frequency() for s in a)
+        want = dense_exact_trace(inputs, leading, total)
+        assert got == want * prefactor
+        approx = float_trace(inputs, leading, 2 * total + 4) * prefactor
+        assert abs(approx - got.to_complex()) <= 1e-12 * max(1.0, abs(approx))
 
 
 class TestHochschild:

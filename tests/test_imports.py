@@ -56,6 +56,39 @@ def test_detector_flags_an_unused_import():
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def imports_scalars(source: str) -> bool:
+    """Whether a module imports chernlab.scalars or a name from it, in any
+    import form."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "scalars" for name in names):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("module", ["operators", "tracemean", "metric"])
+def test_float_layers_do_not_import_scalars(module):
+    # one operator representation: the exact scalars serve the chain algebra
+    # and the exact finite-rank traces (series, chains, cocycles), never the
+    # operator, diagonal or metric layers
+    source = (Path(chernlab.__file__).parent / f"{module}.py").read_text()
+    assert not imports_scalars(source)
+
+
+def test_scalars_import_detector():
+    for line in ("from .scalars import QGauss", "from . import scalars",
+                 "from chernlab.scalars import QGauss", "import chernlab.scalars",
+                 "from chernlab import scalars"):
+        assert imports_scalars(line), line
+    assert not imports_scalars("from .series import FourierSeries\nimport numpy as np\n")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_exports_resolve(path):
     # the unused-import check counts an __all__ string as a use, so a name
     # left in __all__ after its definition is deleted is caught only here

@@ -64,10 +64,11 @@ class TestCommutatorOracle:
         assert np.allclose(got[:, sl], expected[:, sl], atol=1e-14)
 
     def test_exact_values_for_exact_inputs(self):
+        # an exact input builds the float form; small integers stay exact
         z = FourierSeries.monomial(1)
         c = commutator(OperatorModel("circle_F"), z, 8)
-        assert c.exact
-        assert c.entry(0, -1) == QGauss.of(2)
+        assert not c.exact and c.vals.dtype == np.complex128
+        assert {(r, col): v for r, col, v in c.items()} == {(0, -1): 2 + 0j}
 
     def test_rejects_small_window(self):
         ones = BoundedSequence.constant(1.0)
@@ -106,9 +107,7 @@ class TestComposeOracle:
         zi = FourierSeries.monomial(-1)
         model = OperatorModel("circle_F")
         prod = compose([commutator(model, z, 4), commutator(model, zi, 4)])
-        entries = {(r, c): v for r, c, v in prod.items() if not
-                   (isinstance(v, QGauss) and v.is_zero())}
-        assert entries == {(0, 0): QGauss.of(-4)}
+        assert {(r, c): v for r, c, v in prod.items()} == {(0, 0): -4 + 0j}
 
     def test_product_diagonal_matches_dense(self):
         rng = np.random.default_rng(11)
@@ -125,14 +124,6 @@ class TestComposeOracle:
             expected = expected @ dense_circle(o, WINDOW)
         want = np.array([expected[k + WINDOW, k + WINDOW] for k in idx])
         assert np.allclose(got, want, atol=1e-12)
-
-    def test_exact_product_stays_exact(self):
-        third = FourierSeries("circle", {1: Fraction(1, 3)}, True)
-        m = multiplication_operator(third, 1100)
-        prod = compose([m, m])
-        assert prod.exact
-        assert prod.nnz() > 0
-        assert all(v == QGauss(Fraction(1, 9)) for _, _, v in prod.items())
 
     def test_diagonal_read_past_radius_raises(self):
         z = FourierSeries.monomial(1)
@@ -243,8 +234,8 @@ class TestTorusOracle:
         a = FourierSeries("torus", {(1, -2): Fraction(1, 3), (0, 1): 2,
                                     (-3, 0): Fraction(-5, 7)}, True)
         m = multiplication_operator(a, TORUS_BOUND)
-        assert m.exact
-        assert m.entry((2, -2), (1, 0)) == QGauss.of(Fraction(1, 3))
+        assert not m.exact and m.vals.dtype == np.complex128
+        assert dict(((r, c), v) for r, c, v in m.items())[(2, -2), (1, 0)] == 1 / 3
         assert np.array_equal(dense_torus(m, TORUS_BOUND),
                               dense_torus_mult(a, TORUS_BOUND))
 
@@ -284,13 +275,14 @@ class TestTorusOracle:
     def test_entry_at_torus_index(self):
         a = FourierSeries("torus", {(1, 0): 1.0, (0, -1): 0.5j}, False)
         c = commutator(OperatorModel("torus_U"), a, 1)
-        assert c.entry((0, 0), (0, 1)) == 0.5 + 0.5j
-        assert c.entry((0, 0), (-1, 0)) == 2.0
-        assert c.entry((1, 0), (0, 0)) == 0j
-        # (0, 2) lies outside the box; its linear position would be (1, -1)'s
-        assert c.entry((1, -1), (1, 0)) != 0j
-        assert c.entry((0, 2), (1, 0)) == 0j
-        assert c.entry((0, 0), (0, 0)) == 0j
+        entries = {(r, col): v for r, col, v in c.items()}
+        assert entries[(0, 0), (0, 1)] == 0.5 + 0.5j
+        assert entries[(0, 0), (-1, 0)] == 2.0
+        assert ((1, 0), (0, 0)) not in entries and ((0, 0), (0, 0)) not in entries
+        # every entry is indexed inside the box: (0, 2) is not read as the
+        # neighbouring linear position (1, -1)
+        assert ((1, -1), (1, 0)) in entries
+        assert all(max(map(abs, r + col)) <= 1 for r, col in entries)
 
 
 def dense_from_csr(csr) -> np.ndarray:
@@ -376,18 +368,17 @@ class TestFloatForm:
         return commutator(OperatorModel("circle_F"), a, 8)
 
     def test_csr_is_built_once(self):
-        # the triple is the storage: to_csr() hands out the stored arrays,
-        # and an exact operator's float form shares them
+        # the triple is the storage: to_csr() hands out the stored arrays
         c = self._float_commutator()
         assert all(x is y for x, y in zip(c.to_csr(), (c.indptr, c.cols, c.vals)))
         assert c.to_float() is c
         phase = SparseOperator.diagonal_phase(OperatorModel("circle_F"), 8)
-        assert phase.exact and not phase.to_float().exact
+        assert not phase.exact and phase.to_float() is phase
         assert all(x is y for x, y in zip(phase.to_csr(), (phase.indptr, phase.cols, phase.vals)))
 
     def test_float_arrays_are_read_only(self):
         c = self._float_commutator()
-        for op in (c, c.adjoint(), compose([c, c]), SparseOperator.from_dict(
+        for op in (c, compose([c, c]), SparseOperator.from_dict(
                 "circle", 8, {(1, 2): 1.0, (0, 0): 2j}, 8, 0)):
             for arr in (op.indptr, op.cols, op.vals):
                 with pytest.raises(ValueError):
@@ -405,24 +396,15 @@ class TestFloatForm:
     def test_duplicate_position_raises(self):
         # at construction, before any product reads the entries
         with pytest.raises(ValueError, match="share a position"):
-            SparseOperator.from_entries("circle", 2, False, 2, 0,
+            SparseOperator.from_entries("circle", 2, 2, 0,
                                         [1, 3, 1], [1, 0, 1], [1.0, 2.0, 3.0])
-
-    def test_adjoint_leaves_the_operator_alone(self):
-        c = self._float_commutator()
-        before = dense_from_csr(c.to_csr())
-        vals = c.vals.copy()
-        adj = c.adjoint()
-        assert adj is not c
-        assert np.array_equal(c.vals, vals)
-        assert np.array_equal(dense_from_csr(c.to_csr()), before)
-        assert np.array_equal(dense_from_csr(adj.to_csr()), before.conj().T)
 
     def test_exact_phase_float_form_matches_conversion(self):
         for kind in ("szego_P", "circle_F"):
-            phase = SparseOperator.diagonal_phase(OperatorModel(kind), 6)
+            model = OperatorModel(kind)
+            phase = SparseOperator.diagonal_phase(model, 6)
             converted = SparseOperator.from_dict(
-                "circle", 6, {(r, c): v.to_complex() for r, c, v in phase.items()}, 6, 0)
+                "circle", 6, {(k, k): model.phase(k) for k in range(-6, 7)}, 6, 0)
             # bit for bit, signed zeros included
             for got, want in zip(phase.to_csr(), converted.to_csr()):
                 assert got.dtype == want.dtype
@@ -432,20 +414,17 @@ class TestFloatForm:
 class TestStorage:
     """Entries in any order build one read-only row-major CSR triple."""
 
-    @given(st.data(), st.booleans())
+    @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_entries_build_a_read_only_row_major_triple(self, data, exact):
+    def test_entries_build_a_read_only_row_major_triple(self, data):
         bound = data.draw(st.integers(0, 3))
         n = 2 * bound + 1
         cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                    unique=True, max_size=12))
         part = st.fractions(-4, 4, max_denominator=3)
-        vals = [QGauss(data.draw(part), data.draw(part)) for _ in cells]
-        if not exact:
-            vals = [v.to_complex() for v in vals]
+        vals = [QGauss(data.draw(part), data.draw(part)).to_complex() for _ in cells]
         rows, cols = [r for r, _ in cells], [c for _, c in cells]
-        op = SparseOperator.from_entries("circle", bound, exact, bound, 0, rows, cols, vals)
-        assert op.exact == exact
+        op = SparseOperator.from_entries("circle", bound, bound, 0, rows, cols, vals)
         indptr, csr_cols, _ = op.to_csr()
         assert len(indptr) == n + 1 and indptr[0] == 0 and indptr[-1] == len(cells)
         assert np.all(np.diff(indptr) >= 0)
@@ -456,11 +435,11 @@ class TestStorage:
             want[r, c] = complex(v)
         assert np.array_equal(dense_from_csr(op.to_csr()), want)
         assert {(r + bound, c + bound): v for r, c, v in op.items()} == dict(zip(cells, vals))
-        for arr in (op.indptr, op.cols, op.vals) + ((op.qvals,) if exact else ()):
+        for arr in (op.indptr, op.cols, op.vals):
             assert not arr.flags.writeable
         if cells:
             with pytest.raises(ValueError, match="share a position"):
-                SparseOperator.from_entries("circle", bound, exact, bound, 0, rows + rows[:1],
+                SparseOperator.from_entries("circle", bound, bound, 0, rows + rows[:1],
                                             cols + cols[:1], vals + vals[:1])
         with pytest.raises(FrozenInstanceError):
             op.vals = op.vals
@@ -469,43 +448,24 @@ class TestStorage:
 
 
 class TestExactForm:
-    """Exact operators hold the same read-only position arrays as float
-    ones, with QGauss values; dyadic coefficients keep every float
-    product exact, so the float forms must equal the dense oracles."""
+    """Exact-coefficient inputs build the same complex128 CSR form as float
+    ones; dyadic coefficients keep every float product exact, so the
+    operators must equal the dense oracles."""
 
     CIRCLE = FourierSeries("circle", {1: Fraction(1, 2), -2: Fraction(-3, 4),
                                       3: QGauss(Fraction(1, 4), Fraction(-1, 8))}, True)
     TORUS = FourierSeries("torus", {(1, -2): Fraction(1, 4), (0, 1): 2,
                                     (-3, 0): QGauss(Fraction(-5, 8), Fraction(1, 2))}, True)
 
-    def test_values_are_qgauss_and_read_only(self):
-        c = commutator(OperatorModel("circle_F"), self.CIRCLE, 8)
-        assert c.exact and c.qvals.dtype == object and c.vals.dtype == np.complex128
-        assert all(isinstance(v, QGauss) for v in c.qvals)
-        assert c.indptr.dtype == c.cols.dtype == np.int64
-        # vals is the per-entry conversion of qvals, in the same order
-        converted = np.array([v.to_complex() for v in c.qvals], np.complex128)
-        assert c.vals.tobytes() == converted.tobytes()
-        for arr in (c.indptr, c.cols, c.vals, c.qvals):
-            with pytest.raises(ValueError):
-                arr[0] = arr[1]
-        f = c.to_float()
-        assert not f.exact and f.cols is c.cols and f.vals is c.vals
-
-    def test_adjoint_conjugates_values(self):
-        m = multiplication_operator(self.CIRCLE, 8)
-        adj = m.adjoint()
-        assert adj.exact
-        assert adj.entry(2, 5) == QGauss(Fraction(1, 4), Fraction(1, 8))
-        assert m.entry(5, 2) == QGauss(Fraction(1, 4), Fraction(-1, 8))
-        assert np.array_equal(dense_circle(adj, 8), dense_circle(m, 8).conj().T)
-
     def test_entry_outside_the_box_is_exact_zero(self):
-        m = multiplication_operator(self.TORUS, TORUS_BOUND)
-        assert m.entry((6, 0), (5, 0)) == QGauss()
-        assert isinstance(m.entry((0, 0), (0, 7)), QGauss)
-        c = commutator(OperatorModel("circle_F"), self.CIRCLE, 8)
-        assert c.entry(9, 8) == QGauss()
+        # no entry is stored outside the box, so a read there is exactly zero
+        m = dict(((r, c), v) for r, c, v in multiplication_operator(
+            self.TORUS, TORUS_BOUND).items())
+        assert m.get(((6, 0), (5, 0)), 0j) == 0j and m.get(((0, 0), (0, 7)), 0j) == 0j
+        assert all(max(map(abs, r + c)) <= TORUS_BOUND for r, c in m)
+        c = dict(((r, col), v) for r, col, v in commutator(
+            OperatorModel("circle_F"), self.CIRCLE, 8).items())
+        assert ((9, 8) not in c) and all(max(abs(r), abs(col)) <= 8 for r, col in c)
 
     def test_float_forms_match_dense(self):
         bound = 12
@@ -513,16 +473,16 @@ class TestExactForm:
         c = commutator(model, self.CIRCLE, bound)
         ph = dense_phase("circle_F", bound)
         ma = dense_mult(self.CIRCLE, bound)
-        assert np.array_equal(dense_circle(c.to_float(), bound), ph @ ma - ma @ ph)
         m = multiplication_operator(self.CIRCLE, bound)
-        assert np.array_equal(dense_circle(m.to_float(), bound), ma)
         t = multiplication_operator(self.TORUS, TORUS_BOUND)
-        assert np.array_equal(dense_torus(t.to_float(), TORUS_BOUND),
-                              dense_torus_mult(self.TORUS, TORUS_BOUND))
         prod = compose([SparseOperator.diagonal_phase(model, bound), c, m])
-        assert prod.exact
-        assert np.array_equal(dense_circle(prod.to_float(), bound),
-                              ph @ (ph @ ma - ma @ ph) @ ma)
+        for op in (c, m, t, prod):
+            assert not op.exact and op.vals.dtype == np.complex128
+        assert np.array_equal(dense_circle(c, bound), ph @ ma - ma @ ph)
+        assert np.array_equal(dense_circle(m, bound), ma)
+        assert np.array_equal(dense_torus(t, TORUS_BOUND),
+                              dense_torus_mult(self.TORUS, TORUS_BOUND))
+        assert np.array_equal(dense_circle(prod, bound), ph @ (ph @ ma - ma @ ph) @ ma)
 
     def test_empty_compose_raises(self):
         with pytest.raises(ValueError):
@@ -679,33 +639,3 @@ class TestTorusKernel:
         except ZeroDivisionError:
             return
         assert {s: -c for s, c in base.items()} == swapped
-
-
-class TestSerialization:
-    def test_coo_text_header_and_determinism(self):
-        z = FourierSeries.monomial(1)
-        c = commutator(OperatorModel("circle_F"), z, 4)
-        t1, t2 = c.to_text(), c.to_text()
-        assert t1 == t2
-        assert t1.splitlines()[0].startswith("#")
-
-    def test_torus_float_text_is_pinned(self):
-        a = FourierSeries("torus", {(1, 0): 1.0, (0, -1): 0.5j}, False)
-        c = commutator(OperatorModel("torus_U"), a, 1)
-        assert c.to_text() == TORUS_TEXT
-
-
-TORUS_TEXT = (
-    "# domain=torus bound=1 exact=0 exact_col_radius=0 bandwidth=1\n"
-    "-1 -1 -1 0 0.35355339059327373 0.14644660940672627\n"
-    "-1 0 -1 1 0.35355339059327373 -0.14644660940672627\n"
-    "0 -1 -1 -1 0.7071067811865475 -0.29289321881345254\n"
-    "0 -1 0 0 0.5 -0.5\n"
-    "0 0 -1 0 2.0 0.0\n"
-    "0 0 0 1 0.5 0.5\n"
-    "0 1 -1 1 0.7071067811865475 0.29289321881345254\n"
-    "1 -1 0 -1 0.7071067811865475 0.29289321881345254\n"
-    "1 -1 1 0 0.35355339059327373 -0.14644660940672627\n"
-    "1 0 1 1 0.35355339059327373 0.14644660940672627\n"
-    "1 1 0 1 0.7071067811865475 -0.29289321881345254\n"
-)
