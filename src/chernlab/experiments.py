@@ -123,7 +123,8 @@ def register(name: str, module: str, anchor: str, description: str,
 
 
 # a count below 1 or a nonpositive scale would test nothing and pass
-_COUNT_KEYS = ("tuples", "triples", "samples", "n_random", "n_wedges", "support")
+_COUNT_KEYS = ("tuples", "triples", "samples", "n_random", "n_wedges", "support",
+               "terms")
 
 
 def _check_range(key: str, value) -> None:
@@ -380,6 +381,30 @@ def _exp_fourtedo_crosscheck(config, out, report):
                          "artifacts")
 
 
+# triples drawn per block of the modulus-1 identity check, so that its
+# memory does not grow with the sample count
+_IDENTITY_BLOCK = 4096
+
+
+def _modulus_one_identity_error(rng: np.random.Generator, samples: int) -> float:
+    """max |lhs - rhs| of w (w* - z*)(z - u)(u* - w*) = 2i (z x w + w x u + u x z)
+    over `samples` random unit triples (z, w, u), with p x q = Im(p* q).
+
+    The angles are drawn as rows of three, a block of rows at a time, which
+    leaves rng where 3 * samples scalar draws would leave it."""
+    def xp(p, q):
+        return (np.conj(p) * q).imag
+
+    worst = 0.0
+    for start in range(0, samples, _IDENTITY_BLOCK):
+        angles = rng.random((min(_IDENTITY_BLOCK, samples - start), 3))
+        z, w, u = np.exp(2j * np.pi * angles).T
+        lhs = w * (np.conj(w) - np.conj(z)) * (z - u) * (np.conj(u) - np.conj(w))
+        rhs = 2j * (xp(z, w) + xp(w, u) + xp(u, z))
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
 @register("adnaodnaond-kernel-equivalence", "op_core", "adnaodnaond",
           "Torus phase kernel: exact homogeneity/antisymmetry, the "
           "modulus-1 identity, and operator-vs-kernel diagonal equality",
@@ -419,14 +444,7 @@ def _exp_torus_kernel(config, out, report):
     _assert_true(report, "antisymmetry in the last two slots (exact)",
                  anti_ok, anti_ok)
 
-    worst_ident = 0.0
-    for _ in range(config["samples"]):
-        z, w_, u = (np.exp(2j * np.pi * rng.random()) for _ in range(3))
-        def xp(p, q):
-            return (np.conj(p) * q).imag
-        lhs = w_ * (np.conj(w_) - np.conj(z)) * (z - u) * (np.conj(u) - np.conj(w_))
-        rhs = 2j * (xp(z, w_) + xp(w_, u) + xp(u, z))
-        worst_ident = max(worst_ident, abs(lhs - rhs))
+    worst_ident = _modulus_one_identity_error(rng, config["samples"])
     _assert_close(report, "modulus-1 identity", worst_ident, 0.0,
                   config["identity_tol"])
 
@@ -716,10 +734,9 @@ def _exp_seminorm(config, out, report):
                   est, 1.0, 1e-3)
     f = lacunary_series(ONES, 0.5, config["level_cap"])
     grids = [config["grid"] // 4, config["grid"] // 2, config["grid"]]
-    at_match = [estimate_holder_seminorm(f, SampledMetricSpace.circle(m),
-                                         config["alpha_match"]) for m in grids]
-    at_above = [estimate_holder_seminorm(f, SampledMetricSpace.circle(m),
-                                         config["alpha_above"]) for m in grids]
+    alphas = [config["alpha_match"], config["alpha_above"]]
+    at_match, at_above = map(list, zip(*(estimate_holder_seminorm(
+        f, SampledMetricSpace.circle(m), alphas) for m in grids)))
     rel = abs(at_match[-1] - at_match[-2]) / at_match[-1]
     _assert_true(report, "estimate stabilizes at the matching exponent",
                  rel <= config["stabilization_rel"], rel,

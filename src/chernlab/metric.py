@@ -154,10 +154,62 @@ def _skewed_band(vals: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vals, ks, axis=1)
 
 
-def estimate_holder_seminorm(f, x: SampledMetricSpace, alpha: float,
+def _circle_scan(vals: np.ndarray, x: SampledMetricSpace, pair_cap: int) -> tuple:
+    """(max |f(a) - f(a + o)|, arc(o)) per scanned offset o, whether the
+    cap truncated the offsets, and the pairs scanned."""
+    m = x.size
+    offsets, truncated = _offset_ladder(m // 2, max(1, pair_cap // m))
+    # twice[o:o + m][a] = vals[(a + o) mod m]: one slice per offset
+    twice = np.concatenate([vals, vals])
+    scan = [(np.abs(vals - twice[o:o + m]).max(), arc)
+            for o, arc in zip(offsets, x.arc(offsets).tolist())]
+    return scan, truncated, len(offsets) * m
+
+
+def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, pair_cap: int) -> tuple:
+    """As _circle_scan for the shifts (o1, o2) of the product grid, in
+    skewed band coordinates (see estimate_holder_seminorm)."""
+    m = x.size
+    budget = max(1, pair_cap // (m * m))
+    per_axis = max(2, int(math.isqrt(budget)))
+    offs1, t1 = _offset_ladder(m // 2, per_axis)
+    offs1 = [0] + offs1
+    offs2, t2 = _offset_ladder(m // 2, per_axis)
+    offs2_signed = [0] + offs2 + [-o for o in offs2]
+    arcs2 = x.arc(offs2_signed).tolist()
+    band = _skewed_band(vals)
+    w = band.shape[1]
+    colmax = np.abs(band).max(axis=0)
+    scan = []
+    for o1, arc1 in zip(offs1, x.arc(offs1).tolist()):
+        rolled = np.roll(band, -o1, axis=0)
+        for o2, arc2 in zip(offs2_signed, arcs2):
+            if o1 == 0 and o2 <= 0:
+                continue
+            # band column i meets column i + e (mod m) of the rolled band;
+            # columns whose partner falls outside the band meet zeros
+            e = (o2 - o1) % m
+            diff = max(colmax[max(0, w - e):m - e].max(initial=0.0),
+                       colmax[max(0, w + e - m):e].max(initial=0.0))
+            if e < w:
+                diff = max(diff, np.max(np.abs(band[:, :w - e] - rolled[:, e:])))
+            if m - e < w:
+                diff = max(diff, np.max(np.abs(band[:, m - e:]
+                                               - rolled[:, :w + e - m])))
+            scan.append((diff, max(arc1, arc2)))
+    return scan, t1 or t2, len(scan) * m * m
+
+
+def estimate_holder_seminorm(f, x: SampledMetricSpace,
+                             alpha: float | Sequence[float],
                              pair_cap: int = PAIR_CAP_DEFAULT,
                              details: bool = False):
     """Grid maximum of |f(a) - f(b)| / d(a,b)^alpha.
+
+    alpha is one exponent, or a sequence of them: a sequence gives a list
+    with one result per exponent, all from one scan, since the maxima of
+    |f(a) - f(b)| per grid offset do not depend on the exponent.  Each
+    equals the single-exponent call bit for bit.
 
     Enumerates all pairs when they fit under pair_cap, otherwise samples
     near-diagonal-prioritized offsets; the estimate reports whether the cap
@@ -174,52 +226,22 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace, alpha: float,
     the diagonal thus costs its band width, not m, per shift, and gives
     the same value as the dense scan bit for bit.
     """
-    if not 0 < alpha <= 1:
+    single = np.ndim(alpha) == 0
+    alphas = [alpha] if single else list(alpha)
+    if not alphas:
+        raise ValueError("no exponent alpha given")
+    if not all(0 < a <= 1 for a in alphas):
         raise ValueError("alpha must lie in (0, 1]")
     vals = _values_on_grid(f, x)
-    m = x.size
-    if x.kind == "circle_grid":
-        budget = max(1, pair_cap // m)
-        offsets, truncated = _offset_ladder(m // 2, budget)
-        # twice[o:o + m][a] = vals[(a + o) mod m]: one slice per offset
-        twice = np.concatenate([vals, vals])
+    scan_grid = _circle_scan if x.kind == "circle_grid" else _torus_scan
+    scan, truncated, used = scan_grid(vals, x, pair_cap)
+    out = []
+    for a in alphas:
         best = 0.0
-        for o, arc in zip(offsets, x.arc(offsets).tolist()):
-            diff = np.abs(vals - twice[o:o + m]).max()
-            best = max(best, diff / arc ** alpha)
-        est = SeminormEstimate(best, truncated, len(offsets) * m)
-        return est if details else est.value
-    budget = max(1, pair_cap // (m * m))
-    per_axis = max(2, int(math.isqrt(budget)))
-    offs1, t1 = _offset_ladder(m // 2, per_axis)
-    offs1 = [0] + offs1
-    offs2, t2 = _offset_ladder(m // 2, per_axis)
-    offs2_signed = [0] + offs2 + [-o for o in offs2]
-    arcs2 = x.arc(offs2_signed).tolist()
-    band = _skewed_band(vals)
-    w = band.shape[1]
-    colmax = np.abs(band).max(axis=0)
-    best = 0.0
-    used = 0
-    for o1, arc1 in zip(offs1, x.arc(offs1).tolist()):
-        rolled = np.roll(band, -o1, axis=0)
-        for o2, arc2 in zip(offs2_signed, arcs2):
-            if o1 == 0 and o2 <= 0:
-                continue
-            # band column i meets column i + e (mod m) of the rolled band;
-            # columns whose partner falls outside the band meet zeros
-            e = (o2 - o1) % m
-            diff = max(colmax[max(0, w - e):m - e].max(initial=0.0),
-                       colmax[max(0, w + e - m):e].max(initial=0.0))
-            if e < w:
-                diff = max(diff, np.max(np.abs(band[:, :w - e] - rolled[:, e:])))
-            if m - e < w:
-                diff = max(diff, np.max(np.abs(band[:, m - e:]
-                                               - rolled[:, :w + e - m])))
-            best = max(best, diff / max(arc1, arc2) ** alpha)
-            used += m * m
-    est = SeminormEstimate(best, t1 or t2, used)
-    return est if details else est.value
+        for diff, dist in scan:
+            best = max(best, diff / dist ** a)
+        out.append(SeminormEstimate(best, truncated, used) if details else best)
+    return out[0] if single else out
 
 
 def delta_alpha(f, x: SampledMetricSpace, alpha: float, pair) -> complex:

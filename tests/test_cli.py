@@ -50,7 +50,8 @@ class TestConfigValidation:
 # keys whose bad values fail in validate_config; in the cases below they
 # are the keys set out of range
 CONFIG_CHECKED = ("tuples", "triples", "samples", "n_random", "n_wedges", "support",
-                  "l1_scale", "stability_tol", "last_tol", "tolerance", "slope_tol")
+                  "terms", "l1_scale", "stability_tol", "last_tol", "tolerance",
+                  "slope_tol")
 
 
 class TestExitCodes:
@@ -113,7 +114,7 @@ class TestExitCodes:
         # spectrum, a cutoff that vanishes on the grid, an empty checkpoint
         # schedule (m_min > m_max, never replaced by a default), no torus
         # shell, an empty diagonal window, more distinct frequencies than
-        # the degree has or none, a non-finite float, a negative tolerance,
+        # the degree has, a non-finite float, a negative tolerance,
         # a slope fit past the operator's rank, a count below 1 or a zero
         # l1_scale, none of which may pass on no input
         argv = ["run", name, "--out", str(tmp_path / "fresh" / "out")]

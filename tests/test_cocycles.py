@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from chernlab.scalars import QGauss
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
 from chernlab.operators import (OperatorModel, SparseOperator, commutator, compose,
-                                multiplication_operator, torus_shells)
+                                multiplication_operator, torus_phase_kernel_rho,
+                                torus_shells)
 from chernlab.cocycles import (CocycleConsistencyError, FredholmModuleSpec,
                                check_cyclicity, check_hochschild_cocycle,
                                connes_chern_constant, eval_c_omega,
@@ -20,7 +21,8 @@ from chernlab.cocycles import (CocycleConsistencyError, FredholmModuleSpec,
                                fast_path_partial_sums, holomorphy_type,
                                pairing_normalization, szego_pair_diagonal,
                                torus_diagonal_kernel, torus_diagonal_operator)
-from chernlab.experiments import _sequence_by_name
+from chernlab.experiments import (_IDENTITY_BLOCK, _modulus_one_identity_error,
+                                  _sequence_by_name)
 from chernlab.tracemean import diagonal_of, dyadic_schedule, log_mean
 
 Z = FourierSeries.monomial(1)
@@ -349,6 +351,33 @@ class TestSzegoClosedForm:
             assert v.imag == 0.0
 
 
+def _scalar_torus_kernel(a0, a1, a2, points):
+    """torus_diagonal_kernel one point and one index triple at a time, in
+    Python complex arithmetic: the reference its arrays must match."""
+    sup0, sup1, sup2 = (s.to_float().coeffs for s in (a0, a1, a2))
+    phase = OperatorModel("torus_U").phase
+    out = np.zeros(len(points), dtype=np.complex128)
+    for i, k in enumerate(points):
+        total = 0j
+        for m, c2 in sup2.items():
+            for f1, c1 in sup1.items():
+                n = (f1[0] + m[0], f1[1] + m[1])
+                c0 = sup0.get((-n[0], -n[1]))
+                if c0 is None:
+                    continue
+                try:
+                    r = torus_phase_kernel_rho(k, m, n)
+                except ZeroDivisionError:
+                    z = phase(k)
+                    w = phase((k[0] + m[0], k[1] + m[1]))
+                    v = phase((k[0] + n[0], k[1] + n[1]))
+                    r = 0.5 * (z * (z.conjugate() - v.conjugate())
+                               * (v - w) * (w.conjugate() - z.conjugate())).imag
+                total += r * c0 * c1 * c2
+        out[i] = 4j * total
+    return out
+
+
 class TestTorusGrading:
     def test_operator_equals_kernel_on_small_shells(self):
         rng = np.random.default_rng(9)
@@ -360,6 +389,42 @@ class TestTorusGrading:
         d_op = torus_diagonal_operator([a0, a1, a2], pts)
         d_ker = torus_diagonal_kernel(a0, a1, a2, pts)
         assert np.max(np.abs(d_op - d_ker)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kernel_equals_scalar_sum_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        mk = lambda: FourierSeries(
+            "torus", {(int(rng.integers(-3, 4)), int(rng.integers(-3, 4))):
+                      complex(*rng.standard_normal(2)) for _ in range(6)}, False)
+        a1, a2 = mk(), mk()
+        # a0 closes some triples, so the kernel sum is not identically zero
+        a0 = FourierSeries("torus", {(-f1[0] - f2[0], -f1[1] - f2[1]):
+                                     complex(*rng.standard_normal(2))
+                                     for f1 in list(a1.coeffs)[:3]
+                                     for f2 in list(a2.coeffs)[:2]}, False)
+        pts = list(torus_shells(40))
+        want = _scalar_torus_kernel(a0, a1, a2, pts)
+        got = torus_diagonal_kernel(a0, a1, a2, pts)
+        assert got.tobytes() == want.tobytes()
+        assert np.max(np.abs(want)) > 0.01
+        # the points include every degenerate case: k = 0, k + m = 0, k + n = 0
+        triples = [(k, m, (f1[0] + m[0], f1[1] + m[1])) for k in pts
+                   for m in a2.coeffs for f1 in a1.coeffs
+                   if (-f1[0] - m[0], -f1[1] - m[1]) in a0.coeffs]
+        hit = lambda x, y: (x[0] + y[0], x[1] + y[1]) == (0, 0)
+        assert any(k == (0, 0) for k, _, _ in triples)
+        assert any(hit(k, m) for k, m, _ in triples)
+        assert any(hit(k, n) for k, _, n in triples)
+
+    def test_identity_check_draws_like_scalar_draws(self):
+        # three blocks, the last one partial
+        samples = 2 * _IDENTITY_BLOCK + 5
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        worst = _modulus_one_identity_error(rng, samples)
+        for _ in range(3 * samples):
+            ref.random()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert worst < 1e-14
 
     def test_torus_eval_uses_shell_order(self):
         spec = FredholmModuleSpec("torus_F", 2)

@@ -184,6 +184,46 @@ class TestBandedTorusScan:
         assert est.pairs_used == len(offsets) * m
 
 
+class TestSeveralExponents:
+    """A sequence of exponents shares one scan and gives, for each
+    exponent, the single-exponent result bit for bit."""
+
+    ALPHAS = (0.3, 0.5, 1.0, 0.5)
+
+    @pytest.mark.parametrize("kind, m, cap, truncated", [
+        ("circle", 97, 10_000_000, False),
+        ("circle", 97, 97 * 20, True),
+        ("torus", 40, 10_000_000, False),
+        ("torus", 48, 50_000, True),
+    ])
+    def test_matches_single_exponent_calls(self, kind, m, cap, truncated):
+        vals = _on_diagonals(m, range(-3, 4), 9)
+        if kind == "circle":
+            vals, x = vals[0], SampledMetricSpace.circle(m)
+        else:
+            x = SampledMetricSpace.torus(m)
+        many = estimate_holder_seminorm(vals, x, self.ALPHAS, pair_cap=cap,
+                                        details=True)
+        singles = [estimate_holder_seminorm(vals, x, a, pair_cap=cap, details=True)
+                   for a in self.ALPHAS]
+        assert [e.value.hex() for e in many] == [e.value.hex() for e in singles]
+        assert many == singles
+        assert all(e.truncated == truncated for e in many)
+
+    def test_series_values_without_details(self):
+        f = lacunary_series(BoundedSequence.constant(1.0), 0.5, 8)
+        x = SampledMetricSpace.circle(512)
+        many = estimate_holder_seminorm(f, x, np.array(self.ALPHAS))
+        assert many == [estimate_holder_seminorm(f, x, a) for a in self.ALPHAS]
+        assert estimate_holder_seminorm(f, x, [0.5]) == [many[1]]
+
+    @pytest.mark.parametrize("alphas", [[], [0.5, 0.0], [1.5]])
+    def test_bad_exponents_are_rejected(self, alphas):
+        with pytest.raises(ValueError):
+            estimate_holder_seminorm(FourierSeries.monomial(1, exact=False),
+                                     SampledMetricSpace.circle(64), alphas)
+
+
 class TestDeltaAlpha:
     def test_odd_under_swap(self):
         f = FourierSeries("circle", {2: 1.0 + 0.5j}, False)
