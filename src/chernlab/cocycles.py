@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +18,7 @@ from .scalars import QGauss
 from .series import FourierSeries, cross, multiply
 from .operators import (OperatorModel, SparseOperator, commutator, compose,
                         multiplication_operator, product_diagonal,
-                        symmetric_order, torus_shells)
+                        product_diagonals, symmetric_order, torus_shells)
 from .tracemean import (DiagonalSequence, ExtendedLimitProbe, LogMeanSeries,
                         diagonal_of, dyadic_schedule, log_mean, probe)
 
@@ -477,16 +476,14 @@ def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     max_n = max(schedule)
     bound = sum(s.max_frequency() for s in a) + max_n + 4
     f_diag, *comms = _circle_ops(a, bound)
-    # product_diagonal's split of F[F,a0][F,a_i][F,a_j][F,a_k]: F[F,a0] once,
-    # one left half (F[F,a0])[F,a_i] per group of _S3, a right half [F,a_j][F,a_k]
-    head = compose([f_diag, comms[0]])
+    # in _S3 order all six products share F[F,a0], and each pair of
+    # neighbours its left half F[F,a0][F,a_i]; product_diagonals forms each once
+    diags = product_diagonals([[f_diag, comms[0]] + [comms[j] for j in perm]
+                               for perm, _ in _S3], range(max_n))
     diag_total = None
-    for i, perms in groupby(_S3, key=lambda ps: ps[0][0]):
-        left = compose([head, comms[i]])
-        for (_, j, k), sign in perms:
-            d = diagonal_of([left, compose([comms[j], comms[k]])], range(max_n))
-            term = d.scale(sign)
-            diag_total = term if diag_total is None else diag_total + term
+    for d, (_, sign) in zip(diags, _S3):
+        term = DiagonalSequence(d).scale(sign)
+        diag_total = term if diag_total is None else diag_total + term
     diag_total = diag_total.scale(0.5 * pairing_normalization(3))
     series = log_mean(diag_total, schedule)
     return CochainEvaluation(diag_total, series, probe(series))

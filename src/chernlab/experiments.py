@@ -375,10 +375,12 @@ def _exp_fourtedo_crosscheck(config, out, report):
     diff = float(np.max(np.abs(fast.series.values() - oper.series.values())))
     _assert_close(report, "operator path matches fast path at every checkpoint",
                   diff, 0.0, config["tolerance"],
-                  detail="the cause of the discrepancy is open: at equal level "
-                         "caps the two paths have opposite signs at every "
-                         "checkpoint (ROADMAP.md, check 2b); see the series "
-                         "artifacts")
+                  detail="the paths sum different parts of one double series: "
+                         "with X_km = A_k B_m - C_k D_m over the power-of-two "
+                         "support, the operator path is S_op(N) = 1/2 sum_{k>m} "
+                         "X_km (min(k,N) - min(k-m,N) - min(m,N)) and the fast "
+                         "path S_fast(N) = sum_{k<N, m>=k} k X_km (README.md, "
+                         "check 2b); see the series artifacts")
 
 
 # triples drawn per block of the modulus-1 identity check, so that its

@@ -24,7 +24,7 @@ from .series import FourierSeries, FrequencyIndex, TorusIndex, cross
 __all__ = [
     "OperatorModel", "SparseOperator", "symmetric_order", "torus_shells",
     "SingularValueSequence", "WindowLeakageError", "commutator", "compose",
-    "product_diagonal", "singular_values", "weak_quasinorm",
+    "product_diagonal", "product_diagonals", "singular_values", "weak_quasinorm",
     "torus_phase_kernel_rho", "rho_exact_terms",
 ]
 
@@ -217,11 +217,20 @@ class SparseOperator:
         """The phase operator itself, truncated to the box window."""
         n = _dim(op.domain, bound)
         if op.domain == "torus":
+            # op.phase's bits: abs(complex) is libm hypot, and z / abs(z)
+            # divides each part by it (phase_array's np.abs can differ)
+            side = np.arange(-bound, bound + 1, dtype=np.float64)
+            k1, k2 = (k.ravel() for k in np.meshgrid(side, side, indexing="ij"))
+            h = np.hypot(k1, k2)
+            with np.errstate(invalid="ignore"):
+                re, im = k1 / h, k2 / h
+            if op.kind == "torus_U_star":
+                im = -im
+            # the origin is 1 + 0j for both kinds, set after the conjugation
+            re[n // 2], im[n // 2] = 1.0, 0.0
             pos = np.arange(n)
-            vals = [op.phase((i, j)) for i in range(-bound, bound + 1)
-                    for j in range(-bound, bound + 1)]
             return SparseOperator("torus", bound, bound, 0, *_frozen(
-                _indptr(pos, n), pos, np.asarray(vals, np.complex128)))
+                _indptr(pos, n), pos, _complex(re, im)))
         phase = op.phase_array(np.arange(-bound, bound + 1, dtype=np.int64))
         pos = np.flatnonzero(phase)
         return SparseOperator("circle", bound, bound, 0, *_frozen(
@@ -512,20 +521,68 @@ def compose(ops: Sequence[SparseOperator]) -> SparseOperator:
 
 def product_diagonal(ops: Sequence[SparseOperator], indices: Iterable) -> np.ndarray:
     """Diagonal entries of the product of two or more ops at the given
-    frequencies.
+    frequencies (product_diagonals of the one product)."""
+    return product_diagonals([ops], indices)[0]
 
-    Splits the factor list in half and contracts row-by-column, which
-    avoids materializing the full product for long factor lists.  Only the
-    requested rows of the left half and columns of the right half are
-    formed; each is summed as in the full product.
+
+def product_diagonals(products: Sequence[Sequence[SparseOperator]],
+                      indices: Iterable) -> list:
+    """Diagonal entries at the given frequencies of each product of two or
+    more operators, one array per product.
+
+    Each product splits its factor list in half and contracts row-by-column,
+    which avoids materializing the full product.  The first factor keeps
+    only the requested rows and the last only the requested columns before
+    anything is composed, so every entry is summed as in the full product.
+    A half is composed left to right, and the prefixes it shares with the
+    same half of the previous product (the same factor objects) are taken
+    from that product, not composed again.
     """
-    ops = list(ops)
-    if len(ops) < 2:
-        raise ValueError("product_diagonal needs at least two operators")
-    radius = _product_bounds(ops)[0]
     idx = list(indices)
     if not idx:
         raise ValueError("product_diagonal needs at least one frequency index")
+    left_chain, right_chain = [], []
+    out = []
+    for ops in products:
+        ops = list(ops)
+        if len(ops) < 2:
+            raise ValueError("product_diagonal needs at least two operators")
+        pos = _diagonal_positions(ops, idx)
+        mid = (len(ops) + 1) // 2
+        left = _chain(left_chain, [(ops[0], "rows")] + [(op, None) for op in ops[1:mid]], pos)
+        right = _chain(right_chain, [(op, None) for op in ops[mid:-1]] + [(ops[-1], "cols")], pos)
+        out.append(_product_diagonal(left.to_csr(), right.to_csr())[pos])
+    return out
+
+
+def _chain(previous: list, factors: list, pos: np.ndarray) -> SparseOperator:
+    """The left-to-right product of factors, given as (operator, part)
+    pairs: part "rows" or "cols" keeps only the rows or the columns at the
+    box positions pos, None keeps the whole operator.  previous holds
+    (operator, part, prefix product) triples of the chain before; the
+    prefixes on which the two chains agree are reused, and previous becomes
+    this chain."""
+    reused = 0
+    for (op, part), (prev_op, prev_part, _) in zip(factors, previous):
+        if op is not prev_op or part != prev_part:
+            break
+        reused += 1
+    del previous[reused:]
+    for op, part in factors[reused:]:
+        factor = op
+        if part is not None:
+            wanted = np.zeros(op.dim(), bool)
+            wanted[pos] = True
+            factor = op._select(wanted[_rows(op.indptr) if part == "rows" else op.cols])
+        product = compose([previous[-1][2], factor]) if previous else factor
+        previous.append((op, part, product))
+    return previous[-1][2]
+
+
+def _diagonal_positions(ops: list, idx: list) -> np.ndarray:
+    """Box positions of the diagonal frequencies idx of the product of ops;
+    raises WindowLeakageError for one outside its exact column radius."""
+    radius = _product_bounds(ops)[0]
     k = np.abs(np.asarray(idx, dtype=np.int64))
     norms = k if ops[0].domain == "circle" else k.reshape(-1, 2).max(axis=1)
     outside = np.flatnonzero(norms > radius)
@@ -533,13 +590,7 @@ def product_diagonal(ops: Sequence[SparseOperator], indices: Iterable) -> np.nda
         raise WindowLeakageError(
             f"diagonal at {idx[outside[0]]} exceeds the exact column radius {radius}; "
             f"enlarge the construction window")
-    pos = _linear_index(ops[0].domain, ops[0].bound, idx)
-    wanted = np.zeros(ops[0].dim(), bool)
-    wanted[pos] = True
-    mid = (len(ops) + 1) // 2
-    left = compose([ops[0]._select(wanted[_rows(ops[0].indptr)])] + ops[1:mid])
-    right = compose(ops[mid:-1] + [ops[-1]._select(wanted[ops[-1].cols])])
-    return _product_diagonal(left.to_csr(), right.to_csr())[pos]
+    return _linear_index(ops[0].domain, ops[0].bound, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -676,6 +727,15 @@ def _squarefree_split(q: int) -> tuple:
     return s * q, f
 
 
+def _squarefree_product(split1: tuple, split2: tuple) -> tuple:
+    """(s, f) of q1 q2 from the splits (s1, f1) of q1 and (s2, f2) of q2:
+    with g = gcd(s1, s2), q1 q2 = (s1/g)(s2/g) (f1 f2 g)^2, and the coprime
+    squarefree s1/g and s2/g have a squarefree product."""
+    (s1, f1), (s2, f2) = split1, split2
+    g = math.gcd(s1, s2)
+    return (s1 // g) * (s2 // g), f1 * f2 * g
+
+
 def rho_exact_terms(k: TorusIndex, m: TorusIndex, n: TorusIndex) -> dict:
     """rho as an exact sum of quadratic surds: {squarefree s: Fraction c}
     meaning sum c * sqrt(s) over the keys.  Enables exact equality tests.
@@ -683,20 +743,21 @@ def rho_exact_terms(k: TorusIndex, m: TorusIndex, n: TorusIndex) -> dict:
     failed = _rho_guards(k, m, n)
     if failed:
         raise ZeroDivisionError("degenerate kernel denominator: " + ", ".join(failed))
-    q_k = k[0] * k[0] + k[1] * k[1]
-    q_nk = (n[0] + k[0]) ** 2 + (n[1] + k[1]) ** 2
-    q_mk = (m[0] + k[0]) ** 2 + (m[1] + k[1]) ** 2
+    split_k, split_nk, split_mk = (_squarefree_split(q) for q in (
+        k[0] * k[0] + k[1] * k[1],
+        (n[0] + k[0]) ** 2 + (n[1] + k[1]) ** 2,
+        (m[0] + k[0]) ** 2 + (m[1] + k[1]) ** 2))
     terms = [
-        (cross(m, n) + cross((m[0] - n[0], m[1] - n[1]), k), q_nk * q_mk),
-        (cross(n, k), q_k * q_nk),
-        (cross(k, m), q_k * q_mk),
+        (cross(m, n) + cross((m[0] - n[0], m[1] - n[1]), k), split_nk, split_mk),
+        (cross(n, k), split_k, split_nk),
+        (cross(k, m), split_k, split_mk),
     ]
     out: Dict[int, Fraction] = {}
-    for num, q in terms:
+    for num, split1, split2 in terms:
         if num == 0:
             continue
-        # num / sqrt(q) = num * sqrt(s) / (s * f)  with q = s f^2
-        s, f = _squarefree_split(q)
+        # num / sqrt(q1 q2) = num * sqrt(s) / (s * f)  with q1 q2 = s f^2
+        s, f = _squarefree_product(split1, split2)
         coeff = Fraction(num, s * f)
         out[s] = out.get(s, Fraction(0)) + coeff
     return {s: c for s, c in out.items() if c != 0}

@@ -4,10 +4,13 @@ Each check drives the corresponding catalog experiment at its default
 configuration and asserts every experiment assertion at the stated
 tolerance.  Check 2b is expected to fail: the operator path and the
 fast path of the antisymmetrized degree-3 evaluation do not agree at
-1e-8, and no constant closes the gap (at equal level caps they have
-opposite signs at every checkpoint).  The cause is open; ROADMAP.md
-item 2 gives the measurements and the plan to decide it, and the
-artifact CSVs written next to the report hold both series.
+1e-8, because they sum different parts of one double series.  With
+X_km = A_k B_m - C_k D_m over the power-of-two support of the lacunary
+quadruple, the operator path is
+S_op(N) = 1/2 sum_{k>m} X_km (min(k,N) - min(k-m,N) - min(m,N)) and the
+fast path S_fast(N) = sum_{k<N, m>=k} k X_km; tests/test_cocycles.py
+gates each path against its form, README.md defines A, B, C and D, and
+the artifact CSVs written next to the report hold both series.
 """
 import sys
 

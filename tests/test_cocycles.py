@@ -232,11 +232,49 @@ class TestFastPath:
         assert not ev.probe_result.oscillating
 
 
+def _wedge_closed_forms(quad) -> tuple:
+    """(S_op, S_fast): the raw partial sums of the operator and fast wedge
+    paths on a lacunary quadruple [a0, a0*, a2, a2*].  Over the power-of-two
+    support, with X_km = A_k B_m - C_k D_m, A_k = a0_k conj(a2_k),
+    B_m = a2_m conj(a0_m), C_k = |a0_k|^2 and D_m = |a2_m|^2:
+    S_op(N) = 1/2 sum_{k>m} X_km (min(k,N) - min(k-m,N) - min(m,N)) and
+    S_fast(N) = sum_{k<N, m>=k} k X_km."""
+    a0, a2 = quad[0].coeffs, quad[2].coeffs
+    support = sorted(a0)
+    x = {(k, m): a0[k] * a2[k].conjugate() * a2[m] * a0[m].conjugate()
+         - abs(a0[k]) ** 2 * abs(a2[m]) ** 2 for k in support for m in support}
+
+    def s_op(n):
+        return 0.5 * sum(x[k, m] * (min(k, n) - min(k - m, n) - min(m, n))
+                         for k in support for m in support if k > m)
+
+    def s_fast(n):
+        return sum(k * x[k, m] for k in support for m in support if k < n and m >= k)
+
+    return s_op, s_fast
+
+
 class TestWedgeOperatorPath:
+    @pytest.mark.parametrize("cap", [8, 12])
+    def test_both_paths_equal_their_closed_forms(self, cap):
+        # the paths sum different parts of one double series: the diagonal
+        # rows n < N (operator) and the input frequencies k < N (fast),
+        # which is why check 2b fails at every cap
+        alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+        a0 = lacunary_series(alt, 0.25, cap)
+        a2 = lacunary_series(BoundedSequence.constant(1.0), 0.25, cap)
+        quad = [a0, a0.star(), a2, a2.star()]
+        sched = dyadic_schedule(4, 12)
+        for method, closed in zip(("operator", "fast"), _wedge_closed_forms(quad)):
+            ev = eval_c_omega_wedge(SPEC3, quad, sched, method=method)
+            for n, v in ev.series.checkpoints:
+                assert abs(v * math.log(2 + n) - closed(n)) < 1e-12, (method, n)
+
     def test_small_window_paths_share_normalization(self):
         # at tiny level caps both paths see the same truncated inputs; they
-        # still disagree, with a cause that is open (ROADMAP.md item 2,
-        # check 2b), so only the order of magnitude is pinned here
+        # still disagree, because they sum different parts of one double
+        # series (test_both_paths_equal_their_closed_forms), so only the
+        # order of magnitude is pinned here
         alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
         a0 = lacunary_series(alt, 0.25, 6)
         a2 = lacunary_series(BoundedSequence.constant(1.0), 0.25, 6)

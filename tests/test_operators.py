@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chernlab import operators
+from chernlab.experiments import run_experiment
 from chernlab.scalars import QGauss
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
 from chernlab.operators import (OperatorModel, SparseOperator,
                                 WindowLeakageError, _matmul, _product_diagonal,
+                                _squarefree_product, _squarefree_split,
                                 commutator, compose,
                                 multiplication_operator, product_diagonal,
-                                rho_exact_terms, singular_values,
+                                product_diagonals, rho_exact_terms, singular_values,
                                 symmetric_order, torus_phase_kernel_rho,
                                 torus_shells, weak_quasinorm)
 from chernlab.tracemean import diagonal_of
@@ -162,6 +165,36 @@ class TestComposeOracle:
         want = full[np.array(idx) + WINDOW]
         assert product_diagonal(ops, idx).tobytes() == want.tobytes()
 
+    def test_shared_halves_are_composed_once_with_the_same_bits(self, monkeypatch):
+        """Products that share factors share their composed halves, and each
+        diagonal has the bits of its full halves, a three-factor right half
+        included."""
+        rng = np.random.default_rng(5)
+        mk = lambda: FourierSeries(
+            "circle", {int(k): complex(*rng.standard_normal(2))
+                       for k in rng.integers(-7, 8, size=5)}, False)
+        model = OperatorModel("circle_F")
+        phase = SparseOperator.diagonal_phase(model, WINDOW)
+        a, b, c, d = (commutator(model, mk(), WINDOW) for _ in range(4))
+        m = multiplication_operator(mk(), WINDOW)
+        products = [[phase, a, b, c, d], [phase, a, b, d, c], [phase, a, m, b, c, d],
+                    [m, c], [b, m, c, d]]
+        idx = [3, -4, 0, 11, -9]
+        calls = []
+        monkeypatch.setattr(operators, "compose",
+                            lambda ops: calls.append(len(ops)) or compose(ops))
+        got = product_diagonals(products, idx)
+        # F a, (F a) b and c d | d c | (F a) m, b c and (b c) d | none | b m
+        # and c d, where the whole c of the last product must not be taken
+        # for the column-selected c before it: nine pair products, where
+        # composing each product's halves on their own takes twelve
+        assert calls == [2] * 9
+        for ops, diag in zip(products, got):
+            mid = (len(ops) + 1) // 2
+            full = _product_diagonal(compose(ops[:mid]).to_csr(), compose(ops[mid:]).to_csr())
+            assert diag.tobytes() == full[np.array(idx) + WINDOW].tobytes()
+            assert diag.tobytes() == product_diagonal(ops, idx).tobytes()
+
 
 def box_points(bound: int) -> list:
     return [(i, j) for i in range(-bound, bound + 1) for j in range(-bound, bound + 1)]
@@ -238,6 +271,19 @@ class TestTorusOracle:
         assert dict(((r, c), v) for r, c, v in m.items())[(2, -2), (1, 0)] == 1 / 3
         assert np.array_equal(dense_torus(m, TORUS_BOUND),
                               dense_torus_mult(a, TORUS_BOUND))
+
+    @pytest.mark.parametrize("kind", ["torus_U", "torus_U_star"])
+    def test_diagonal_phase_has_the_scalar_phase_bits(self, kind):
+        """The array phase is OperatorModel.phase bit for bit over a box with
+        bound 300, and the origin is 1 + 0j with a +0 imaginary part."""
+        bound = 300
+        model = OperatorModel(kind)
+        got = SparseOperator.diagonal_phase(model, bound)
+        want = np.array([model.phase(k) for k in box_points(bound)], np.complex128)
+        assert np.array_equal(got.cols, np.arange(len(want)))
+        assert got.vals.tobytes() == want.tobytes()
+        origin = got.vals[box_position((0, 0), bound)]
+        assert origin == 1 and not np.signbit(origin.imag)
 
     def _graded_ops(self, seed):
         rng = np.random.default_rng(seed)
@@ -629,6 +675,27 @@ class TestTorusKernel:
         scaled = rho_exact_terms((t * k[0], t * k[1]), (t * m[0], t * m[1]),
                                  (t * n[0], t * n[1]))
         assert base == scaled
+
+    def test_split_of_a_product_from_its_factors(self):
+        splits = [None] + [_squarefree_split(q) for q in range(1, 301)]
+        for q1 in range(1, 301):
+            for q2 in range(1, 301):
+                assert (_squarefree_product(splits[q1], splits[q2])
+                        == _squarefree_split(q1 * q2)), (q1, q2)
+
+    def test_split_of_every_pair_drawn_at_the_default_seed(self, monkeypatch, tmp_path):
+        pairs = []
+
+        def recorded(split1, split2):
+            pairs.append((split1, split2))
+            return _squarefree_product(split1, split2)
+
+        monkeypatch.setattr(operators, "_squarefree_product", recorded)
+        report = run_experiment("adnaodnaond-kernel-equivalence", out_dir=tmp_path)
+        assert report.passed and len(pairs) > 1000
+        for (s1, f1), (s2, f2) in pairs:
+            assert (_squarefree_product((s1, f1), (s2, f2))
+                    == _squarefree_split(s1 * f1 * f1 * s2 * f2 * f2))
 
     @given(torus_index(), torus_index(), torus_index())
     @settings(max_examples=60, deadline=None)
