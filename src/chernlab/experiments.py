@@ -122,16 +122,17 @@ def register(name: str, module: str, anchor: str, description: str,
     return wrap
 
 
-# a count below 1 or a nonpositive scale would test nothing and pass
+# a count below 1 or a nonpositive scale would test nothing or gate nothing
 _COUNT_KEYS = ("tuples", "triples", "samples", "n_random", "n_wedges", "support",
-               "terms")
+               "terms", "pair_cap")
+_SCALE_KEYS = ("l1_scale", "separation_factor")
 
 
 def _check_range(key: str, value) -> None:
     if key in _COUNT_KEYS and value < 1:
         raise ConfigError(f"{key}={value} must be at least 1")
-    if key == "l1_scale" and value <= 0:
-        raise ConfigError(f"l1_scale={value} must be positive")
+    if key in _SCALE_KEYS and value <= 0:
+        raise ConfigError(f"{key}={value} must be positive")
     if (key == "tolerance" or key.endswith("_tol")) and value < 0:
         raise ConfigError(f"{key}={value} must be >= 0")
 
@@ -139,7 +140,7 @@ def _check_range(key: str, value) -> None:
 def validate_config(spec: ExperimentSpec, overrides: Dict[str, str]) -> dict:
     """Typed merge of overrides into the experiment defaults; unknown keys,
     unparseable values, non-finite floats, counts below 1, a nonpositive
-    l1_scale and negative tolerances are rejected."""
+    l1_scale or separation_factor and negative tolerances are rejected."""
     config = dict(spec.defaults)
     for key, raw in overrides.items():
         if key not in config:

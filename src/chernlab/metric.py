@@ -136,22 +136,23 @@ def _values_on_grid(f, x: SampledMetricSpace) -> np.ndarray:
 
 
 def _skewed_band(vals: np.ndarray) -> np.ndarray:
-    """Columns c0 .. c0+w-1 (mod m) of s[a, k] = vals[a, (a + k) mod m] as
-    an (m, w) array: the complement of the longest cyclic run of all-zero
-    columns, so it holds every live diagonal of vals (w = 0 for zero)."""
+    """Rows c0 .. c0+w-1 (mod m) of s[k, a] = vals[a, (a + k) mod m] as a
+    (w, m) array, one contiguous row per diagonal: the complement of the
+    longest cyclic run of all-zero diagonals, so it holds every live
+    diagonal of vals (w = 0 for zero)."""
     m = vals.shape[0]
     rows, cols = np.nonzero(vals)
     live = np.zeros(m, dtype=bool)
     live[(cols - rows) % m] = True
     live = np.flatnonzero(live)
     if live.size == 0:
-        return vals[:, :0]
+        return vals[:0]
     gaps = np.diff(live, append=live[0] + m)
     g = int(np.argmax(gaps))
     c0 = int(live[(g + 1) % live.size])
     w = m - int(gaps[g]) + 1
-    ks = (np.arange(m)[:, None] + c0 + np.arange(w)) % m
-    return np.take_along_axis(vals, ks, axis=1)
+    a = np.arange(m)
+    return vals[a, (a + c0 + np.arange(w)[:, None]) % m]
 
 
 def _circle_scan(vals: np.ndarray, x: SampledMetricSpace, pair_cap: int) -> tuple:
@@ -178,24 +179,27 @@ def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, pair_cap: int) -> tuple
     offs2_signed = [0] + offs2 + [-o for o in offs2]
     arcs2 = x.arc(offs2_signed).tolist()
     band = _skewed_band(vals)
-    w = band.shape[1]
-    colmax = np.abs(band).max(axis=0)
+    w = band.shape[0]
+    # band row i meets row i + e (mod m) of the row-shifted band; a row
+    # whose partner falls outside the band meets zeros, so dead[e] is the
+    # largest max |s| over the rows i with (i + e) or (i - e) mod m >= w
+    rows, shifts = np.arange(w), np.arange(m)[:, None]
+    dead = np.where(((rows + shifts) % m >= w) | ((rows - shifts) % m >= w),
+                    np.abs(band).max(axis=1), 0.0).max(axis=1, initial=0.0)
+    # twice[:, o1:o1 + m][i, a] = band[i, (a + o1) mod m]: one slice per o1
+    twice = np.concatenate([band, band], axis=1)
     scan = []
     for o1, arc1 in zip(offs1, x.arc(offs1).tolist()):
-        rolled = np.roll(band, -o1, axis=0)
+        rolled = twice[:, o1:o1 + m]
         for o2, arc2 in zip(offs2_signed, arcs2):
             if o1 == 0 and o2 <= 0:
                 continue
-            # band column i meets column i + e (mod m) of the rolled band;
-            # columns whose partner falls outside the band meet zeros
             e = (o2 - o1) % m
-            diff = max(colmax[max(0, w - e):m - e].max(initial=0.0),
-                       colmax[max(0, w + e - m):e].max(initial=0.0))
+            diff = dead[e]
             if e < w:
-                diff = max(diff, np.max(np.abs(band[:, :w - e] - rolled[:, e:])))
+                diff = max(diff, np.abs(band[:w - e] - rolled[e:]).max())
             if m - e < w:
-                diff = max(diff, np.max(np.abs(band[:, m - e:]
-                                               - rolled[:, :w + e - m])))
+                diff = max(diff, np.abs(band[m - e:] - rolled[:w + e - m]).max())
             scan.append((diff, max(arc1, arc2)))
     return scan, t1 or t2, len(scan) * m * m
 
@@ -217,14 +221,15 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace,
     offset scanned).
 
     On the product grid the scan runs in skewed coordinates
-    s[a, k] = f(a, a + k), where the shift (o1, o2) is a row roll by o1
-    plus a column move by d = o2 - o1.  Only the band of live columns
-    (diagonals of f that are not identically zero) is stored.  A column
-    whose partner is live too is differenced; one whose partner is dead
-    contributes its precomputed max |s|, which equals the dense maximum
-    exactly because a - 0 and 0 - b are exact.  A function supported near
-    the diagonal thus costs its band width, not m, per shift, and gives
-    the same value as the dense scan bit for bit.
+    s[k, a] = f(a, a + k), where the shift (o1, o2) moves each diagonal
+    by o1 along itself and pairs diagonal k with diagonal k + e,
+    e = o2 - o1.  Only the band of live diagonals (those of f that are not
+    identically zero) is stored, one contiguous row each.  A diagonal whose
+    partner is live too is differenced; one whose partner is dead
+    contributes its max |s|, read for each e from one table, which equals
+    the dense maximum exactly because a - 0 and 0 - b are exact.  A
+    function supported near the diagonal thus costs its band width, not m,
+    per shift, and gives the same value as the dense scan bit for bit.
     """
     single = np.ndim(alpha) == 0
     alphas = [alpha] if single else list(alpha)
@@ -232,6 +237,8 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace,
         raise ValueError("no exponent alpha given")
     if not all(0 < a <= 1 for a in alphas):
         raise ValueError("alpha must lie in (0, 1]")
+    if pair_cap < 1:
+        raise ValueError(f"pair_cap={pair_cap} must be at least 1")
     vals = _values_on_grid(f, x)
     scan_grid = _circle_scan if x.kind == "circle_grid" else _torus_scan
     scan, truncated, used = scan_grid(vals, x, pair_cap)
@@ -314,15 +321,17 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
         return DecayFitReport(alpha, beta, gamma, j_schedule,
                               [0.0] * len(j_schedule), float("nan"),
                               float("nan"), trivial=True)
-    # distance matrix of the circle grid, reused across j
+    # the folded grid offset of each pair: a cutoff is evaluated once per
+    # offset and gathered, the same floats as on each pair's distance
     idx = np.arange(m)
     off = np.abs(idx[None, :] - idx[:, None])
-    dmat = 2.0 * np.pi * np.minimum(off, m - off) / m
+    folded = np.minimum(off, m - off)
+    arcs = x.arc(np.arange(m // 2 + 1))
     gdiff = fv[None, :] - fv[:, None]
     product = SampledMetricSpace.torus(m)
     norms = []
     for cutoff in cutoffs:
-        g = cutoff.on_distance(dmat) * gdiff
+        g = cutoff.on_distance(arcs)[folded] * gdiff
         semi = estimate_holder_seminorm(g, product, alpha, pair_cap=pair_cap,
                                         details=True)
         norms.append(float(np.max(np.abs(g))) + semi.value)

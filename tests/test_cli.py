@@ -51,7 +51,7 @@ class TestConfigValidation:
 # are the keys set out of range
 CONFIG_CHECKED = ("tuples", "triples", "samples", "n_random", "n_wedges", "support",
                   "terms", "l1_scale", "stability_tol", "last_tol", "tolerance",
-                  "slope_tol")
+                  "slope_tol", "pair_cap", "separation_factor")
 
 
 class TestExitCodes:
@@ -108,6 +108,10 @@ class TestExitCodes:
         ("hochschild-cocycle-vanishing", ["last_tol=-1"]),
         ("szego-diagonal-dense-check", ["tolerance=-1"]),
         ("svd-decay-szego", ["slope_tol=-1"]),
+        ("approxomtienri-decay", ["pair_cap=0"]),
+        ("approxomtienri-decay", ["pair_cap=-1"]),
+        ("extended-limit-sensitivity", ["separation_factor=0"]),
+        ("extended-limit-sensitivity", ["separation_factor=-1"]),
     ])
     def test_unrunnable_config_returns_two(self, tmp_path, capsys, name, overrides):
         # each raises ValueError before any heavy work: an oversized
@@ -115,8 +119,9 @@ class TestExitCodes:
         # schedule (m_min > m_max, never replaced by a default), no torus
         # shell, an empty diagonal window, more distinct frequencies than
         # the degree has, a non-finite float, a negative tolerance,
-        # a slope fit past the operator's rank, a count below 1 or a zero
-        # l1_scale, none of which may pass on no input
+        # a slope fit past the operator's rank, a count below 1 (a pair_cap
+        # too), a zero l1_scale or a nonpositive separation_factor, none of
+        # which may pass on no input or on a vacuous gate
         argv = ["run", name, "--out", str(tmp_path / "fresh" / "out")]
         for item in overrides:
             argv += ["--set", item]
@@ -130,7 +135,7 @@ class TestExitCodes:
             code, err = main(argv), capsys.readouterr().err
         assert code == 2
         # validate_config rejects a non-finite float, a count below 1, a
-        # nonpositive l1_scale and a negative tolerance as config errors
+        # nonpositive scale and a negative tolerance as config errors
         keys = {item.split("=")[0] for item in overrides}
         config_error = (any(item.endswith(("=nan", "=inf")) for item in overrides)
                         or bool(keys & set(CONFIG_CHECKED)))

@@ -119,14 +119,70 @@ def _constant_diagonals(m, consts):
     return vals
 
 
+def _decay_series():
+    return lacunary_series(BoundedSequence.constant(1.0), 0.9, 6)
+
+
 def _cutoff_difference(m, j):
-    """Delta_j (1 tensor f - f tensor 1) as the decay experiment builds it."""
-    f = lacunary_series(BoundedSequence.constant(1.0), 0.9, 6)
-    fv = f.evaluate_grid(SampledMetricSpace.circle(m).angles())
+    """Delta_j (1 tensor f - f tensor 1) on the dense M x M distance matrix."""
+    fv = _decay_series().evaluate_grid(SampledMetricSpace.circle(m).angles())
     idx = np.arange(m)
     off = np.abs(idx[None, :] - idx[:, None])
     dmat = 2.0 * np.pi * np.minimum(off, m - off) / m
     return chi_profile(j * dmat) * (fv[None, :] - fv[:, None])
+
+
+# a palette with exact ties, both zeros and values differing in the
+# last bit, so that a wrong operand or a misplaced max shows
+_PALETTE = (0.0, -0.0, complex(-0.0, -0.0), 1.0, -1.0, 1j, 1.0 + 1j,
+            1.0 + 2.220446049250313e-16, 0.5 - 0.25j)
+
+
+@st.composite
+def _banded_grid(draw):
+    """A torus grid of m <= 40 points whose live diagonals are none, all,
+    a run across the seam, a run wider than m/2, any run or any set, and a
+    pair cap that is either untruncated or tiny."""
+    m = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["empty", "full", "seam", "wide", "run", "any"]))
+    if kind == "empty":
+        ks = []
+    elif kind == "full":
+        ks = list(range(m))
+    elif kind == "seam":
+        # a run through diagonal 0: rows on both sides of the band's wrap
+        lo = draw(st.integers(-(m - 1) // 2, 0))
+        ks = list(range(lo, draw(st.integers(lo + 1, lo + m))))
+    elif kind == "wide":
+        # wider than m/2, so that both e < w and m - e < w hold for some e
+        c0 = draw(st.integers(0, m - 1))
+        ks = list(range(c0, c0 + draw(st.integers(m // 2 + 1, m))))
+    elif kind == "run":
+        c0 = draw(st.integers(0, m - 1))
+        ks = list(range(c0, c0 + draw(st.integers(1, m))))
+    else:
+        ks = sorted(draw(st.sets(st.integers(0, m - 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = np.array(_PALETTE)
+    idx = np.arange(m)
+    values = draw(st.sampled_from(["palette", "normal", "per diagonal"]))
+    if values == "palette":
+        vals = palette[rng.integers(len(palette), size=(m, m))]
+    elif values == "normal":
+        vals = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    else:
+        # one peak near an end of the live diagonals, the rest nearly
+        # equal: the largest quotient may come from the peak meeting a dead
+        # diagonal at a shift whose e is not its nearest one (see
+        # _constant_diagonals)
+        consts = np.full(m, 9.9)
+        consts[draw(st.sampled_from(ks[:2] + ks[-2:] or [0])) % m] = 10.0
+        vals = consts[(idx[None, :] - idx[:, None]) % m]
+    live = np.isin((idx[None, :] - idx[:, None]) % m, np.asarray(ks, int) % m)
+    zeros = palette[rng.integers(3, size=(m, m))]  # signed zeros off the band
+    vals = np.where(live, vals, zeros)
+    cap = draw(st.one_of(st.just(10_000_000), st.integers(1, 8 * m * m)))
+    return vals, cap
 
 
 class TestBandedTorusScan:
@@ -164,6 +220,17 @@ class TestBandedTorusScan:
         assert est.pairs_used == used
         if "truncated" in case:
             assert est.truncated
+
+    @given(_banded_grid(), st.sampled_from([0.3, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_bands_match_rolled_scan(self, grid, alpha):
+        vals, cap = grid
+        x = SampledMetricSpace.torus(vals.shape[0])
+        est = estimate_holder_seminorm(vals, x, alpha, pair_cap=cap, details=True)
+        value, truncated, used = _rolled_scan(vals, x, alpha, cap)
+        assert float(est.value).hex() == float(value).hex()
+        assert est.truncated == truncated
+        assert est.pairs_used == used
 
     @pytest.mark.parametrize("m, cap", [
         (96, 10_000_000),  # even: offset m/2, where the two halves meet
@@ -288,6 +355,30 @@ class TestDecayExperiment:
         r1 = diagonal_decay_experiment(f, 0.3, 0.9, [2, 4], x)
         r2 = diagonal_decay_experiment(f, 0.3, 0.9, [2, 4], x)
         assert r1.to_csv() == r2.to_csv()
+
+    @pytest.mark.parametrize("m", [64, 97])
+    def test_norms_match_the_dense_cutoff_build(self, m):
+        # the cutoff is evaluated once per grid offset and gathered; the
+        # norms equal those of the dense distance-matrix build bit for bit,
+        # both for a complete scan (m = 64) and a truncated one (m = 97)
+        rep = diagonal_decay_experiment(_decay_series(), 0.3, 0.9, [2, 4],
+                                        SampledMetricSpace.circle(m))
+        dense = []
+        for j in (2, 4):
+            g = _cutoff_difference(m, j)
+            semi = estimate_holder_seminorm(g, SampledMetricSpace.torus(m), 0.3)
+            dense.append(float(np.max(np.abs(g))) + semi)
+        assert [n.hex() for n in rep.norms] == [n.hex() for n in dense]
+
+    def test_nonpositive_pair_cap_is_rejected(self, monkeypatch):
+        # rejected before the grid is evaluated
+        import chernlab.metric as metric
+        monkeypatch.setattr(metric, "_values_on_grid", None)
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="pair_cap"):
+                estimate_holder_seminorm(FourierSeries.monomial(1, exact=False),
+                                         SampledMetricSpace.torus(8), 0.5,
+                                         pair_cap=cap)
 
     @pytest.mark.parametrize("js, match", [
         ([0, 2, 4], "j must be >= 1"),
