@@ -17,7 +17,7 @@ import numpy as np
 from .scalars import QGauss
 from .series import FourierSeries, cross, multiply
 from .operators import (OperatorModel, SparseOperator, commutator, compose,
-                        multiplication_operator, product_diagonal,
+                        exact_bound, multiplication_operator, product_diagonal,
                         product_diagonals, symmetric_order, torus_shells)
 from .tracemean import (DiagonalSequence, ExtendedLimitProbe, LogMeanSeries,
                         diagonal_of, dyadic_schedule, log_mean, probe)
@@ -94,31 +94,32 @@ class CharacterCochainValue:
 # circle operator path
 # ---------------------------------------------------------------------------
 
-def _circle_ops(inputs: Sequence[FourierSeries], bound: int,
-                leading: FourierSeries | None = None) -> list:
-    f_model = OperatorModel("circle_F")
-    ops = [SparseOperator.diagonal_phase(f_model, bound)]
+_CIRCLE_F = OperatorModel("circle_F")
+
+
+def _phase_products(lead: OperatorModel, inputs: Sequence[FourierSeries], bound: int,
+                    leading: FourierSeries | None = None) -> list:
+    """The factors of lead [leading] [lead*, a1][lead, a2]... on the window:
+    the phase, the multiplication operator of leading when one is given, and
+    one commutator per input, the phases alternating from lead's adjoint
+    (circle_F is its own adjoint)."""
+    ops = [SparseOperator.diagonal_phase(lead, bound)]
     if leading is not None:
         ops.append(multiplication_operator(leading, bound))
-    ops.extend(commutator(f_model, a, bound) for a in inputs)
+    model = lead.adjoint()
+    for a in inputs:
+        ops.append(commutator(model, a, bound))
+        model = model.adjoint()
     return ops
-
-
-def _bandwidths(inputs, leading=None):
-    bws = [a.max_frequency() for a in inputs]
-    lead_bw = leading.max_frequency() if leading is not None else 0
-    total = sum(bws) + lead_bw
-    support = max(bws + [1])  # diagonal entries vanish beyond the widest corner
-    return total, support
 
 
 def _circle_diagonal(inputs, schedule, leading=None, prefactor=1) -> DiagonalSequence:
     """Diagonal of F [a0] [F,a1]...[F,ap] in symmetric canonical order."""
-    total, support = _bandwidths(inputs, leading)
-    cap = min(2 * support + 3, max(max(schedule), 8))
-    bound = total + (cap + 1) // 2 + 4
-    ops = _circle_ops(inputs, bound, leading)
-    d = diagonal_of(ops, symmetric_order(cap), finite_tail=True)
+    # diagonal entries vanish beyond the widest corner
+    support = max([a.max_frequency() for a in inputs] + [1])
+    idx = symmetric_order(min(2 * support + 3, max(max(schedule), 8)))
+    bound = exact_bound(inputs if leading is None else [leading, *inputs], idx)
+    d = diagonal_of(_phase_products(_CIRCLE_F, inputs, bound, leading), idx, finite_tail=True)
     return d if prefactor == 1 else d.scale(prefactor)
 
 
@@ -131,7 +132,7 @@ def _exact_circle_trace(inputs, leading=None) -> QGauss:
     right to left, as a sparse {frequency: QGauss} vector; no window is
     involved.
     """
-    sign = OperatorModel("circle_F").phase
+    sign = _CIRCLE_F.phase
     factors = [(b, True) for b in reversed(inputs)]
     if leading is not None:
         factors.append((leading, False))
@@ -164,20 +165,10 @@ def torus_diagonal_operator(inputs: Sequence[FourierSeries], points,
     product is block diagonal and the supertrace diagonal is
     <e_k, U [a0] [U*,a1][U,a2]... e_k> - <e_k, U* [a0] [U,a1][U*,a2]... e_k>.
     """
-    max_pt = max((max(abs(k[0]), abs(k[1])) for k in points), default=0)
-    bound = max_pt + _bandwidths(inputs, leading)[0] + 2
-    u = OperatorModel("torus_U")
-    us = OperatorModel("torus_U_star")
+    bound = exact_bound(inputs if leading is None else [leading, *inputs], points)
     out = np.zeros(len(points), dtype=np.complex128)
-    for lead_model, sign in ((u, 1.0), (us, -1.0)):
-        ops = [SparseOperator.diagonal_phase(lead_model, bound)]
-        if leading is not None:
-            ops.append(multiplication_operator(leading, bound))
-        model = lead_model.adjoint()
-        for a in inputs:
-            ops.append(commutator(model, a, bound))
-            model = model.adjoint()
-        out += sign * product_diagonal(ops, points)
+    for lead, sign in ((OperatorModel("torus_U"), 1.0), (OperatorModel("torus_U_star"), -1.0)):
+        out += sign * product_diagonal(_phase_products(lead, inputs, bound, leading), points)
     return out
 
 
@@ -339,7 +330,7 @@ def eval_ch_CC(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     if stability_tol < 0:
         raise ValueError(f"stability_tol={stability_tol} must be >= 0")
     bound = 2 * sum(s.max_frequency() for s in a) + 4
-    traces = [compose(_circle_ops(a, b)).trace() for b in (bound, 2 * bound)]
+    traces = [compose(_phase_products(_CIRCLE_F, a, b)).trace() for b in (bound, 2 * bound)]
     drift = abs(traces[1] - traces[0])
     if drift > stability_tol * max(1.0, abs(traces[1])):
         raise CocycleConsistencyError(
@@ -421,28 +412,27 @@ def fast_path_partial_sums(b: Sequence[FourierSeries], ns: Sequence[int]) -> np.
     if types != ["analytic", "anti", "analytic", "anti"]:
         raise ValueError(f"fast path undefined for holomorphy pattern {types}")
     c = [s.to_float().coeffs for s in b]
-    ks = sorted(c[0])
     ms = sorted(c[2])
-    out = np.zeros(len(ns), dtype=np.complex128)
-    for i, n in enumerate(ns):
-        total = 0j
-        for k in ks:
-            if k >= n:
-                break
-            b3k = c[3].get(-k)
-            b1k = c[1].get(-k)
-            for m in ms:
-                if m < k:
-                    continue
-                inner = 0j
-                if b3k is not None and -m in c[1]:
-                    inner += c[1][-m] * b3k
-                if b1k is not None and -m in c[3]:
-                    inner -= b1k * c[3][-m]
-                if inner:
-                    total += k * c[0][k] * c[2][m] * inner
-        out[i] = total
-    return out
+    # one running sum over ascending k, read off at each N after its last
+    # k < N: the same additions in the same order as summing each N alone
+    ks, totals, total = [], [0j], 0j
+    for k in sorted(c[0]):
+        if k >= max(ns, default=0):
+            break
+        b3k, b1k = c[3].get(-k), c[1].get(-k)
+        for m in ms:
+            if m < k:
+                continue
+            inner = 0j
+            if b3k is not None and -m in c[1]:
+                inner += c[1][-m] * b3k
+            if b1k is not None and -m in c[3]:
+                inner -= b1k * c[3][-m]
+            if inner:
+                total += k * c[0][k] * c[2][m] * inner
+        ks.append(k)
+        totals.append(total)
+    return np.array([totals[i] for i in np.searchsorted(ks, ns)], dtype=np.complex128)
 
 
 _S3 = [((1, 2, 3), 1), ((1, 3, 2), -1), ((2, 1, 3), -1),
@@ -473,13 +463,12 @@ def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
         return CochainEvaluation(series=series, probe_result=probe(series))
     if method != "operator":
         raise ValueError(f"unknown wedge method {method!r}")
-    max_n = max(schedule)
-    bound = sum(s.max_frequency() for s in a) + max_n + 4
-    f_diag, *comms = _circle_ops(a, bound)
+    idx = range(max(schedule))
+    f_diag, *comms = _phase_products(_CIRCLE_F, a, exact_bound(a, idx))
     # in _S3 order all six products share F[F,a0], and each pair of
     # neighbours its left half F[F,a0][F,a_i]; product_diagonals forms each once
     diags = product_diagonals([[f_diag, comms[0]] + [comms[j] for j in perm]
-                               for perm, _ in _S3], range(max_n))
+                               for perm, _ in _S3], idx)
     diag_total = None
     for d, (_, sign) in zip(diags, _S3):
         term = DiagonalSequence(d).scale(sign)

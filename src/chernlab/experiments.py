@@ -18,7 +18,7 @@ import numpy as np
 
 from .scalars import QGauss
 from .series import BoundedSequence, FourierSeries, lacunary_series, series_to_text
-from .operators import (OperatorModel, SparseOperator, commutator,
+from .operators import (OperatorModel, SparseOperator, commutator, exact_bound,
                         multiplication_operator, rho_exact_terms,
                         singular_values, torus_shells, weak_quasinorm)
 from .tracemean import diagonal_of, dyadic_schedule, log_mean, probe
@@ -320,18 +320,18 @@ def _exp_calibration(config, out, report):
           {"window": 512, "level_cap": 9, "tolerance": 1e-12})
 def _exp_szego_dense(config, out, report):
     w = config["window"]
-    p_model = OperatorModel("szego_P")
-    bound = w + 4 * (1 << config["level_cap"]) + 4
-    pd = SparseOperator.diagonal_phase(p_model, bound)
+    seqs = (("ones", ONES), ("alternating", ALTERNATING))
+    w1s = [lacunary_series(c1, 0.5, config["level_cap"]) for _, c1 in seqs]
+    w2 = lacunary_series(ONES, 0.5, config["level_cap"]).star()
+    bound = max(exact_bound([w1, w2], range(w)) for w1 in w1s)
+    pd = SparseOperator.diagonal_phase(OperatorModel("szego_P"), bound)
     # Q = 1 - P as an explicit diagonal
     qent = {(k, k): (0.0 if k >= 0 else 1.0) for k in range(-bound, bound + 1)}
-    qd = SparseOperator.from_dict("circle", bound, qent, bound, 0)
+    qd = SparseOperator.from_dict("circle", bound, qent, 0)
     worst = 0.0
-    for name, c1 in (("ones", ONES), ("alternating", ALTERNATING)):
-        w1 = lacunary_series(c1, 0.5, config["level_cap"])
-        w2 = lacunary_series(ONES, 0.5, config["level_cap"])
+    for (name, c1), w1 in zip(seqs, w1s):
         ops = [pd, multiplication_operator(w1, bound), qd,
-               multiplication_operator(w2.star(), bound), pd]
+               multiplication_operator(w2, bound), pd]
         d_op = diagonal_of(ops, range(w)).values
         d_closed = szego_pair_diagonal(c1, ONES, config["level_cap"], w).dense()
         err = float(np.max(np.abs(d_op - d_closed)))

@@ -332,9 +332,8 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
     norms = []
     for cutoff in cutoffs:
         g = cutoff.on_distance(arcs)[folded] * gdiff
-        semi = estimate_holder_seminorm(g, product, alpha, pair_cap=pair_cap,
-                                        details=True)
-        norms.append(float(np.max(np.abs(g))) + semi.value)
+        semi = estimate_holder_seminorm(g, product, alpha, pair_cap=pair_cap)
+        norms.append(float(np.max(np.abs(g))) + semi)
     logs = np.log(np.maximum(norms, 1e-300))
     design = np.column_stack([np.ones(len(j_schedule)), np.log(j_schedule)])
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)

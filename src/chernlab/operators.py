@@ -3,11 +3,11 @@ sparse truncated commutators, singular values, weak-Schatten diagnostics.
 
 All operators here are either diagonal in the Fourier basis (phase
 operators) or banded-sparse (commutators with multiplication operators).
-A SparseOperator tracks, besides its entries, the radius of frequencies
-whose full operator column is exactly represented; composing operators
-shrinks that radius by the bandwidth of the right factor, and diagonal
-extraction refuses to read outside it.  This makes window truncation loud
-instead of silently biased.
+A SparseOperator's columns with |k|_inf <= bound - bandwidth carry the full
+untruncated column; composing operators adds their bandwidths, and diagonal
+extraction refuses to read outside that radius.  This makes window
+truncation loud instead of silently biased; exact_bound gives the smallest
+window at which a read is exact.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .series import FourierSeries, FrequencyIndex, TorusIndex, cross
 __all__ = [
     "OperatorModel", "SparseOperator", "symmetric_order", "torus_shells",
     "SingularValueSequence", "WindowLeakageError", "commutator", "compose",
-    "product_diagonal", "product_diagonals", "singular_values", "weak_quasinorm",
+    "exact_bound", "product_diagonal", "product_diagonals", "singular_values", "weak_quasinorm",
     "torus_phase_kernel_rho", "rho_exact_terms",
 ]
 
@@ -167,9 +167,7 @@ class SparseOperator:
     """Sparse matrix over frequency indices within a symmetric box window.
 
     bound: the box half-width W (circle: |k| <= W; torus: |k|_inf <= W).
-    exact_col_radius: columns with |k|_inf <= this radius carry the full
-        untruncated operator column; reads outside it raise.
-    bandwidth: max |row - col|_inf over entries.
+    bandwidth: max |row - col|_inf over entries of the untruncated operator.
 
     The entries are one read-only row-major CSR triple over the linear box
     positions (circle k + W, torus (k1 + W)(2W + 1) + (k2 + W)): int64
@@ -181,7 +179,6 @@ class SparseOperator:
 
     domain: str
     bound: int
-    exact_col_radius: int
     bandwidth: int
     indptr: np.ndarray
     cols: np.ndarray
@@ -192,23 +189,26 @@ class SparseOperator:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def from_entries(domain: str, bound: int, exact_col_radius: int, bandwidth: int,
+    def from_entries(domain: str, bound: int, bandwidth: int,
                      rows, cols, vals) -> "SparseOperator":
         """From complex entries in any order at linear box positions.
-        Raises ValueError when two entries share a position."""
+        Raises ValueError when two entries share a position, and
+        WindowLeakageError when no column is exact."""
+        if bound < bandwidth:
+            raise WindowLeakageError(
+                f"window bound {bound} is smaller than the bandwidth {bandwidth}")
         n = _dim(domain, bound)
-        return SparseOperator(domain, bound, exact_col_radius, bandwidth,
+        return SparseOperator(domain, bound, bandwidth,
                               *_csr(np.asarray(rows, np.int64), np.asarray(cols, np.int64),
                                     vals, (n, n)))
 
     @staticmethod
-    def from_dict(domain: str, bound: int, entries: dict, exact_col_radius: int,
-                  bandwidth: int) -> "SparseOperator":
+    def from_dict(domain: str, bound: int, entries: dict, bandwidth: int) -> "SparseOperator":
         """The float operator of {(row, col): value} keyed by frequency
         indices; zeros are dropped."""
         items = [(r, c, v) for (r, c), v in ((k, complex(v)) for k, v in entries.items()) if v]
         return SparseOperator.from_entries(
-            domain, bound, exact_col_radius, bandwidth,
+            domain, bound, bandwidth,
             _linear_index(domain, bound, [r for r, _, _ in items]),
             _linear_index(domain, bound, [c for _, c, _ in items]), [v for _, _, v in items])
 
@@ -229,20 +229,26 @@ class SparseOperator:
             # the origin is 1 + 0j for both kinds, set after the conjugation
             re[n // 2], im[n // 2] = 1.0, 0.0
             pos = np.arange(n)
-            return SparseOperator("torus", bound, bound, 0, *_frozen(
+            return SparseOperator("torus", bound, 0, *_frozen(
                 _indptr(pos, n), pos, _complex(re, im)))
         phase = op.phase_array(np.arange(-bound, bound + 1, dtype=np.int64))
         pos = np.flatnonzero(phase)
-        return SparseOperator("circle", bound, bound, 0, *_frozen(
+        return SparseOperator("circle", bound, 0, *_frozen(
             _indptr(pos, n), pos, phase[pos].astype(np.complex128)))
 
     @staticmethod
-    def from_csr(csr: tuple, domain: str, bound: int,
-                 exact_col_radius: int, bandwidth: int) -> "SparseOperator":
+    def from_csr(csr: tuple, domain: str, bound: int, bandwidth: int) -> "SparseOperator":
         """The float operator of a read-only square CSR triple."""
-        return SparseOperator(domain, bound, exact_col_radius, bandwidth, *csr)
+        return SparseOperator(domain, bound, bandwidth, *csr)
 
     # -- basic queries -----------------------------------------------------
+
+    @property
+    def exact_col_radius(self) -> int:
+        """Columns with |k|_inf <= this radius carry the full untruncated
+        column, since every operator here keeps each column's rows within
+        its bandwidth; a product diagonal read outside it raises."""
+        return self.bound - self.bandwidth
 
     def nnz(self) -> int:
         return len(self.vals)
@@ -271,7 +277,7 @@ class SparseOperator:
 
     def _select(self, keep: np.ndarray) -> "SparseOperator":
         """The operator with only the entries where the mask keep is true."""
-        return SparseOperator(self.domain, self.bound, self.exact_col_radius, self.bandwidth,
+        return SparseOperator(self.domain, self.bound, self.bandwidth,
                               *_frozen(_indptr(_rows(self.indptr)[keep], self.dim()),
                                        self.cols[keep], self.vals[keep]))
 
@@ -412,24 +418,19 @@ def commutator(op: OperatorModel, a: FourierSeries, bound: int) -> SparseOperato
     """The matrix of [op, M_a] on the window: entry (r, c) = a_{r-c} (phase(r) - phase(c)).
 
     Entries are exact values of the untruncated commutator (truncation only
-    removes rows/columns, it never perturbs retained entries).  The exact
-    column radius is bound - max_frequency(a); a nonpositive radius means no
-    column is complete and the caller must enlarge the window.
+    removes rows/columns, it never perturbs retained entries).  The
+    bandwidth is max_frequency(a); a window bound below it raises
+    WindowLeakageError, and the caller must enlarge the window.
     """
     if op.domain != a.domain:
         raise ValueError(f"domain mismatch: operator {op.domain} vs series {a.domain}")
-    bw = a.max_frequency()
-    radius = bound - bw
-    if radius < 0:
-        raise WindowLeakageError(
-            f"window bound {bound} is smaller than the series bandwidth {bw}")
     if op.domain == "circle":
-        return _commutator_circle(op, a, bound, radius, bw)
-    return _commutator_torus(op, a, bound, radius, bw)
+        return _commutator_circle(op, a, bound, a.max_frequency())
+    return _commutator_torus(op, a, bound, a.max_frequency())
 
 
 def _commutator_circle(op: OperatorModel, a: FourierSeries, bound: int,
-                       radius: int, bw: int) -> SparseOperator:
+                       bw: int) -> SparseOperator:
     step = 1 if op.kind == "szego_P" else 2
     rows, cols, vals = [], [], []
     for f, coeff in a.coeffs.items():
@@ -447,13 +448,13 @@ def _commutator_circle(op: OperatorModel, a: FourierSeries, bound: int,
             cols.append(cs)
             # an exact coefficient is scaled before it is rounded
             vals.append(np.full(hi - lo, complex(coeff * sgn), np.complex128))
-    return SparseOperator.from_entries("circle", bound, radius, bw,
+    return SparseOperator.from_entries("circle", bound, bw,
                                        _concat(rows, np.int64), _concat(cols, np.int64),
                                        _concat(vals, np.complex128))
 
 
 def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int,
-                      radius: int, bw: int) -> SparseOperator:
+                      bw: int) -> SparseOperator:
     side = np.arange(-bound, bound + 1, dtype=np.int64)
     c1, c2 = (k.ravel() for k in np.meshgrid(side, side, indexing="ij"))
     phase_c = op.phase_array(c1, c2)
@@ -465,21 +466,16 @@ def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int,
         cols.append(col[nz])
         rows.append(col[nz] + shift)
         vals.append(complex(coeff) * pv[nz])
-    return SparseOperator.from_entries("torus", bound, radius, bw,
+    return SparseOperator.from_entries("torus", bound, bw,
                                        _concat(rows, np.int64), _concat(cols, np.int64),
                                        _concat(vals, np.complex128))
 
 
 def multiplication_operator(a: FourierSeries, bound: int) -> SparseOperator:
     """The matrix of M_a on the box window: entry (c+f, c) = a_f."""
-    bw = a.max_frequency()
-    radius = bound - bw
-    if radius < 0:
-        raise WindowLeakageError(
-            f"window bound {bound} is smaller than the series bandwidth {bw}")
     bands = [(_band(a.domain, bound, f), coeff) for f, coeff in a.coeffs.items()]
     return SparseOperator.from_entries(
-        a.domain, bound, radius, bw,
+        a.domain, bound, a.max_frequency(),
         _concat([col + shift for (col, shift), _ in bands], np.int64),
         _concat([col for (col, _), _ in bands], np.int64),
         _concat([np.full(len(col), complex(coeff), np.complex128)
@@ -490,23 +486,20 @@ def multiplication_operator(a: FourierSeries, bound: int) -> SparseOperator:
 # composition
 # ---------------------------------------------------------------------------
 
-def _product_bounds(ops: Sequence[SparseOperator]) -> tuple:
-    """(exact column radius, bandwidth) of the product of ops; raises on a
+def _product_bandwidth(ops: Sequence[SparseOperator]) -> int:
+    """The bandwidth of the product of ops, the sum of theirs; raises on a
     domain or window mismatch."""
-    radius, bw = ops[0].exact_col_radius, ops[0].bandwidth
     for a, b in zip(ops, ops[1:]):
         if a.domain != b.domain:
             raise ValueError("window/domain mismatch in composition")
         if a.bound != b.bound:
             raise ValueError(f"window mismatch: bounds {a.bound} vs {b.bound}")
-        radius, bw = min(b.exact_col_radius, radius - b.bandwidth), bw + b.bandwidth
-    return radius, bw
+    return sum(op.bandwidth for op in ops)
 
 
 def _compose_pair(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    radius, bw = _product_bounds([a, b])
     return SparseOperator.from_csr(_matmul(a.to_csr(), b.to_csr(), a.dim()),
-                                   a.domain, a.bound, radius, bw)
+                                   a.domain, a.bound, _product_bandwidth([a, b]))
 
 
 def compose(ops: Sequence[SparseOperator]) -> SparseOperator:
@@ -582,7 +575,7 @@ def _chain(previous: list, factors: list, pos: np.ndarray) -> SparseOperator:
 def _diagonal_positions(ops: list, idx: list) -> np.ndarray:
     """Box positions of the diagonal frequencies idx of the product of ops;
     raises WindowLeakageError for one outside its exact column radius."""
-    radius = _product_bounds(ops)[0]
+    radius = ops[0].bound - _product_bandwidth(ops)
     k = np.abs(np.asarray(idx, dtype=np.int64))
     norms = k if ops[0].domain == "circle" else k.reshape(-1, 2).max(axis=1)
     outside = np.flatnonzero(norms > radius)
@@ -591,6 +584,15 @@ def _diagonal_positions(ops: list, idx: list) -> np.ndarray:
             f"diagonal at {idx[outside[0]]} exceeds the exact column radius {radius}; "
             f"enlarge the construction window")
     return _linear_index(ops[0].domain, ops[0].bound, idx)
+
+
+def exact_bound(series: Iterable[FourierSeries], indices: Iterable) -> int:
+    """The smallest window bound at which a product of phases and of one
+    commutator or multiplication operator per series has an exact diagonal
+    at every frequency in indices: max |index|_inf plus the sum of the
+    series' max_frequency()."""
+    k = np.abs(np.asarray(list(indices), dtype=np.int64))
+    return int(k.max(initial=0)) + sum(s.max_frequency() for s in series)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ def test_detector_flags_an_unused_import():
     assert unused_imports(source) == ["csgraph (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def imports_scalars(source: str) -> bool:
     """Whether a module imports chernlab.scalars or a name from it, in any
     import form."""
@@ -133,10 +132,12 @@ def test_a_pass_loads_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("workload, also_called", [
+    ("holder-grid", []),
+    ("commutator-spectrum", []),
     ("operator-diagonals", []),
     # the circle seminorm path; its span is pinned to holder-grid
     ("small-catalog", ["metric.estimate_holder_seminorm"]),
-], ids=["operator-diagonals", "small-catalog"])
+], ids=["holder-grid", "commutator-spectrum", "operator-diagonals", "small-catalog"])
 def test_bench_spans_are_called(workload, also_called):
     # a span that no pass calls (a renamed call path, an entry point the
     # program stopped using) shows only in a traced benchmark run

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chernlab import operators
+from chernlab.cocycles import _phase_products
 from chernlab.experiments import run_experiment
 from chernlab.scalars import QGauss
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
 from chernlab.operators import (OperatorModel, SparseOperator,
                                 WindowLeakageError, _matmul, _product_diagonal,
                                 _squarefree_product, _squarefree_split,
-                                commutator, compose,
+                                commutator, compose, exact_bound,
                                 multiplication_operator, product_diagonal,
                                 product_diagonals, rho_exact_terms, singular_values,
                                 symmetric_order, torus_phase_kernel_rho,
@@ -425,7 +426,7 @@ class TestFloatForm:
     def test_float_arrays_are_read_only(self):
         c = self._float_commutator()
         for op in (c, compose([c, c]), SparseOperator.from_dict(
-                "circle", 8, {(1, 2): 1.0, (0, 0): 2j}, 8, 0)):
+                "circle", 8, {(1, 2): 1.0, (0, 0): 2j}, 1)):
             for arr in (op.indptr, op.cols, op.vals):
                 with pytest.raises(ValueError):
                     arr[0] = arr[1]
@@ -442,7 +443,7 @@ class TestFloatForm:
     def test_duplicate_position_raises(self):
         # at construction, before any product reads the entries
         with pytest.raises(ValueError, match="share a position"):
-            SparseOperator.from_entries("circle", 2, 2, 0,
+            SparseOperator.from_entries("circle", 2, 0,
                                         [1, 3, 1], [1, 0, 1], [1.0, 2.0, 3.0])
 
     def test_exact_phase_float_form_matches_conversion(self):
@@ -450,7 +451,7 @@ class TestFloatForm:
             model = OperatorModel(kind)
             phase = SparseOperator.diagonal_phase(model, 6)
             converted = SparseOperator.from_dict(
-                "circle", 6, {(k, k): model.phase(k) for k in range(-6, 7)}, 6, 0)
+                "circle", 6, {(k, k): model.phase(k) for k in range(-6, 7)}, 0)
             # bit for bit, signed zeros included
             for got, want in zip(phase.to_csr(), converted.to_csr()):
                 assert got.dtype == want.dtype
@@ -470,7 +471,7 @@ class TestStorage:
         part = st.fractions(-4, 4, max_denominator=3)
         vals = [QGauss(data.draw(part), data.draw(part)).to_complex() for _ in cells]
         rows, cols = [r for r, _ in cells], [c for _, c in cells]
-        op = SparseOperator.from_entries("circle", bound, bound, 0, rows, cols, vals)
+        op = SparseOperator.from_entries("circle", bound, 0, rows, cols, vals)
         indptr, csr_cols, _ = op.to_csr()
         assert len(indptr) == n + 1 and indptr[0] == 0 and indptr[-1] == len(cells)
         assert np.all(np.diff(indptr) >= 0)
@@ -485,7 +486,7 @@ class TestStorage:
             assert not arr.flags.writeable
         if cells:
             with pytest.raises(ValueError, match="share a position"):
-                SparseOperator.from_entries("circle", bound, bound, 0, rows + rows[:1],
+                SparseOperator.from_entries("circle", bound, 0, rows + rows[:1],
                                             cols + cols[:1], vals + vals[:1])
         with pytest.raises(FrozenInstanceError):
             op.vals = op.vals
@@ -572,6 +573,89 @@ class TestWindows:
     def test_torus_shells_need_one_shell(self, n):
         with pytest.raises(ValueError, match="at least one shell"):
             torus_shells(n)
+
+
+PHASE_KINDS = {"circle": ("szego_P", "circle_F"), "torus": ("torus_U", "torus_U_star")}
+
+
+def _norm(k) -> int:
+    """|k|_inf of a circle or torus index."""
+    return int(np.max(np.abs(k)))
+
+
+@st.composite
+def factor_lists(draw):
+    """A domain and one to three factor specs (kind, phase kind, series)."""
+    domain = draw(st.sampled_from(["circle", "torus"]))
+    freq = (st.integers(-3, 3) if domain == "circle"
+            else st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    coeff = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
+                               allow_nan=False, allow_infinity=False)
+    series = st.dictionaries(freq, coeff, min_size=1, max_size=3).map(
+        lambda c: FourierSeries(domain, c, False))
+    specs = st.tuples(st.sampled_from(["phase", "commutator", "multiplication"]),
+                      st.sampled_from(PHASE_KINDS[domain]), series)
+    return domain, draw(st.lists(specs, min_size=1, max_size=3))
+
+
+def build_factors(specs, bound: int) -> list:
+    ops = []
+    for kind, model, a in specs:
+        if kind == "phase":
+            ops.append(SparseOperator.diagonal_phase(OperatorModel(model), bound))
+        elif kind == "commutator":
+            ops.append(commutator(OperatorModel(model), a, bound))
+        else:
+            ops.append(multiplication_operator(a, bound))
+    return ops
+
+
+class TestExactWindow:
+    """The exact column radius is derived as bound - bandwidth, and
+    exact_bound is the smallest window at which a diagonal read is exact."""
+
+    @given(factor_lists(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_radius_is_bound_minus_bandwidth(self, drawn, slack):
+        """For phases, commutators, multiplication operators and their
+        products: the radius equals the composition rule min(radius of the
+        right factor, radius so far - its bandwidth), every entry lies
+        within the bandwidth, and every column within the radius equals the
+        same column built in a window 4 wider, bit for bit."""
+        _, specs = drawn
+        bound = sum(a.max_frequency() for kind, _, a in specs if kind != "phase") + slack
+        ops, wide = build_factors(specs, bound), build_factors(specs, bound + 4)
+        radius = ops[0].exact_col_radius
+        for op in ops[1:]:
+            radius = min(op.exact_col_radius, radius - op.bandwidth)
+        prod, wide_prod = compose(ops), compose(wide)
+        for op in ops + [prod]:
+            assert op.exact_col_radius == op.bound - op.bandwidth
+            assert all(_norm(np.subtract(r, c)) <= op.bandwidth for r, c, _ in op.items())
+        assert prod.exact_col_radius == radius
+        inside = lambda op: {(r, c): v for r, c, v in op.items() if _norm(c) <= radius}
+        assert inside(prod) == inside(wide_prod)
+
+    @pytest.mark.parametrize("domain", ["circle", "torus"])
+    def test_diagonals_are_exact_from_the_exact_bound(self, domain):
+        """The diagonals of lead [a0] [lead*, a1][lead, a2] are bit-identical
+        at exact_bound and 5 above it, and one below it the read leaks."""
+        rng = np.random.default_rng(31)
+        if domain == "circle":
+            mk = lambda: FourierSeries("circle", {k: complex(*rng.standard_normal(2))
+                                                  for k in range(-3, 4)}, False)
+            lead, idx = OperatorModel("circle_F"), symmetric_order(15)
+        else:
+            mk = lambda: random_torus_series(rng, terms=6)
+            lead, idx = OperatorModel("torus_U"), list(torus_shells(6))
+        leading, inputs = mk(), [mk(), mk()]
+        bound = exact_bound([leading, *inputs], idx)
+        diagonal = lambda b: product_diagonal(_phase_products(lead, inputs, b, leading), idx)
+        at = diagonal(bound)
+        assert np.any(at != 0)
+        assert at.tobytes() == diagonal(bound + 5).tobytes()
+        with pytest.raises(WindowLeakageError):
+            diagonal(bound - 1)
 
 
 def hankel_singular_values(coeffs) -> np.ndarray:
