@@ -71,9 +71,6 @@ class LaurentChain:
         s = QGauss.of(s)
         return LaurentChain(self.degree, {t: w * s for t, w in self.terms.items()})
 
-    def __sub__(self, other: "LaurentChain") -> "LaurentChain":
-        return self + other.scale(-1)
-
     def __eq__(self, other):
         if not isinstance(other, LaurentChain):
             return NotImplemented

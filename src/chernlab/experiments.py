@@ -39,7 +39,7 @@ KAPPA_REFERENCE = 1.0 / math.log(2.0)
 WEDGE_TARGET = -2.0 * math.sqrt(2.0) / math.log(2.0)
 
 ONES = BoundedSequence.constant(1.0)
-ALTERNATING = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+ALTERNATING = BoundedSequence(lambda j: (-1.0) ** j, 1.0)
 Z = FourierSeries.monomial(1)
 ZI = FourierSeries.monomial(-1)
 ONE = FourierSeries.one()
@@ -68,8 +68,6 @@ class Assertion:
 def _jsonable(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
     if isinstance(v, QGauss):
         return {"re": str(v.re), "im": str(v.im)}
     return v
@@ -148,16 +146,8 @@ def validate_config(spec: ExperimentSpec, overrides: Dict[str, str]) -> dict:
                               f"{spec.name!r}; known keys: {sorted(config)}")
         default = config[key]
         try:
-            if isinstance(default, bool):
-                if str(raw).lower() not in ("true", "false", "0", "1"):
-                    raise ValueError(raw)
-                config[key] = str(raw).lower() in ("true", "1")
-            elif isinstance(default, int):
-                config[key] = int(raw)
-            elif isinstance(default, float):
-                config[key] = float(raw)
-            else:
-                config[key] = str(raw)
+            # every default is an int or a float
+            config[key] = type(default)(raw)
         except ValueError as exc:
             raise ConfigError(f"cannot parse {key}={raw!r} as "
                               f"{type(default).__name__}") from exc
@@ -233,22 +223,15 @@ def random_trig_poly(rng: np.random.Generator, degree: int, terms: int,
                          False)
 
 
-def _sequence_by_name(name: str) -> tuple:
-    """Named bounded test sequences with their limits."""
-    table = {
-        "ones": (ONES, 1.0),
-        "half-after-8": (BoundedSequence.from_function(
-            lambda j: 0.5 if j >= 8 else 1.0, 1.0), 0.5),
-        "two-plus-geometric": (BoundedSequence.from_function(
-            lambda j: 2.0 + 4.0 * 2.0 ** (-j), 6.0), 2.0),
-        "threequarter-alternating": (BoundedSequence.from_function(
-            lambda j: 0.75 + (-0.5) ** j, 2.0), 0.75),
-        "dyadic-block-alternating": (BoundedSequence.from_function(
-            lambda j: 1.0 if int(math.log2(j + 1)) % 2 == 0 else 0.0, 1.0), None),
-    }
-    if name not in table:
-        raise ConfigError(f"unknown sequence name {name!r}; known: {sorted(table)}")
-    return table[name]
+# named bounded test sequences with their limits
+SEQUENCES = {
+    "ones": (ONES, 1.0),
+    "half-after-8": (BoundedSequence(lambda j: 0.5 if j >= 8 else 1.0, 1.0), 0.5),
+    "two-plus-geometric": (BoundedSequence(lambda j: 2.0 + 4.0 * 2.0 ** (-j), 6.0), 2.0),
+    "threequarter-alternating": (BoundedSequence(lambda j: 0.75 + (-0.5) ** j, 2.0), 0.75),
+    "dyadic-block-alternating": (BoundedSequence(
+        lambda j: 1.0 if int(math.log2(j + 1)) % 2 == 0 else 0.0, 1.0), None),
+}
 
 
 def _lacunary_quadruple(alpha: float, level_cap: int) -> list:
@@ -304,7 +287,7 @@ def _exp_calibration(config, out, report):
                   kappa, KAPPA_REFERENCE, config["kappa_rel_tol"] * KAPPA_REFERENCE,
                   detail="extrapolated dyadic log-mean for the constant sequence")
     for name in ("half-after-8", "two-plus-geometric", "threequarter-alternating"):
-        seq, limit = _sequence_by_name(name)
+        seq, limit = SEQUENCES[name]
         series = _szego_log_mean(seq, config)
         value = probe(series).extrap
         _write(out, report, f"calibration_{name}.csv", series.to_csv())
@@ -425,8 +408,7 @@ def _exp_torus_kernel(config, out, report):
         while True:
             k, m, n = rand_index(), rand_index(), rand_index()
             try:
-                rho_exact_terms(k, m, n)
-                return k, m, n
+                return k, m, n, rho_exact_terms(k, m, n)
             except ZeroDivisionError:
                 continue
 
@@ -434,8 +416,7 @@ def _exp_torus_kernel(config, out, report):
     # two surd sums are equal exactly when their {s: coefficient} dicts are
     hom_ok = anti_ok = True
     for _ in range(config["triples"]):
-        k, m, n = valid_triple()
-        base = rho_exact_terms(k, m, n)
+        k, m, n, base = valid_triple()
         for t in (2, 3, 7):
             scaled = rho_exact_terms((t * k[0], t * k[1]), (t * m[0], t * m[1]),
                                      (t * n[0], t * n[1]))
@@ -675,7 +656,7 @@ def _exp_chcc(config, out, report):
           "constant, demonstrating dependence on the extended limit",
           {"level_cap": 50, "m_min": 4, "m_max": 24, "separation_factor": 0.2})
 def _exp_sensitivity(config, out, report):
-    seq, _ = _sequence_by_name("dyadic-block-alternating")
+    seq, _ = SEQUENCES["dyadic-block-alternating"]
     series = _szego_log_mean(seq, config)
     pr = probe(series)
     _write(out, report, "oscillating_sequence.csv", series.to_csv())
@@ -718,7 +699,7 @@ def _exp_decay(config, out, report):
     _assert_true(report, "cutoff equals 1 on the diagonal", vals[0] == 1.0, vals[0], 1.0)
     _assert_true(report, "cutoff supported where j d < 1",
                  bool(np.all(vals[dists >= 1.0 / j] == 0.0)), True)
-    steps = np.abs(np.diff(chi_profile(j * dists))) / np.diff(dists)
+    steps = np.abs(np.diff(vals)) / np.diff(dists)
     lip_const = float(steps.max()) / j
     _assert_true(report, "cutoff Lipschitz seminorm grows linearly in j",
                  lip_const <= 3.0, lip_const, "<= 3.0 after dividing by j",

@@ -15,7 +15,7 @@ import numpy as np
 from .series import FourierSeries
 
 __all__ = [
-    "SampledMetricSpace", "DiagonalCutoff", "DecayFitReport",
+    "SampledMetricSpace", "DecayFitReport",
     "SeminormEstimate", "estimate_holder_seminorm", "delta_alpha",
     "diagonal_decay_experiment", "chi_profile",
 ]
@@ -78,27 +78,10 @@ def chi_profile(t) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DiagonalCutoff:
-    """Delta_j(x, y) = chi(j d(x, y)): a bump concentrating on d < 1/j."""
-
-    j: int
-
-    def __post_init__(self):
-        if self.j < 1:
-            raise ValueError("cutoff index j must be >= 1")
-
-    def on_distance(self, d) -> np.ndarray:
-        return chi_profile(self.j * np.asarray(d, dtype=float))
-
-
-@dataclass(frozen=True)
 class SeminormEstimate:
     value: float
     truncated: bool
     pairs_used: int
-
-    def __float__(self):
-        return self.value
 
 
 def _offset_ladder(max_off: int, budget: int) -> tuple:
@@ -289,7 +272,8 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
                               x: SampledMetricSpace | None = None,
                               pair_cap: int = PAIR_CAP_DEFAULT) -> DecayFitReport:
     """Norms of Delta_j (1 tensor f - f tensor 1) in the alpha-Holder norm
-    on the product grid, with a log-log decay fit against j.
+    on the product grid, with a log-log decay fit against j.  The cutoff
+    Delta_j(x, y) = chi_profile(j d(x, y)) is a bump concentrating on d < 1/j.
 
     The fitted slope is compared by callers against -(gamma - 0.1) with
     gamma = min(1 - alpha/beta, beta - alpha).  j_schedule=None means
@@ -305,13 +289,14 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
         raise ValueError("the decay experiment runs on a circle grid (the "
                          "product grid is built internally)")
     j_schedule = [2, 4, 8, 16, 32, 64] if j_schedule is None else list(j_schedule)
-    cutoffs = [DiagonalCutoff(j) for j in j_schedule]
+    if any(j < 1 for j in j_schedule):
+        raise ValueError("cutoff index j must be >= 1")
     if len(set(j_schedule)) < 2:
         raise ValueError(f"the decay fit needs at least two distinct cutoffs j, "
                          f"got {j_schedule}")
     gamma = min(1.0 - alpha / beta, beta - alpha)
     m = x.size
-    empty = [c.j for c in cutoffs if c.on_distance(x.arc(1)) == 0]
+    empty = [j for j in j_schedule if chi_profile(j * x.arc(1)) == 0]
     if empty:
         raise ValueError(f"cutoffs j={empty} vanish at the nearest grid "
                          f"distance 2 pi/{m}, so Delta_j is zero off the "
@@ -330,8 +315,8 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
     gdiff = fv[None, :] - fv[:, None]
     product = SampledMetricSpace.torus(m)
     norms = []
-    for cutoff in cutoffs:
-        g = cutoff.on_distance(arcs)[folded] * gdiff
+    for j in j_schedule:
+        g = chi_profile(j * arcs)[folded] * gdiff
         semi = estimate_holder_seminorm(g, product, alpha, pair_cap=pair_cap)
         norms.append(float(np.max(np.abs(g))) + semi)
     logs = np.log(np.maximum(norms, 1e-300))

@@ -612,9 +612,6 @@ class SingularValueSequence:
             raise ValueError("singular values must be nonincreasing")
         object.__setattr__(self, "mu", np.maximum(m, 0.0))
 
-    def __len__(self):
-        return len(self.mu)
-
     def to_csv(self) -> str:
         lines = [f"# {self.provenance}", "k,mu"]
         lines += [f"{k},{v:.12g}" for k, v in enumerate(self.mu)]

@@ -90,7 +90,3 @@ def format_rational(x: int | Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)

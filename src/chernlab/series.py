@@ -12,7 +12,7 @@ from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
-from .scalars import QGauss, format_rational, parse_rational
+from .scalars import QGauss, format_rational
 
 CircleIndex = int
 TorusIndex = Tuple[int, int]
@@ -44,10 +44,6 @@ class BoundedSequence:
         vals = tuple(values)
         bound = max((abs(complex(v)) for v in vals), default=0.0)
         return BoundedSequence(lambda k: vals[k] if k < len(vals) else 0.0, bound)
-
-    @staticmethod
-    def from_function(rule: Callable[[int], complex], bound: float) -> "BoundedSequence":
-        return BoundedSequence(rule, bound)
 
     def __call__(self, k: int):
         if k < 0:
@@ -122,9 +118,6 @@ class FourierSeries:
     def support(self):
         return set(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def max_frequency(self) -> int:
         """Largest coordinate magnitude in the support (0 for the zero series)."""
         if not self.coeffs:
@@ -138,19 +131,6 @@ class FourierSeries:
     def _check_domain(self, other: "FourierSeries"):
         if self.domain != other.domain:
             raise ValueError(f"domain mismatch: {self.domain} vs {other.domain}")
-
-    def __add__(self, other: "FourierSeries") -> "FourierSeries":
-        self._check_domain(other)
-        exact = self.exact and other.exact
-        out: Dict[FrequencyIndex, object] = {}
-        for k in set(self.coeffs) | set(other.coeffs):
-            a = _coerce_coeff(self.coeff(k), exact)
-            b = _coerce_coeff(other.coeff(k), exact)
-            out[k] = a + b
-        return FourierSeries(self.domain, out, exact)
-
-    def __sub__(self, other: "FourierSeries") -> "FourierSeries":
-        return self + other.scale(-1)
 
     def scale(self, scalar) -> "FourierSeries":
         exact = self.exact and isinstance(scalar, (int, Fraction, QGauss))
@@ -184,10 +164,6 @@ class FourierSeries:
         return FourierSeries(
             self.domain, {k: v.to_complex() for k, v in self.coeffs.items()}, False)
 
-    def key(self):
-        """A hashable canonical form (for use as dict keys in chains)."""
-        return self._key
-
     def __eq__(self, other):
         if not isinstance(other, FourierSeries):
             return NotImplemented
@@ -219,11 +195,10 @@ def multiply(f: FourierSeries, g: FourierSeries) -> FourierSeries:
     """Pointwise product, realized as convolution of coefficient maps."""
     f._check_domain(g)
     exact = f.exact and g.exact
+    fc, gc = (f.coeffs, g.coeffs) if exact else (f.to_float().coeffs, g.to_float().coeffs)
     out: Dict[FrequencyIndex, object] = {}
-    for kf, vf in f.coeffs.items():
-        vf = _coerce_coeff(vf, exact)
-        for kg, vg in g.coeffs.items():
-            vg = _coerce_coeff(vg, exact)
+    for kf, vf in fc.items():
+        for kg, vg in gc.items():
             k = kf + kg if f.domain == "circle" else (kf[0] + kg[0], kf[1] + kg[1])
             cur = out.get(k)
             out[k] = vf * vg if cur is None else cur + vf * vg
@@ -285,7 +260,7 @@ def series_from_text(text: str) -> FourierSeries:
             k = (int(parts[0]), int(parts[1]))
             re_s, im_s = parts[2], parts[3]
         if exact:
-            coeffs[k] = QGauss(parse_rational(re_s), parse_rational(im_s))
+            coeffs[k] = QGauss(Fraction(re_s), Fraction(im_s))
         else:
             coeffs[k] = complex(float(re_s), float(im_s))
     return FourierSeries(domain, coeffs, exact)

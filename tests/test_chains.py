@@ -117,7 +117,7 @@ class TestPairing:
                                        fast_path_partial_sums)
         from chernlab.tracemean import LogMeanSeries, dyadic_schedule
 
-        alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+        alt = BoundedSequence(lambda j: (-1.0) ** j, 1.0)
         a0 = lacunary_series(alt, 0.25, 10).exactify()
         a2 = lacunary_series(BoundedSequence.constant(1.0), 0.25, 10).exactify()
         quad = [a0, a0.star(), a2, a2.star()]

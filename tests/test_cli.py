@@ -24,6 +24,13 @@ class TestConfigValidation:
         assert cfg["m_max"] == 12 and isinstance(cfg["m_max"], int)
         assert cfg["kappa_rel_tol"] == 0.5
 
+    def test_every_default_is_int_or_float(self):
+        # validate_config parses a value as type(default)(raw), which a bool
+        # key would get wrong: bool("false") is True
+        bad = {(spec.name, key): type(v).__name__ for spec in REGISTRY.values()
+               for key, v in spec.defaults.items() if type(v) not in (int, float)}
+        assert not bad
+
     def test_unparseable_value_rejected(self):
         spec = REGISTRY["compmpmpnpanf-calibration"]
         with pytest.raises(ConfigError):

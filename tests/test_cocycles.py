@@ -21,8 +21,8 @@ from chernlab.cocycles import (CocycleConsistencyError, FredholmModuleSpec,
                                fast_path_partial_sums, holomorphy_type,
                                pairing_normalization, szego_pair_diagonal,
                                torus_diagonal_kernel, torus_diagonal_operator)
-from chernlab.experiments import (_IDENTITY_BLOCK, _modulus_one_identity_error,
-                                  _sequence_by_name)
+from chernlab.experiments import (SEQUENCES, _IDENTITY_BLOCK,
+                                  _modulus_one_identity_error)
 from chernlab.tracemean import diagonal_of, dyadic_schedule, log_mean
 
 Z = FourierSeries.monomial(1)
@@ -222,7 +222,7 @@ class TestFastPath:
             assert got == pytest.approx(brute, abs=1e-12)
 
     def test_wedge_limit_on_lacunary_quadruple(self):
-        alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+        alt = BoundedSequence(lambda j: (-1.0) ** j, 1.0)
         a0 = lacunary_series(alt, 0.25, 40)
         a2 = lacunary_series(BoundedSequence.constant(1.0), 0.25, 40)
         ev = eval_c_omega_wedge(SPEC3, [a0, a0.star(), a2, a2.star()],
@@ -260,7 +260,7 @@ class TestWedgeOperatorPath:
         # the paths sum different parts of one double series: the diagonal
         # rows n < N (operator) and the input frequencies k < N (fast),
         # which is why check 2b fails at every cap
-        alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+        alt = BoundedSequence(lambda j: (-1.0) ** j, 1.0)
         a0 = lacunary_series(alt, 0.25, cap)
         a2 = lacunary_series(BoundedSequence.constant(1.0), 0.25, cap)
         quad = [a0, a0.star(), a2, a2.star()]
@@ -275,7 +275,7 @@ class TestWedgeOperatorPath:
         # still disagree, because they sum different parts of one double
         # series (test_both_paths_equal_their_closed_forms), so only the
         # order of magnitude is pinned here
-        alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+        alt = BoundedSequence(lambda j: (-1.0) ** j, 1.0)
         a0 = lacunary_series(alt, 0.25, 6)
         a2 = lacunary_series(BoundedSequence.constant(1.0), 0.25, 6)
         quad = [a0, a0.star(), a2, a2.star()]
@@ -288,7 +288,7 @@ class TestWedgeOperatorPath:
     def test_shared_products_equal_per_permutation_diagonals(self):
         # the evaluator forms each sparse product once; summing diagonal_of
         # over the six full five-factor products must give the same bits
-        alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+        alt = BoundedSequence(lambda j: (-1.0) ** j, 1.0)
         a0 = lacunary_series(alt, 0.25, 6)
         a2 = lacunary_series(BoundedSequence.constant(1.0), 0.25, 6)
         quad = [a0, a0.star(), a2, a2.star()]
@@ -325,7 +325,7 @@ class TestChCC:
 
 class TestSzegoClosedForm:
     def test_matches_brute_double_sum(self):
-        c1 = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+        c1 = BoundedSequence(lambda j: (-1.0) ** j, 1.0)
         c2 = BoundedSequence.constant(1.0)
         d = szego_pair_diagonal(c1, c2, 8, 300)
         for k in (0, 1, 2, 5, 17, 128, 299):
@@ -342,7 +342,7 @@ class TestSzegoClosedForm:
                                       "threequarter-alternating",
                                       "dyadic-block-alternating"])
     def test_run_sums_equal_fsum_of_dense(self, name):
-        seq, _ = _sequence_by_name(name)
+        seq, _ = SEQUENCES[name]
         d = szego_pair_diagonal(seq, BoundedSequence.constant(1.0), 20, 1 << 14)
         assert d.lengths is not None
         dense = d.dense()
@@ -351,7 +351,7 @@ class TestSzegoClosedForm:
             assert v.imag == math.fsum(dense.imag[:n]) / math.log(2 + n)
 
     def test_run_sums_inside_a_run(self):
-        c1 = BoundedSequence.from_function(lambda j: (0.5 + 1j) ** (j % 3), 1.3)
+        c1 = BoundedSequence(lambda j: (0.5 + 1j) ** (j % 3), 1.3)
         d = szego_pair_diagonal(c1, BoundedSequence.constant(1.0), 20, 300)
         dense = d.dense()
         for n, v in log_mean(d, [100, 257]).checkpoints:

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
-from chernlab.metric import (DiagonalCutoff, SampledMetricSpace, _offset_ladder,
-                             chi_profile, delta_alpha, diagonal_decay_experiment,
+from chernlab.metric import (SampledMetricSpace, _offset_ladder, chi_profile,
+                             delta_alpha, diagonal_decay_experiment,
                              estimate_holder_seminorm)
 
 
@@ -22,13 +22,9 @@ class TestCutoff:
         assert np.all((0.0 <= v) & (v <= 1.0))
 
     def test_cutoff_scales_with_j(self):
-        c = DiagonalCutoff(10)
-        assert c.on_distance(0.005) == 1.0
-        assert c.on_distance(0.2) == 0.0
-
-    def test_j_must_be_positive(self):
-        with pytest.raises(ValueError):
-            DiagonalCutoff(0)
+        # Delta_j(d) = chi(j d) is 1 for j d <= 0.1 and 0 from j d >= 1 on
+        assert chi_profile(10 * 0.005) == 1.0
+        assert chi_profile(10 * 0.2) == 0.0
 
 
 class TestSeminorm:
@@ -66,7 +62,7 @@ class TestSeminorm:
         # the grid estimate stabilizes once the truncation level passes the
         # grid resolution; the stabilized value is pinned as a regression
         # constant for the alternating-sign series at its own exponent
-        alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+        alt = BoundedSequence(lambda j: (-1.0) ** j, 1.0)
         x = SampledMetricSpace.circle(4096)
         values = [estimate_holder_seminorm(lacunary_series(alt, 0.25, lv), x, 0.25)
                   for lv in (16, 18, 20)]
@@ -221,7 +217,12 @@ class TestBandedTorusScan:
         if "truncated" in case:
             assert est.truncated
 
+    # the peak second from the band's upper end, beside a near-equal end
+    # diagonal, meets a dead diagonal at a shift whose e is not its nearest:
+    # only the (i - e) % m >= w half of the dead-partner table sees it
     @given(_banded_grid(), st.sampled_from([0.3, 1.0]))
+    @example((_constant_diagonals(40, {5: 9.9, 6: 9.9, 7: 9.9, 8: 9.9, 9: 10, 10: 9.9}),
+              10_000_000), 1.0)
     @settings(max_examples=200, deadline=None)
     def test_random_bands_match_rolled_scan(self, grid, alpha):
         vals, cap = grid
@@ -313,6 +314,17 @@ class TestDeltaAlpha:
             + f.evaluate(a) * delta_alpha(g, x, 0.5, (a, b))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_torus_pair_uses_the_max_arc(self):
+        f = FourierSeries("torus", {(1, 0): 1.0, (0, -2): 0.5j}, False)
+        x = SampledMetricSpace.torus(16)
+        a, b = (0.1, 1.0), (6.2, 4.0)  # arcs 2 pi - 6.1 and 3.0
+
+        def value(p):
+            return np.exp(1j * p[0]) + 0.5j * np.exp(-2j * p[1])
+
+        expected = (value(a) - value(b)) / 3.0 ** 0.5
+        assert delta_alpha(f, x, 0.5, (a, b)) == pytest.approx(expected, abs=1e-12)
+
     def test_coincident_points_rejected(self):
         f = FourierSeries.monomial(1, exact=False)
         with pytest.raises(ValueError):
@@ -382,13 +394,14 @@ class TestDecayExperiment:
 
     @pytest.mark.parametrize("js, match", [
         ([0, 2, 4], "j must be >= 1"),
+        ([2, -1, 4], "j must be >= 1"),
         ([4], "at least two distinct"),
         ([4, 4], "at least two distinct"),
         ([], "at least two distinct"),
     ])
     def test_schedule_without_two_cutoffs_is_rejected(self, monkeypatch, js, match):
         # rejected before any seminorm scan: an empty schedule is not the
-        # default one, and j = 0 is caught by DiagonalCutoff, not by LAPACK
+        # default one, and j = 0 is caught by the schedule check, not by LAPACK
         import chernlab.metric as metric
         monkeypatch.setattr(metric, "estimate_holder_seminorm", None)
         f = lacunary_series(BoundedSequence.constant(1.0), 0.9, 5)

@@ -691,6 +691,12 @@ class TestSingularValues:
         _, tail = weak_quasinorm(sv, 2.0)
         assert tail == 0.0
 
+    def test_zero_operator(self):
+        # a constant commutes with the projector: no entries, all zeros
+        const = FourierSeries("circle", {0: 2.0}, False)
+        sv = singular_values(commutator(OperatorModel("szego_P"), const, 8), 5)
+        assert np.array_equal(sv.mu, np.zeros(5)) and sv.provenance == "zero operator"
+
     @pytest.mark.parametrize("level, name, count, method", [
         (6, "ones", 80, "dense"),
         (9, "ones", 512, "dense"),
@@ -700,7 +706,7 @@ class TestSingularValues:
     ])
     def test_both_branches_match_hankel_recursion(self, level, name, count, method):
         seq = {"ones": BoundedSequence.constant(1.0),
-               "alternating": BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0),
+               "alternating": BoundedSequence(lambda j: (-1.0) ** j, 1.0),
                "random": BoundedSequence.from_list(
                    np.random.default_rng(17).standard_normal(level + 1))}[name]
         a = lacunary_series(seq, 0.5, level)

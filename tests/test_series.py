@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from chernlab.scalars import QGauss, format_rational, parse_rational
+from chernlab.scalars import QGauss, format_rational
 from chernlab.series import (BoundedSequence, FourierSeries, cross,
                              lacunary_series, multiply, series_from_text,
                              series_to_text)
@@ -55,8 +55,6 @@ class TestScalars:
     def test_rational_text(self):
         assert format_rational(Fraction(-7, 3)) == "-7/3"
         assert format_rational(-7) == "-7"
-        assert parse_rational("-7/3") == Fraction(-7, 3)
-        assert parse_rational("5") == Fraction(5)
 
 
 class TestSeriesAlgebra:
@@ -113,7 +111,6 @@ class TestSeriesAlgebra:
     def test_stored_key_ignores_insertion_order(self, a):
         rebuilt = FourierSeries(a.domain, dict(reversed(list(a.coeffs.items()))), a.exact)
         assert rebuilt == a and hash(rebuilt) == hash(a)
-        assert rebuilt.key() == a.key()
 
     def test_torus_cross(self):
         assert cross((1, 0), (0, 1)) == 1
@@ -123,7 +120,7 @@ class TestSeriesAlgebra:
 
 class TestLacunary:
     def test_coefficients_sit_on_powers_of_two(self):
-        c = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+        c = BoundedSequence(lambda j: (-1.0) ** j, 1.0)
         f = lacunary_series(c, 0.5, 6)
         assert sorted(f.support()) == [2 ** j for j in range(7)]
         assert complex(f.coeff(8)) == pytest.approx((-1) ** 3 * 2 ** -1.5)
@@ -138,7 +135,7 @@ class TestLacunary:
             lacunary_series(ones, 0.5, 70)
 
     def test_bounded_sequence_enforces_bound(self):
-        seq = BoundedSequence.from_function(lambda j: float(j), 4.0)
+        seq = BoundedSequence(lambda j: float(j), 4.0)
         with pytest.raises(ValueError):
             seq(10)
 
@@ -150,7 +147,7 @@ class TestLacunary:
         assert [listed(k) for k in range(5)] == [1.0, -3.0, 2.0j, 0.0, 0.0]
         assert listed.bound == 3.0
         assert BoundedSequence.from_list([]).bound == 0.0
-        alt = BoundedSequence.from_function(lambda j: (-1.0) ** j, 1.0)
+        alt = BoundedSequence(lambda j: (-1.0) ** j, 1.0)
         assert [alt(k) for k in range(4)] == [1.0, -1.0, 1.0, -1.0]
         with pytest.raises(IndexError):
             listed(-1)
