@@ -143,8 +143,19 @@ def _frequency_index(domain: str, bound: int, pos: np.ndarray) -> list:
     return list(zip((k1 - bound).tolist(), (k2 - bound).tolist()))
 
 
+# An operator keeps an int64 indptr with one entry per window row, and its
+# diagonals one complex128 entry per row, so a window with more rows than
+# this (256 MiB of indptr) is refused before any row-length array is made.
+MAX_WINDOW_DIM = 1 << 25
+
+
 def _dim(domain: str, bound: int) -> int:
-    return 2 * bound + 1 if domain == "circle" else (2 * bound + 1) ** 2
+    """The number of window rows; raises ValueError past MAX_WINDOW_DIM."""
+    n = 2 * bound + 1 if domain == "circle" else (2 * bound + 1) ** 2
+    if n > MAX_WINDOW_DIM:
+        raise ValueError(f"a {domain} window of bound {bound} has {n} rows, more than "
+                         f"MAX_WINDOW_DIM = {MAX_WINDOW_DIM}; use a smaller window")
+    return n
 
 
 def _concat(parts: list, dtype) -> np.ndarray:
@@ -332,12 +343,13 @@ def _rows(indptr: np.ndarray) -> np.ndarray:
     return np.cumsum(np.bincount(indptr[1:-1], minlength=nnz + 1)[:nnz])
 
 
-def _dense(csr: tuple, shape: tuple) -> np.ndarray:
-    """The dense matrix of a CSR triple; entries are added to zero, so a
-    signed zero reads as +0."""
+def _dense(csr: tuple, shape: tuple, real: bool = False) -> np.ndarray:
+    """The dense matrix of a CSR triple, complex128, or float64 from the
+    real parts when real; entries are added to zero, so a signed zero
+    reads as +0."""
     indptr, cols, vals = csr
-    out = np.zeros(shape, np.complex128)
-    out[_rows(indptr), cols] += vals
+    out = np.zeros(shape, np.float64 if real else np.complex128)
+    out[_rows(indptr), cols] += vals.real if real else vals
     return out
 
 
@@ -424,6 +436,7 @@ def commutator(op: OperatorModel, a: FourierSeries, bound: int) -> SparseOperato
     """
     if op.domain != a.domain:
         raise ValueError(f"domain mismatch: operator {op.domain} vs series {a.domain}")
+    _dim(op.domain, bound)  # an oversized window raises before any array is made
     if op.domain == "circle":
         return _commutator_circle(op, a, bound, a.max_frequency())
     return _commutator_torus(op, a, bound, a.max_frequency())
@@ -473,6 +486,7 @@ def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int,
 
 def multiplication_operator(a: FourierSeries, bound: int) -> SparseOperator:
     """The matrix of M_a on the box window: entry (c+f, c) = a_f."""
+    _dim(a.domain, bound)  # an oversized window raises before any array is made
     bands = [(_band(a.domain, bound, f), coeff) for f, coeff in a.coeffs.items()]
     return SparseOperator.from_entries(
         a.domain, bound, a.max_frequency(),
@@ -630,8 +644,12 @@ def singular_values(a: SparseOperator, count: int) -> SingularValueSequence:
     takes a dense SVD; one with min(shape) <= GRAM_EIG_DIM takes a dense
     symmetric eigensolve of its smaller Gram matrix, formed by the CSR
     product kernel.  A larger one raises ValueError before any matrix is
-    built.  The test suite checks both branches against the
-    closed-form spectrum of a lacunary Hankel commutator.
+    built.  The Gram is float64 when its sparse product is real and
+    complex128 otherwise, so a real operator costs n^2 * 8 bytes for the
+    Gram plus as much for the eigensolver's copy: about 1.3 GB at
+    n = GRAM_EIG_DIM, and twice that for a complex one.  The test suite
+    checks both branches against the closed-form spectrum of a lacunary
+    Hankel commutator.
     """
     if len(a.vals) == 0:
         return SingularValueSequence(np.zeros(count), "zero operator")
@@ -648,10 +666,12 @@ def singular_values(a: SparseOperator, count: int) -> SingularValueSequence:
         method = "dense"
     else:
         adj = _csr(ci, ri, np.conj(a.vals), (nc, nr))
-        g = (_dense(_matmul(mat, adj, nr), (nr, nr)) if nr <= nc
-             else _dense(_matmul(adj, mat, nc), (nc, nc)))
-        if np.max(np.abs(g.imag)) == 0.0:
-            g = g.real
+        gram = _matmul(mat, adj, nr) if nr <= nc else _matmul(adj, mat, nc)
+        n = min(nr, nc)
+        # the sparse product decides whether the Gram is real: a real one is
+        # scattered straight into float64, the same bits as the real part of
+        # the complex dense matrix at half its size
+        g = _dense(gram, (n, n), real=np.all(gram[2].imag == 0))
         mu = np.sqrt(np.clip(np.linalg.eigvalsh(g), 0.0, None))
         method = "gram eigensolver"
     # beyond the rank of the windowed operator the singular values are

@@ -94,6 +94,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name, overrides", [
         ("svd-decay-szego", ["window_log2=14", "level_cap=14"]),
+        ("svd-decay-szego", ["window_log2=40"]),
+        ("svd-decay-szego", ["window_log2=62"]),
         ("approxomtienri-decay", ["j_max_log2=8"]),
         ("fourtedo-limit", ["m_max=3"]),
         ("fourtedo-operator-crosscheck", ["m_max=3"]),
@@ -122,7 +124,7 @@ class TestExitCodes:
     ])
     def test_unrunnable_config_returns_two(self, tmp_path, capsys, name, overrides):
         # each raises ValueError before any heavy work: an oversized
-        # spectrum, a cutoff that vanishes on the grid, an empty checkpoint
+        # spectrum or window, a cutoff that vanishes on the grid, an empty checkpoint
         # schedule (m_min > m_max, never replaced by a default), no torus
         # shell, an empty diagonal window, more distinct frequencies than
         # the degree has, a non-finite float, a negative tolerance,

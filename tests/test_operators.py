@@ -1,6 +1,7 @@
 """Sparse operator assembly against dense oracles, window-leakage
 accounting, singular values, and the torus phase kernel."""
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from chernlab.cocycles import _phase_products
 from chernlab.experiments import run_experiment
 from chernlab.scalars import QGauss
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
-from chernlab.operators import (OperatorModel, SparseOperator,
+from chernlab.operators import (OperatorModel, SingularValueSequence, SparseOperator,
                                 WindowLeakageError, _matmul, _product_diagonal,
                                 _squarefree_product, _squarefree_split,
                                 commutator, compose, exact_bound,
@@ -673,6 +674,24 @@ def hankel_singular_values(coeffs) -> np.ndarray:
     return np.sort(np.abs(lam))[::-1]
 
 
+def _real_sequence(name: str, level: int) -> BoundedSequence:
+    return {"ones": BoundedSequence.constant(1.0),
+            "alternating": BoundedSequence(lambda j: (-1.0) ** j, 1.0),
+            "random": BoundedSequence.from_list(
+                np.random.default_rng(17).standard_normal(level + 1))}[name]
+
+
+def _gram(op: SparseOperator) -> tuple:
+    """The CSR triple of the smaller Gram matrix of op compressed to its
+    nonzero rows and columns, as singular_values forms it."""
+    _, ri = np.unique(operators._rows(op.indptr), return_inverse=True)
+    _, ci = np.unique(op.cols, return_inverse=True)
+    nr, nc = ri.max() + 1, ci.max() + 1
+    mat = operators._csr(ri, ci, op.vals, (nr, nc))
+    adj = operators._csr(ci, ri, np.conj(op.vals), (nc, nr))
+    return _matmul(mat, adj, nr) if nr <= nc else _matmul(adj, mat, nc)
+
+
 class TestSingularValues:
     def test_matches_dense_svd(self):
         ones = BoundedSequence.constant(1.0)
@@ -705,16 +724,57 @@ class TestSingularValues:
         (11, "ones", 512, "gram eigensolver"),
     ])
     def test_both_branches_match_hankel_recursion(self, level, name, count, method):
-        seq = {"ones": BoundedSequence.constant(1.0),
-               "alternating": BoundedSequence(lambda j: (-1.0) ** j, 1.0),
-               "random": BoundedSequence.from_list(
-                   np.random.default_rng(17).standard_normal(level + 1))}[name]
-        a = lacunary_series(seq, 0.5, level)
+        a = lacunary_series(_real_sequence(name, level), 0.5, level)
         sv = singular_values(commutator(OperatorModel("szego_P"), a, 2 ** level), count)
         want = hankel_singular_values([a.coeffs[2 ** k].real for k in range(level + 1)])
         want = np.concatenate([want, np.zeros(max(0, count - len(want)))])[:count]
         assert sv.provenance.startswith(method + " svd")
         assert np.max(np.abs(sv.mu - want)) <= 1e-12
+
+    def test_complex_gram_matches_dense_svd(self):
+        # c_k = e^{ik}: the Gram of the level-10 commutator has 1024 rows and
+        # a sparse product with imaginary parts up to about 0.6
+        seq = BoundedSequence(lambda k: complex(math.cos(k), math.sin(k)), 1.0)
+        a = lacunary_series(seq, 0.5, 10)
+        c = commutator(OperatorModel("szego_P"), a, 2 ** 10)
+        sv = singular_values(c, 1024)
+        m = dense_circle(c, 2 ** 10)
+        m = m[np.any(m != 0, axis=1)][:, np.any(m != 0, axis=0)]
+        assert np.max(np.abs(_gram(c)[2].imag)) > 0.5
+        want = np.linalg.svd(m, compute_uv=False)[:1024]
+        assert sv.provenance.startswith("gram eigensolver svd")
+        assert np.max(np.abs(sv.mu - want)) <= 1e-12
+
+    @pytest.mark.parametrize("level", [10, 11])
+    @pytest.mark.parametrize("name", ["ones", "alternating", "random"])
+    def test_real_gram_has_the_complex_gram_bits(self, level, name):
+        a = lacunary_series(_real_sequence(name, level), 0.5, level)
+        c = commutator(OperatorModel("szego_P"), a, 2 ** level)
+        # the eigensolve of the real part of the complex dense Gram
+        gram = _gram(c)
+        n = len(gram[0]) - 1
+        g = operators._dense(gram, (n, n))
+        assert np.max(np.abs(g.imag)) == 0.0
+        mu = np.sqrt(np.clip(np.linalg.eigvalsh(g.real), 0.0, None))
+        want = SingularValueSequence(np.sort(mu)[::-1][:512], "")
+        sv = singular_values(c, 512)
+        assert sv.provenance.startswith("gram eigensolver svd")
+        assert sv.mu.tobytes() == want.mu.tobytes()
+
+    def test_real_gram_peak_memory(self):
+        # one float64 Gram (n^2 * 8 bytes) and little else; numpy's own
+        # eigensolver workspace is not traced
+        a = lacunary_series(BoundedSequence.constant(1.0), 0.5, 11)
+        c = commutator(OperatorModel("szego_P"), a, 2 ** 11)
+        n = len(_gram(c)[0]) - 1
+        assert n == 2048
+        tracemalloc.start()
+        try:
+            singular_values(c, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8
 
     def test_oversized_operator_raises(self):
         a = lacunary_series(BoundedSequence.constant(1.0), 0.5, 14)
