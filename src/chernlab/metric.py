@@ -7,7 +7,7 @@ refinement is the operational test for non-membership in a Holder class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
@@ -21,6 +21,17 @@ __all__ = [
 ]
 
 PAIR_CAP_DEFAULT = 10_000_000
+# a pruning bound is widened to bound * _MARGIN + _SLACK before it is
+# compared (see estimate_holder_seminorm)
+_MARGIN = 1.0 + 1e-9
+_SLACK = 1e-300
+
+# A grid's sample array holds one complex128 per point, m on the circle and
+# m^2 on the product grid, and the decay experiment holds a few more M x M
+# arrays beside it (about 64 MiB each at this budget), so a grid with more
+# points than this is refused before any array is made.  It admits the
+# product grid of M = 2048, twice the catalog default.
+MAX_GRID_POINTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -40,6 +51,11 @@ class SampledMetricSpace:
             raise ValueError(f"unknown metric space kind {self.kind!r}")
         if self.size < 2:
             raise ValueError("grid needs at least 2 points")
+        points = self.size if self.kind == "circle_grid" else self.size ** 2
+        if points > MAX_GRID_POINTS:
+            raise ValueError(f"a {self.kind} of size {self.size} has {points} points, "
+                             f"more than MAX_GRID_POINTS = {MAX_GRID_POINTS}; "
+                             f"use a smaller grid")
 
     @staticmethod
     def circle(m: int) -> "SampledMetricSpace":
@@ -82,6 +98,9 @@ class SeminormEstimate:
     value: float
     truncated: bool
     pairs_used: int
+    # work done, not part of the result: an exponent list prunes less than
+    # a single exponent, and both estimates compare equal
+    pairs_differenced: int = field(compare=False)
 
 
 def _offset_ladder(max_off: int, budget: int) -> tuple:
@@ -138,19 +157,58 @@ def _skewed_band(vals: np.ndarray) -> np.ndarray:
     return vals[a, (a + c0 + np.arange(w)[:, None]) % m]
 
 
-def _circle_scan(vals: np.ndarray, x: SampledMetricSpace, pair_cap: int) -> tuple:
-    """(max |f(a) - f(a + o)|, arc(o)) per scanned offset o, whether the
-    cap truncated the offsets, and the pairs scanned."""
+def _peak(vals: np.ndarray, axis=None):
+    """max |vals| (per row for axis=1); ValueError on a nan or infinite
+    sample, which max() would otherwise drop from the search or keep as inf."""
+    peak = np.abs(vals).max(axis=axis, initial=0.0)
+    if not np.all(np.isfinite(peak)):
+        raise ValueError("the grid values hold a nan or infinite sample")
+    return peak
+
+
+def _pruned(bound: float, powers: list, best: list) -> bool:
+    """Whether a shift with this widened bound on its difference and these
+    distance powers d^alpha cannot raise the best of any exponent."""
+    return all(bound / p <= b for p, b in zip(powers, best))
+
+
+def _updated_best(best: list, diff, powers: list) -> list:
+    return [max(b, diff / p) for b, p in zip(best, powers)]
+
+
+def _circle_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
+                 pair_cap: int) -> tuple:
+    """max |f(a) - f(a + o)| / arc(o)^alpha over the scanned offsets o, per
+    exponent; whether the cap truncated the offsets; the pairs covered and
+    the pairs differenced."""
     m = x.size
     offsets, truncated = _offset_ladder(m // 2, max(1, pair_cap // m))
     # twice[o:o + m][a] = vals[(a + o) mod m]: one slice per offset
     twice = np.concatenate([vals, vals])
-    scan = [(np.abs(vals - twice[o:o + m]).max(), arc)
-            for o, arc in zip(offsets, x.arc(offsets).tolist())]
-    return scan, truncated, len(offsets) * m
+    # D(p + q) <= D(p) + D(q) for the offset maxima D; a skipped offset
+    # keeps its bound in place of D
+    seen = {}
+    cap = 2.0 * _peak(vals)
+    best, differenced = [0.0] * len(alphas), 0
+    for o, arc in zip(offsets, x.arc(offsets).tolist()):
+        powers = [arc ** a for a in alphas]
+        bound = cap
+        if o - 1 in seen:
+            bound = min(bound, seen[1] + seen[o - 1])
+        if o // 2 in seen and o - o // 2 in seen:
+            bound = min(bound, seen[o // 2] + seen[o - o // 2])
+        bound = bound * _MARGIN + _SLACK
+        if _pruned(bound, powers, best):
+            seen[o] = bound
+            continue
+        seen[o] = diff = np.abs(vals - twice[o:o + m]).max()
+        best = _updated_best(best, diff, powers)
+        differenced += 1
+    return best, truncated, len(offsets) * m, differenced * m
 
 
-def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, pair_cap: int) -> tuple:
+def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
+                pair_cap: int) -> tuple:
     """As _circle_scan for the shifts (o1, o2) of the product grid, in
     skewed band coordinates (see estimate_holder_seminorm)."""
     m = x.size
@@ -163,28 +221,42 @@ def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, pair_cap: int) -> tuple
     arcs2 = x.arc(offs2_signed).tolist()
     band = _skewed_band(vals)
     w = band.shape[0]
+    rowmax = _peak(band, axis=1)
     # band row i meets row i + e (mod m) of the row-shifted band; a row
     # whose partner falls outside the band meets zeros, so dead[e] is the
     # largest max |s| over the rows i with (i + e) or (i - e) mod m >= w
     rows, shifts = np.arange(w), np.arange(m)[:, None]
-    dead = np.where(((rows + shifts) % m >= w) | ((rows - shifts) % m >= w),
-                    np.abs(band).max(axis=1), 0.0).max(axis=1, initial=0.0)
+    partner = (rows + shifts) % m
+    dead = np.where((partner >= w) | ((rows - shifts) % m >= w),
+                    rowmax, 0.0).max(axis=1, initial=0.0)
+    # |s - t| <= |s| + |t|, so bound[e] caps the difference at shift e; a
+    # dead partner's max |s| is 0 and each live row's term is at least its
+    # own max |s|, so the bound covers dead[e] too
+    padded = np.zeros(m)
+    padded[:w] = rowmax
+    bound = (rowmax + padded[partner]).max(axis=1, initial=0.0)
+    bound = (bound * _MARGIN + _SLACK).tolist()
     # twice[:, o1:o1 + m][i, a] = band[i, (a + o1) mod m]: one slice per o1
     twice = np.concatenate([band, band], axis=1)
-    scan = []
+    best, scanned, differenced = [0.0] * len(alphas), 0, 0
     for o1, arc1 in zip(offs1, x.arc(offs1).tolist()):
         rolled = twice[:, o1:o1 + m]
         for o2, arc2 in zip(offs2_signed, arcs2):
             if o1 == 0 and o2 <= 0:
                 continue
+            scanned += 1
             e = (o2 - o1) % m
+            powers = [max(arc1, arc2) ** a for a in alphas]
+            if _pruned(bound[e], powers, best):
+                continue
             diff = dead[e]
             if e < w:
                 diff = max(diff, np.abs(band[:w - e] - rolled[e:]).max())
             if m - e < w:
                 diff = max(diff, np.abs(band[m - e:] - rolled[:w + e - m]).max())
-            scan.append((diff, max(arc1, arc2)))
-    return scan, t1 or t2, len(scan) * m * m
+            best = _updated_best(best, diff, powers)
+            differenced += 1
+    return best, t1 or t2, scanned * m * m, differenced * m * m
 
 
 def estimate_holder_seminorm(f, x: SampledMetricSpace,
@@ -196,12 +268,14 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace,
     alpha is one exponent, or a sequence of them: a sequence gives a list
     with one result per exponent, all from one scan, since the maxima of
     |f(a) - f(b)| per grid offset do not depend on the exponent.  Each
-    equals the single-exponent call bit for bit.
+    equals the single-exponent call bit for bit.  A nan or infinite grid
+    value raises ValueError.
 
     Enumerates all pairs when they fit under pair_cap, otherwise samples
     near-diagonal-prioritized offsets; the estimate reports whether the cap
-    truncated the search (pairs_used counts every grid pair of every
-    offset scanned).
+    truncated the search.  pairs_used counts every grid pair of every
+    offset covered; pairs_differenced counts those of the offsets whose
+    differences were taken (see the pruning below).
 
     On the product grid the scan runs in skewed coordinates
     s[k, a] = f(a, a + k), where the shift (o1, o2) moves each diagonal
@@ -213,6 +287,22 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace,
     the dense maximum exactly because a - 0 and 0 - b are exact.  A
     function supported near the diagonal thus costs its band width, not m,
     per shift, and gives the same value as the dense scan bit for bit.
+
+    Pruning: each scan keeps the running best of diff / d^alpha per
+    exponent and, before differencing a shift, bounds its difference from
+    above: on the product grid by the largest max|s| on a band row plus
+    max|s| on its partner row (0 on a dead one), a table over e computed
+    once per scan that also covers dead[e]; on the circle by subadditivity,
+    D(o) <= D(1) + D(o - 1) and D(o) <= D(floor(o/2)) + D(ceil(o/2)) over
+    offsets already visited (a skipped offset keeps its bound in place of
+    D), capped at 2 max|f|.  A shift is skipped when its bound, over d^alpha,
+    cannot exceed the running best of any exponent.  The bound carries a
+    relative margin of 1e-9 and an absolute one of 1e-300, far above the
+    rounding of the differences, the sums and the abs (a few units in the
+    last place, absolute ones among subnormals), so a skipped shift's
+    quotient, computed, is at most its bound's.  The quotients still
+    computed are the same floats as without pruning and max is exact, so
+    every value, truncated and pairs_used is unchanged bit for bit.
     """
     single = np.ndim(alpha) == 0
     alphas = [alpha] if single else list(alpha)
@@ -224,13 +314,9 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace,
         raise ValueError(f"pair_cap={pair_cap} must be at least 1")
     vals = _values_on_grid(f, x)
     scan_grid = _circle_scan if x.kind == "circle_grid" else _torus_scan
-    scan, truncated, used = scan_grid(vals, x, pair_cap)
-    out = []
-    for a in alphas:
-        best = 0.0
-        for diff, dist in scan:
-            best = max(best, diff / dist ** a)
-        out.append(SeminormEstimate(best, truncated, used) if details else best)
+    best, truncated, used, differenced = scan_grid(vals, x, alphas, pair_cap)
+    out = [SeminormEstimate(b, truncated, used, differenced) if details else b
+           for b in best]
     return out[0] if single else out
 
 
@@ -296,6 +382,7 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
                          f"got {j_schedule}")
     gamma = min(1.0 - alpha / beta, beta - alpha)
     m = x.size
+    product = SampledMetricSpace.torus(m)
     empty = [j for j in j_schedule if chi_profile(j * x.arc(1)) == 0]
     if empty:
         raise ValueError(f"cutoffs j={empty} vanish at the nearest grid "
@@ -313,7 +400,6 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
     folded = np.minimum(off, m - off)
     arcs = x.arc(np.arange(m // 2 + 1))
     gdiff = fv[None, :] - fv[:, None]
-    product = SampledMetricSpace.torus(m)
     norms = []
     for j in j_schedule:
         g = chi_profile(j * arcs)[folded] * gdiff

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,22 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "at least two" in err
+        assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize("name, grid", [
+        ("approxomtienri-decay", 1_000_000),       # a 10^12-point product grid
+        ("holder-seminorm-witness", 100_000_000),  # a 10^8-point circle
+    ])
+    def test_oversized_grid_returns_two_at_once(self, tmp_path, capsys, name, grid):
+        # refused by the grid budget before any grid-sized array is made
+        start = time.perf_counter()
+        code = main(["run", name, "--out", str(tmp_path / "fresh"),
+                     "--set", f"grid={grid}"])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "MAX_GRID_POINTS" in err
         assert not (tmp_path / "fresh").exists()
 
     def test_failed_run_keeps_an_existing_directory(self, tmp_path):

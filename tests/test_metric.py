@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
-from chernlab.metric import (SampledMetricSpace, _offset_ladder, chi_profile,
-                             delta_alpha, diagonal_decay_experiment,
-                             estimate_holder_seminorm)
+from chernlab.metric import (MAX_GRID_POINTS, PAIR_CAP_DEFAULT, SampledMetricSpace,
+                             _offset_ladder, chi_profile, delta_alpha,
+                             diagonal_decay_experiment, estimate_holder_seminorm)
 
 
 class TestCutoff:
@@ -79,22 +79,26 @@ class TestSeminorm:
 
 
 def _rolled_scan(vals, x, alpha, pair_cap):
-    """Brute-force reference: the product-grid scan with both axes rolled
-    in full for every shift."""
+    """Brute-force reference: every shift of the ladder differenced in full,
+    by one roll on the circle and by rolling both axes on the product grid,
+    with no band and no pruning."""
     m = x.size
-    per_axis = max(2, int(math.isqrt(max(1, pair_cap // (m * m)))))
-    offs1, t1 = _offset_ladder(m // 2, per_axis)
-    offs2, t2 = _offset_ladder(m // 2, per_axis)
-    best, used = 0.0, 0
-    for o1 in [0] + offs1:
-        for o2 in [0] + offs2 + [-o for o in offs2]:
-            if o1 == 0 and o2 <= 0:
-                continue
-            dist = max(float(x.arc(o1)), float(x.arc(abs(o2))))
-            shifted = np.roll(np.roll(vals, -o1, axis=0), -o2, axis=1)
-            best = max(best, np.max(np.abs(vals - shifted)) / dist ** alpha)
-            used += m * m
-    return best, t1 or t2, used
+    if x.kind == "circle_grid":
+        offs, truncated = _offset_ladder(m // 2, max(1, pair_cap // m))
+        shifts = [((o,), float(x.arc(o))) for o in offs]
+    else:
+        per_axis = max(2, int(math.isqrt(max(1, pair_cap // (m * m)))))
+        offs1, t1 = _offset_ladder(m // 2, per_axis)
+        offs2, t2 = _offset_ladder(m // 2, per_axis)
+        truncated = t1 or t2
+        shifts = [((o1, o2), max(float(x.arc(o1)), float(x.arc(abs(o2)))))
+                  for o1 in [0] + offs1 for o2 in [0] + offs2 + [-o for o in offs2]
+                  if o1 > 0 or o2 > 0]
+    best = 0.0
+    for shift, dist in shifts:
+        shifted = np.roll(vals, [-o for o in shift], axis=tuple(range(len(shift))))
+        best = max(best, np.max(np.abs(vals - shifted)) / dist ** alpha)
+    return best, truncated, len(shifts) * vals.size
 
 
 def _on_diagonals(m, ks, seed):
@@ -119,9 +123,10 @@ def _decay_series():
     return lacunary_series(BoundedSequence.constant(1.0), 0.9, 6)
 
 
-def _cutoff_difference(m, j):
-    """Delta_j (1 tensor f - f tensor 1) on the dense M x M distance matrix."""
-    fv = _decay_series().evaluate_grid(SampledMetricSpace.circle(m).angles())
+def _cutoff_difference(m, j, f=None):
+    """Delta_j (1 tensor f - f tensor 1) on the dense M x M distance matrix,
+    for f = _decay_series() unless given."""
+    fv = (f or _decay_series()).evaluate_grid(SampledMetricSpace.circle(m).angles())
     idx = np.arange(m)
     off = np.abs(idx[None, :] - idx[:, None])
     dmat = 2.0 * np.pi * np.minimum(off, m - off) / m
@@ -250,6 +255,207 @@ class TestBandedTorusScan:
         assert est.value == ref
         assert est.truncated == truncated
         assert est.pairs_used == len(offsets) * m
+
+
+def _tent(m):
+    """0, 1, ..., m/2, ..., 1 around the circle: D(o) = o for o <= m/2, so
+    below alpha = 1 every offset's quotient beats the last and none can be
+    pruned, and the maximum sits at the largest offset."""
+    idx = np.arange(m)
+    return np.minimum(idx, m - idx).astype(complex)
+
+
+def _decay_inputs(js=(2, 4, 8, 16)):
+    """The benchmark's decay inputs (grid 256, j <= 16): the cutoff
+    differences of both catalog (alpha, beta) pairs at level cap 12, each
+    with its alpha."""
+    for alpha, beta in ((0.3, 0.9), (0.2, 0.5)):
+        f = lacunary_series(BoundedSequence.constant(1.0), beta, 12)
+        for j in js:
+            yield alpha, _cutoff_difference(256, j, f)
+
+
+def _assert_matches_rolled(vals, x, alphas, cap):
+    ests = estimate_holder_seminorm(vals, x, alphas, pair_cap=cap, details=True)
+    for a, est in zip(alphas, ests):
+        value, truncated, used = _rolled_scan(vals, x, a, cap)
+        assert float(est.value).hex() == float(value).hex()
+        assert (est.truncated, est.pairs_used) == (truncated, used)
+        assert 0 < est.pairs_differenced <= est.pairs_used
+    return ests
+
+
+_TINY = 5e-324  # the smallest subnormal
+
+
+class TestPruning:
+    """The scans skip the shifts whose bounded difference cannot raise the
+    running best of any exponent; every result equals the unpruned
+    _rolled_scan bit for bit."""
+
+    @pytest.mark.parametrize("kind, m, cap", [
+        ("circle", 97, 97 * 20), ("circle", 1000, 1000 * 30),
+        ("torus", 48, 50_000), ("torus", 64, 200_000),
+    ])
+    @pytest.mark.parametrize("alphas", [[0.3, 0.5, 1.0], [1.0, 0.05], [0.7]])
+    def test_truncated_ladders_with_exponent_lists(self, kind, m, cap, alphas):
+        vals = _on_diagonals(m, range(-3, 4), 10)
+        x = SampledMetricSpace.torus(m)
+        if kind == "circle":
+            vals, x = vals[0] + np.cumsum(vals[1].real), SampledMetricSpace.circle(m)
+        ests = _assert_matches_rolled(vals, x, alphas, cap)
+        assert all(e.truncated for e in ests)
+
+    @pytest.mark.parametrize("alphas", [[0.5], [1.0], [0.25, 1.0]])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exact_ties(self, alphas, seed):
+        # integer samples and monomials: many shifts share one difference
+        # and one quotient, so a bound can equal the best exactly
+        rng = np.random.default_rng(seed)
+        circle, torus = SampledMetricSpace.circle(64), SampledMetricSpace.torus(24)
+        th = torus.angles()
+        for vals, x in [
+            (rng.integers(-2, 3, 64).astype(complex), circle),
+            (rng.integers(-2, 3, (24, 24)).astype(complex), torus),
+            (FourierSeries.monomial(3, exact=False).evaluate_grid(circle.angles()),
+             circle),
+            (np.outer(np.exp(1j * th), np.exp(-2j * th)), torus),
+            (np.exp(1j * th)[None, :] + 0 * th[:, None], torus),
+        ]:
+            _assert_matches_rolled(vals, x, alphas, 10_000_000)
+
+    @pytest.mark.parametrize("kind", ["circle", "torus"])
+    def test_maximum_at_the_largest_offset(self, kind):
+        m, a = 40, 0.5
+        x = SampledMetricSpace.circle(m) if kind == "circle" else SampledMetricSpace.torus(m)
+        vals = _tent(m) if kind == "circle" else np.repeat(_tent(m)[:, None], m, axis=1)
+        est, = _assert_matches_rolled(vals, x, [a], 10_000_000)
+        assert est.value == (m // 2) / float(x.arc(m // 2)) ** a
+
+    def test_decay_inputs(self):
+        for alpha, g in _decay_inputs():
+            _assert_matches_rolled(g, SampledMetricSpace.torus(256), [alpha], 12_000_000)
+
+    def test_witness_grids(self):
+        f = lacunary_series(BoundedSequence.constant(1.0), 0.5, 12)
+        for m in (1024, 2048, 4096):
+            x = SampledMetricSpace.circle(m)
+            _assert_matches_rolled(f.evaluate_grid(x.angles()), x, [0.5, 0.6],
+                                   PAIR_CAP_DEFAULT)
+        x = SampledMetricSpace.circle(4096)
+        z = FourierSeries.monomial(1, exact=False).evaluate_grid(x.angles())
+        _assert_matches_rolled(z, x, [1.0], PAIR_CAP_DEFAULT)
+
+    @pytest.mark.parametrize("vals, alpha", [
+        # among subnormals |s - t| can round above |s| + |t|: the bound's
+        # absolute slack, not its relative margin, keeps these exact
+        (np.array([0, 0, 0, -_TINY - _TINY * 1j, -_TINY, _TINY + _TINY * 1j, -_TINY]),
+         0.05),
+        (np.array([[_TINY + _TINY * 1j, _TINY * 1j], [0, -_TINY - _TINY * 1j]]), 0.05),
+        (np.array([[_TINY * 1j, _TINY + _TINY * 1j], [-_TINY - _TINY * 1j, _TINY]]), 0.3),
+    ], ids=["circle", "torus", "torus-2"])
+    def test_subnormal_differences(self, vals, alpha):
+        m = vals.shape[0]
+        x = SampledMetricSpace.circle(m) if vals.ndim == 1 else SampledMetricSpace.torus(m)
+        _assert_matches_rolled(vals.astype(complex), x, [alpha], 10_000_000)
+
+    @pytest.mark.parametrize("m, slope", [
+        (20, -0.02822662277018505 - 1.315175421045781j),
+        (15, -0.9270452203121909 - 0.8470392205548865j),
+    ])
+    def test_rounding_ties_at_alpha_one(self, m, slope):
+        # a tent of complex slope: at alpha = 1 every quotient is |slope|
+        # up to rounding, and without the bound's relative margin a bound a
+        # few units in the last place low skips the maximum
+        _assert_matches_rolled(_tent(m) * slope, SampledMetricSpace.circle(m),
+                               [1.0], 10_000_000)
+
+    @pytest.mark.parametrize("seed", [569, 966])
+    def test_skipped_offsets_keep_their_bound(self, seed):
+        # a noisy wave: a skipped offset enters later circle bounds, and a
+        # skipped offset taken as D = 0 makes one of them too low
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(8, 60))
+        vals = (np.exp(2j * np.pi * np.arange(m) * rng.integers(1, 4) / m)
+                + 0.3 * rng.normal(size=m))
+        _assert_matches_rolled(vals, SampledMetricSpace.circle(m), [0.1], 10_000_000)
+
+    @given(st.integers(2, 64), st.sampled_from(["palette", "normal", "wave"]),
+           st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from([0.05, 0.3, 0.7, 1.0]), min_size=1, max_size=3),
+           st.one_of(st.just(10_000_000), st.integers(1, 2000)))
+    @settings(max_examples=200, deadline=None)
+    def test_random_circles_match_rolled_scan(self, m, values, seed, alphas, cap):
+        rng = np.random.default_rng(seed)
+        if values == "palette":
+            vals = np.array(_PALETTE)[rng.integers(len(_PALETTE), size=m)]
+        elif values == "normal":
+            vals = rng.normal(size=m) + 1j * rng.normal(size=m)
+        else:
+            vals = (np.exp(2j * np.pi * np.arange(m) * rng.integers(1, 4) / m)
+                    + 0.3 * rng.normal(size=m))
+        _assert_matches_rolled(vals, SampledMetricSpace.circle(m), alphas, cap)
+
+    def test_pruning_skips_shifts_on_the_decay_input(self):
+        # a regression of the bound or of the skip shows as a full count
+        _, g = next(_decay_inputs(js=(4,)))
+        est = estimate_holder_seminorm(g, SampledMetricSpace.torus(256), 0.3,
+                                       pair_cap=12_000_000, details=True)
+        assert est.pairs_differenced < est.pairs_used // 2
+        f = lacunary_series(BoundedSequence.constant(1.0), 0.5, 12)
+        x = SampledMetricSpace.circle(4096)
+        est = estimate_holder_seminorm(f, x, 0.5, details=True)
+        assert est.pairs_differenced < est.pairs_used // 2
+
+    @pytest.mark.parametrize("kind", ["circle", "torus"])
+    def test_unprunable_input_differences_every_shift(self, kind):
+        m = 32
+        if kind == "circle":
+            vals, x = _tent(m), SampledMetricSpace.circle(m)
+        else:
+            vals, x = np.repeat(_tent(m)[:, None], m, axis=1), SampledMetricSpace.torus(m)
+        est = estimate_holder_seminorm(vals, x, 0.5, details=True)
+        assert est.pairs_differenced == est.pairs_used
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf),
+                                     complex(np.nan, 1.0)])
+    @pytest.mark.parametrize("kind, where", [
+        ("circle", 0), ("circle", 3), ("circle", 15), ("torus", (0, 0)),
+        ("torus", (5, 2)),
+    ])
+    def test_non_finite_sample_is_rejected(self, bad, kind, where):
+        # max(0.0, nan) is 0.0: a nan used to read as a zero seminorm
+        m = 16 if kind == "circle" else 8
+        vals = _on_diagonals(m, range(m), 11)
+        x = SampledMetricSpace.torus(m)
+        if kind == "circle":
+            vals, x = vals[0], SampledMetricSpace.circle(m)
+        vals[where] = bad
+        with pytest.raises(ValueError, match="nan or infinite"):
+            estimate_holder_seminorm(vals, x, [0.5, 1.0])
+
+
+class TestGridBudget:
+    def test_catalog_defaults_fit(self):
+        assert SampledMetricSpace.circle(4096).size == 4096
+        assert SampledMetricSpace.torus(1024).size == 1024
+        assert SampledMetricSpace.circle(MAX_GRID_POINTS).size == MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("kind, m", [
+        ("circle_grid", MAX_GRID_POINTS + 1), ("circle_grid", 10 ** 8),
+        ("torus_grid", math.isqrt(MAX_GRID_POINTS) + 1), ("torus_grid", 10 ** 6),
+    ])
+    def test_oversized_grid_is_refused(self, kind, m):
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            SampledMetricSpace(kind, m)
+
+    def test_decay_experiment_refuses_before_any_grid_array(self, monkeypatch):
+        import chernlab.metric as metric
+        monkeypatch.setattr(metric, "_values_on_grid", None)
+        f = lacunary_series(BoundedSequence.constant(1.0), 0.9, 5)
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            diagonal_decay_experiment(f, 0.3, 0.9, [2, 4],
+                                      SampledMetricSpace.circle(10 ** 6))
 
 
 class TestSeveralExponents:
