@@ -27,10 +27,10 @@ _MARGIN = 1.0 + 1e-9
 _SLACK = 1e-300
 
 # A grid's sample array holds one complex128 per point, m on the circle and
-# m^2 on the product grid, and the decay experiment holds a few more M x M
-# arrays beside it (about 64 MiB each at this budget), so a grid with more
-# points than this is refused before any array is made.  It admits the
-# product grid of M = 2048, twice the catalog default.
+# m^2 on the product grid (64 MiB at this budget), so a grid with more
+# points than this is refused before any array is made.  The decay
+# experiment holds only the band of its cutoffs, about M/pi rows of M at most.
+# The budget admits the product grid of M = 2048, twice the catalog default.
 MAX_GRID_POINTS = 1 << 22
 
 
@@ -131,28 +131,38 @@ def _values_on_grid(f, x: SampledMetricSpace) -> np.ndarray:
             out += c * np.outer(np.exp(1j * k1 * th), np.exp(1j * k2 * th))
         return out
     vals = np.asarray(f, dtype=complex)
-    expected = (x.size,) if x.kind == "circle_grid" else (x.size, x.size)
-    if vals.shape != expected:
-        raise ValueError(f"sampled values have shape {vals.shape}, expected {expected}")
+    m = x.size
+    if x.kind == "circle_grid":
+        if vals.shape != (m,):
+            raise ValueError(f"sampled values have shape {vals.shape}, expected ({m},)")
+    elif vals.ndim != 2 or vals.shape[0] > m or vals.shape[1] != m:
+        raise ValueError(f"sampled values have shape {vals.shape}, expected ({m}, {m}) "
+                         f"or a band (w, {m}) with w < {m}")
     return vals
+
+
+def _live_window(live: np.ndarray) -> tuple:
+    """(c0, w) such that diagonals c0 .. c0+w-1 (mod m) hold every live
+    diagonal: the complement of the longest cyclic run of dead ones, given
+    the length-m mask of live diagonals (w = 0 when none is live)."""
+    m = live.size
+    live = np.flatnonzero(live)
+    if live.size == 0:
+        return 0, 0
+    gaps = np.diff(live, append=live[0] + m)
+    g = int(np.argmax(gaps))
+    return int(live[(g + 1) % live.size]), m - int(gaps[g]) + 1
 
 
 def _skewed_band(vals: np.ndarray) -> np.ndarray:
     """Rows c0 .. c0+w-1 (mod m) of s[k, a] = vals[a, (a + k) mod m] as a
-    (w, m) array, one contiguous row per diagonal: the complement of the
-    longest cyclic run of all-zero diagonals, so it holds every live
-    diagonal of vals (w = 0 for zero)."""
+    (w, m) array, one contiguous row per diagonal, for the _live_window of
+    the diagonals of vals that are not identically zero."""
     m = vals.shape[0]
     rows, cols = np.nonzero(vals)
     live = np.zeros(m, dtype=bool)
     live[(cols - rows) % m] = True
-    live = np.flatnonzero(live)
-    if live.size == 0:
-        return vals[:0]
-    gaps = np.diff(live, append=live[0] + m)
-    g = int(np.argmax(gaps))
-    c0 = int(live[(g + 1) % live.size])
-    w = m - int(gaps[g]) + 1
+    c0, w = _live_window(live)
     a = np.arange(m)
     return vals[a, (a + c0 + np.arange(w)[:, None]) % m]
 
@@ -219,7 +229,7 @@ def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
     offs2, t2 = _offset_ladder(m // 2, per_axis)
     offs2_signed = [0] + offs2 + [-o for o in offs2]
     arcs2 = x.arc(offs2_signed).tolist()
-    band = _skewed_band(vals)
+    band = vals if vals.shape[0] < m else _skewed_band(vals)
     w = band.shape[0]
     rowmax = _peak(band, axis=1)
     # band row i meets row i + e (mod m) of the row-shifted band; a row
@@ -287,6 +297,10 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace,
     the dense maximum exactly because a - 0 and 0 - b are exact.  A
     function supported near the diagonal thus costs its band width, not m,
     per shift, and gives the same value as the dense scan bit for bit.
+    Sampled values of shape (m, m) are f on the grid, and their band is cut
+    out here.  An array of shape (w, m) with w < m is taken as the band
+    itself: rows s[c0 + i, a] for diagonals c0 .. c0+w-1 (mod m) that hold
+    every live one (c0 itself does not enter the scan).
 
     Pruning: each scan keeps the running best of diff / d^alpha per
     exponent and, before differencing a shift, bounds its difference from
@@ -361,12 +375,19 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
     on the product grid, with a log-log decay fit against j.  The cutoff
     Delta_j(x, y) = chi_profile(j d(x, y)) is a bump concentrating on d < 1/j.
 
+    Each cutoff is built only on its live diagonals, as the skewed band
+    s[k, a] = chi(j arc(k)) (f(a + k) - f(a)) that estimate_holder_seminorm
+    scans, with the same window and the same floats as the dense M x M
+    array; the sup norm is max |s| over the band.  So no M x M array is
+    made, and every norm equals the dense build's bit for bit.
+
     The fitted slope is compared by callers against -(gamma - 0.1) with
     gamma = min(1 - alpha/beta, beta - alpha).  j_schedule=None means
     j = 2, 4, ..., 64.  A schedule with fewer than two distinct j, or with
     a j < 1, raises ValueError before any work, and so does a j whose
     cutoff already vanishes at the nearest grid distance 2 pi/m: its
     Delta_j is zero off the diagonal and would enter the fit as log 0.
+    A nan or infinite sample of f raises ValueError.
     """
     if beta <= alpha:
         raise ValueError("the decay exponent is trivial unless beta > alpha")
@@ -389,22 +410,33 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
                          f"distance 2 pi/{m}, so Delta_j is zero off the "
                          f"diagonal; refine the grid or lower j")
     fv = _values_on_grid(f, x)
-    if np.max(np.abs(fv)) == 0 or np.max(np.abs(fv - fv[0])) == 0:
+    if _peak(fv) == 0 or np.max(np.abs(fv - fv[0])) == 0:
         return DecayFitReport(alpha, beta, gamma, j_schedule,
                               [0.0] * len(j_schedule), float("nan"),
                               float("nan"), trivial=True)
-    # the folded grid offset of each pair: a cutoff is evaluated once per
-    # offset and gathered, the same floats as on each pair's distance
-    idx = np.arange(m)
-    off = np.abs(idx[None, :] - idx[:, None])
-    folded = np.minimum(off, m - off)
+    # each cutoff is evaluated once per folded grid offset, the same floats
+    # as on each pair's distance; it vanishes from arc 1/j on, so it lives
+    # on the diagonals k = -r .. r with r < m/(2 pi)
     arcs = x.arc(np.arange(m // 2 + 1))
-    gdiff = fv[None, :] - fv[:, None]
+    cutoffs = [chi_profile(j * arcs) for j in j_schedule]
+    radii = [int(np.flatnonzero(chi)[-1]) for chi in cutoffs]
+    widest = max(radii)
+    # diffs[widest + k, a] = f(a + k) - f(a): the skewed rows of
+    # 1 tensor f - f tensor 1 on every diagonal of the widest cutoff
+    ext = fv[(np.arange(m + 2 * widest) - widest) % m]
+    diffs = np.lib.stride_tricks.sliding_window_view(ext, m)[:2 * widest + 1] - fv
     norms = []
-    for j in j_schedule:
-        g = chi_profile(j * arcs)[folded] * gdiff
-        semi = estimate_holder_seminorm(g, product, alpha, pair_cap=pair_cap)
-        norms.append(float(np.max(np.abs(g))) + semi)
+    for chi, r in zip(cutoffs, radii):
+        ks = np.arange(-r, r + 1)
+        rows = chi[np.abs(ks)][:, None] * diffs[widest - r:widest + r + 1]
+        live = np.zeros(m, dtype=bool)
+        live[ks[rows.any(axis=1)] % m] = True
+        c0, w = _live_window(live)
+        # the run of dead diagonals outside -r .. r is longer than any run
+        # inside, so the window lies inside and diagonal c0 is row (c0 + r) mod m
+        band = rows[(c0 + r) % m:][:w]
+        semi = estimate_holder_seminorm(band, product, alpha, pair_cap=pair_cap)
+        norms.append(float(_peak(band)) + semi)
     logs = np.log(np.maximum(norms, 1e-300))
     design = np.column_stack([np.ones(len(j_schedule)), np.log(j_schedule)])
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)

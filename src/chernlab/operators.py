@@ -604,9 +604,13 @@ def exact_bound(series: Iterable[FourierSeries], indices: Iterable) -> int:
     """The smallest window bound at which a product of phases and of one
     commutator or multiplication operator per series has an exact diagonal
     at every frequency in indices: max |index|_inf plus the sum of the
-    series' max_frequency()."""
-    k = np.abs(np.asarray(list(indices), dtype=np.int64))
-    return int(k.max(initial=0)) + sum(s.max_frequency() for s in series)
+    series' max_frequency().  A range is read at its two ends only, so an
+    oversized one reaches the window budget without being listed."""
+    if isinstance(indices, range):
+        k = max(abs(indices[0]), abs(indices[-1])) if indices else 0
+    else:
+        k = int(np.abs(np.asarray(list(indices), dtype=np.int64)).max(initial=0))
+    return k + sum(s.max_frequency() for s in series)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,33 @@ class TestExitCodes:
         assert "MAX_GRID_POINTS" in err
         assert not (tmp_path / "fresh").exists()
 
+    # the wedge's operator path used to list range(2^m_max), 67 million ints
+    # at m_max=26, before the window budget could refuse it; the child caps
+    # its own address space, so a regression fails on a MemoryError instead
+    WEDGE_MEMORY_CAP = 3 << 30
+
+    @pytest.mark.parametrize("m_max", [26, 62])
+    def test_oversized_wedge_window_returns_two_at_once(self, tmp_path, m_max):
+        script = ("import resource, sys, time\n"
+                  "cap = int(sys.argv[1])\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                  "from chernlab.cli import main\n"
+                  "start = time.perf_counter()\n"
+                  "code = main(sys.argv[2:])\n"
+                  "print(time.perf_counter() - start)\n"
+                  "sys.exit(code)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(chernlab.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(self.WEDGE_MEMORY_CAP), "run",
+             "fourtedo-operator-crosscheck", "--out", str(tmp_path / "fresh"),
+             "--set", f"m_max={m_max}"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert float(done.stdout) < 1.0
+        assert done.stderr.startswith("error: ") and len(done.stderr.strip().splitlines()) == 1
+        assert "MAX_WINDOW_DIM" in done.stderr
+        assert not (tmp_path / "fresh").exists()
+
     def test_failed_run_keeps_an_existing_directory(self, tmp_path):
         (tmp_path / "keep.txt").write_text("x")
         assert main(["run", "approxomtienri-decay", "--out", str(tmp_path),

@@ -1,5 +1,6 @@
 """Grid seminorms, the difference quotient, and the cutoff profile."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
 from chernlab.metric import (MAX_GRID_POINTS, PAIR_CAP_DEFAULT, SampledMetricSpace,
-                             _offset_ladder, chi_profile, delta_alpha,
+                             _offset_ladder, _skewed_band, chi_profile, delta_alpha,
                              diagonal_decay_experiment, estimate_holder_seminorm)
 
 
@@ -125,8 +126,10 @@ def _decay_series():
 
 def _cutoff_difference(m, j, f=None):
     """Delta_j (1 tensor f - f tensor 1) on the dense M x M distance matrix,
-    for f = _decay_series() unless given."""
-    fv = (f or _decay_series()).evaluate_grid(SampledMetricSpace.circle(m).angles())
+    for f = _decay_series() unless given (a series or its samples)."""
+    f = _decay_series() if f is None else f
+    fv = f.evaluate_grid(SampledMetricSpace.circle(m).angles()) \
+        if isinstance(f, FourierSeries) else f
     idx = np.arange(m)
     off = np.abs(idx[None, :] - idx[:, None])
     dmat = 2.0 * np.pi * np.minimum(off, m - off) / m
@@ -237,6 +240,18 @@ class TestBandedTorusScan:
         assert float(est.value).hex() == float(value).hex()
         assert est.truncated == truncated
         assert est.pairs_used == used
+        band = _skewed_band(vals)
+        if band.shape[0] < vals.shape[0]:
+            # the band itself as the input: the same scan, bit for bit
+            by_band = estimate_holder_seminorm(band, x, alpha, pair_cap=cap, details=True)
+            assert float(by_band.value).hex() == float(value).hex()
+            assert (by_band.truncated, by_band.pairs_used) == (truncated, used)
+
+    @pytest.mark.parametrize("shape", [(9, 8), (3, 9), (8,), (2, 8, 8)])
+    def test_array_shape_is_checked(self, shape):
+        # (8, 8) is the grid and (w, 8) with w < 8 a band; nothing else
+        with pytest.raises(ValueError, match="sampled values have shape"):
+            estimate_holder_seminorm(np.ones(shape), SampledMetricSpace.torus(8), 0.5)
 
     @pytest.mark.parametrize("m, cap", [
         (96, 10_000_000),  # even: offset m/2, where the two halves meet
@@ -574,19 +589,65 @@ class TestDecayExperiment:
         r2 = diagonal_decay_experiment(f, 0.3, 0.9, [2, 4], x)
         assert r1.to_csv() == r2.to_csv()
 
-    @pytest.mark.parametrize("m", [64, 97])
-    def test_norms_match_the_dense_cutoff_build(self, m):
-        # the cutoff is evaluated once per grid offset and gathered; the
-        # norms equal those of the dense distance-matrix build bit for bit,
-        # both for a complete scan (m = 64) and a truncated one (m = 97)
-        rep = diagonal_decay_experiment(_decay_series(), 0.3, 0.9, [2, 4],
-                                        SampledMetricSpace.circle(m))
+    @pytest.mark.parametrize("f, m, alpha, beta, js, cap, truncated", [
+        (_decay_series(), 64, 0.3, 0.9, (2, 4), PAIR_CAP_DEFAULT, False),
+        (_decay_series(), 97, 0.3, 0.9, (2, 4), PAIR_CAP_DEFAULT, True),
+        (lacunary_series(BoundedSequence.constant(1.0), 0.9, 12), 256, 0.3, 0.9,
+         (2, 4, 8, 16), 12_000_000, True),
+        (lacunary_series(BoundedSequence.constant(1.0), 0.5, 12), 256, 0.2, 0.5,
+         (2, 4, 8, 16), 12_000_000, True),
+        (_decay_series(), 45, 0.3, 0.9, (2, 3, 5), PAIR_CAP_DEFAULT, False),
+        (_decay_series(), 64, 0.2, 0.5, (2, 4, 8), 200_000, True),
+        ((-1.0) ** np.arange(64) + 0j, 64, 0.3, 0.9, (2, 4), PAIR_CAP_DEFAULT, False),
+    ], ids=["64", "97", "holder-grid-a0.3-b0.9", "holder-grid-a0.2-b0.5", "odd",
+            "truncated", "dead-diagonals"])
+    def test_norms_match_the_dense_cutoff_build(self, f, m, alpha, beta, js, cap,
+                                                truncated):
+        # each cutoff is built in band form on its live diagonals; the norms
+        # equal those of the dense M x M build, sup norm and seminorm of the
+        # dense g, bit for bit: complete scans (64 and the odd 45), truncated
+        # ladders (97 at the default cap, 64 at a small one, and the
+        # benchmark's grid 256 with both catalog exponent pairs), and
+        # (-1)^a = z^(m/2) sampled exactly, whose even diagonals are zero
+        # inside every cutoff's support
+        rep = diagonal_decay_experiment(f, alpha, beta, list(js),
+                                        SampledMetricSpace.circle(m), pair_cap=cap)
         dense = []
-        for j in (2, 4):
-            g = _cutoff_difference(m, j)
-            semi = estimate_holder_seminorm(g, SampledMetricSpace.torus(m), 0.3)
-            dense.append(float(np.max(np.abs(g))) + semi)
+        for j in js:
+            g = _cutoff_difference(m, j, f)
+            est = estimate_holder_seminorm(g, SampledMetricSpace.torus(m), alpha,
+                                           pair_cap=cap, details=True)
+            dense.append(float(np.max(np.abs(g))) + est.value)
+            assert est.truncated == truncated
         assert [n.hex() for n in rep.norms] == [n.hex() for n in dense]
+        if isinstance(f, np.ndarray):
+            a = np.arange(m)
+            assert not g[a, (a + 2) % m].any() and g[a, (a + 1) % m].all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("where", [0, 5])
+    def test_non_finite_sample_is_rejected(self, bad, where):
+        x = SampledMetricSpace.circle(64)
+        vals = _decay_series().evaluate_grid(x.angles())
+        vals[where] = bad
+        with pytest.raises(ValueError, match="nan or infinite"):
+            diagonal_decay_experiment(vals, 0.3, 0.9, [2, 4], x)
+
+    def test_no_product_grid_sized_array(self):
+        # M = 1024, j >= 4: the widest cutoff lives on 81 diagonals, and the
+        # peak, its difference rows, one cutoff's band and the scan's doubled
+        # band and per-shift difference, measured 7.7 MiB, under half of one
+        # M x M complex128 array (16 MiB); the bound leaves 2.3 MiB of
+        # headroom, and the dense build peaked at 72 MiB
+        x = SampledMetricSpace.circle(1024)
+        f = lacunary_series(BoundedSequence.constant(1.0), 0.9, 12)
+        tracemalloc.start()
+        try:
+            diagonal_decay_experiment(f, 0.3, 0.9, [4, 8, 16, 32, 64], x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
 
     def test_nonpositive_pair_cap_is_rejected(self, monkeypatch):
         # rejected before the grid is evaluated
