@@ -20,8 +20,7 @@ from .cocycles import (CochainEvaluation, CocycleConsistencyError,
                        torus_diagonal_operator)
 from .chains import LaurentChain, boundary_b, cyclic_lambda, pair, wedge
 from .metric import (DecayFitReport, SampledMetricSpace, chi_profile,
-                     delta_alpha, diagonal_decay_experiment,
-                     estimate_holder_seminorm)
+                     diagonal_decay_experiment, estimate_holder_seminorm)
 from .experiments import (REGISTRY, Assertion, ConfigError, ExperimentReport,
                           ExperimentSpec, run_experiment)
 

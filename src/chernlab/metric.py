@@ -1,5 +1,5 @@
-"""Grid-sampled Holder seminorms, the two-point difference quotient, and
-the approximate-diagonal decay experiment.
+"""Grid-sampled Holder seminorms and the approximate-diagonal decay
+experiment.
 
 Grid estimates are lower bounds of the true suprema; growth under grid
 refinement is the operational test for non-membership in a Holder class.
@@ -16,7 +16,7 @@ from .series import FourierSeries
 
 __all__ = [
     "SampledMetricSpace", "DecayFitReport",
-    "SeminormEstimate", "estimate_holder_seminorm", "delta_alpha",
+    "SeminormEstimate", "estimate_holder_seminorm",
     "diagonal_decay_experiment", "chi_profile",
 ]
 
@@ -73,15 +73,6 @@ class SampledMetricSpace:
         o = np.mod(np.asarray(offset), self.size)
         o = np.minimum(o, self.size - o)
         return 2.0 * np.pi * o / self.size
-
-    def metric(self, x, y) -> float:
-        """Distance between points given as angles (circle) or angle pairs."""
-        if self.kind == "circle_grid":
-            d = abs(float(x) - float(y)) % (2 * np.pi)
-            return min(d, 2 * np.pi - d)
-        d1 = abs(float(x[0]) - float(y[0])) % (2 * np.pi)
-        d2 = abs(float(x[1]) - float(y[1])) % (2 * np.pi)
-        return max(min(d1, 2 * np.pi - d1), min(d2, 2 * np.pi - d2))
 
 
 def chi_profile(t) -> np.ndarray:
@@ -220,15 +211,25 @@ def _circle_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
 def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
                 pair_cap: int) -> tuple:
     """As _circle_scan for the shifts (o1, o2) of the product grid, in
-    skewed band coordinates (see estimate_holder_seminorm)."""
+    skewed band coordinates, visited best-first (see
+    estimate_holder_seminorm)."""
     m = x.size
     budget = max(1, pair_cap // (m * m))
     per_axis = max(2, int(math.isqrt(budget)))
-    offs1, t1 = _offset_ladder(m // 2, per_axis)
-    offs1 = [0] + offs1
-    offs2, t2 = _offset_ladder(m // 2, per_axis)
-    offs2_signed = [0] + offs2 + [-o for o in offs2]
-    arcs2 = x.arc(offs2_signed).tolist()
+    offs, truncated = _offset_ladder(m // 2, per_axis)
+    ladder = np.array([0] + offs)
+    # every shift (o1, o2), o1 in the ladder and o2 in it or its negative,
+    # but (0, 0) and (0, -o), in ladder order
+    o1, o2 = (g.ravel() for g in np.meshgrid(ladder, np.r_[ladder, -ladder[1:]],
+                                             indexing="ij"))
+    keep = (o1 > 0) | (o2 > 0)
+    o1, o2 = o1[keep], o2[keep]
+    e = (o2 - o1) % m
+    # arc is increasing on 0..m/2, so max(arc(o1), arc(o2)) is the arc of
+    # the larger offset, and its power is taken once per ladder entry
+    far = np.searchsorted(ladder, np.maximum(o1, np.abs(o2)))
+    arcs = x.arc(ladder).tolist()
+    powers = np.array([[arc ** a for arc in arcs] for a in alphas])[:, far]
     band = vals if vals.shape[0] < m else _skewed_band(vals)
     w = band.shape[0]
     rowmax = _peak(band, axis=1)
@@ -245,28 +246,34 @@ def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
     padded = np.zeros(m)
     padded[:w] = rowmax
     bound = (rowmax + padded[partner]).max(axis=1, initial=0.0)
-    bound = (bound * _MARGIN + _SLACK).tolist()
+    bound = bound * _MARGIN + _SLACK
+    # each shift's bound quotient per exponent, the same floats as the
+    # prune's bound / d^alpha; visited by the largest, ties in ladder order
+    quotients = bound[e] / powers
+    order = np.argsort(-quotients.max(axis=0), kind="stable")
+    quotients, powers = quotients[:, order], powers[:, order]
+    # per exponent, the largest quotient from each rank on
+    tails = np.maximum.accumulate(quotients[:, ::-1], axis=1)[:, ::-1]
     # twice[:, o1:o1 + m][i, a] = band[i, (a + o1) mod m]: one slice per o1
     twice = np.concatenate([band, band], axis=1)
-    best, scanned, differenced = [0.0] * len(alphas), 0, 0
-    for o1, arc1 in zip(offs1, x.arc(offs1).tolist()):
-        rolled = twice[:, o1:o1 + m]
-        for o2, arc2 in zip(offs2_signed, arcs2):
-            if o1 == 0 and o2 <= 0:
-                continue
-            scanned += 1
-            e = (o2 - o1) % m
-            powers = [max(arc1, arc2) ** a for a in alphas]
-            if _pruned(bound[e], powers, best):
-                continue
-            diff = dead[e]
-            if e < w:
-                diff = max(diff, np.abs(band[:w - e] - rolled[e:]).max())
-            if m - e < w:
-                diff = max(diff, np.abs(band[m - e:] - rolled[:w + e - m]).max())
-            best = _updated_best(best, diff, powers)
-            differenced += 1
-    return best, t1 or t2, scanned * m * m, differenced * m * m
+    # each table as one tuple per rank, over the exponents
+    quotients, tails, powers = (zip(*t.tolist()) for t in (quotients, tails, powers))
+    best, differenced = [0.0] * len(alphas), 0
+    for s1, se, quot, tail, pw in zip(o1[order].tolist(), e[order].tolist(),
+                                      quotients, tails, powers):
+        if all(t <= b for t, b in zip(tail, best)):
+            break  # no shift left can raise any exponent's best
+        if all(q <= b for q, b in zip(quot, best)):
+            continue
+        rolled = twice[:, s1:s1 + m]
+        diff = dead[se]
+        if se < w:
+            diff = max(diff, np.abs(band[:w - se] - rolled[se:]).max())
+        if m - se < w:
+            diff = max(diff, np.abs(band[m - se:] - rolled[:w + se - m]).max())
+        best = _updated_best(best, diff, pw)
+        differenced += 1
+    return best, truncated, len(e) * m * m, differenced * m * m
 
 
 def estimate_holder_seminorm(f, x: SampledMetricSpace,
@@ -314,9 +321,18 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace,
     relative margin of 1e-9 and an absolute one of 1e-300, far above the
     rounding of the differences, the sums and the abs (a few units in the
     last place, absolute ones among subnormals), so a skipped shift's
-    quotient, computed, is at most its bound's.  The quotients still
-    computed are the same floats as without pruning and max is exact, so
-    every value, truncated and pairs_used is unchanged bit for bit.
+    quotient, computed, is at most its bound's.
+
+    The circle scan visits its offsets in ascending order, which its
+    subadditive bounds need.  The product-grid bounds are known before the
+    scan, so it visits its shifts best-first: by the largest of their bound
+    quotients bound[e] / d^alpha over the exponents, ties in ladder order,
+    and it stops at the first shift from which on no quotient of any
+    exponent exceeds that exponent's running best.  The seminorm is a max,
+    which does not depend on the order; the quotients still computed are
+    the same floats as without pruning, and max is exact, so every value,
+    truncated and pairs_used is unchanged bit for bit.  Only
+    pairs_differenced depends on the order.
     """
     single = np.ndim(alpha) == 0
     alphas = [alpha] if single else list(alpha)
@@ -332,21 +348,6 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace,
     out = [SeminormEstimate(b, truncated, used, differenced) if details else b
            for b in best]
     return out[0] if single else out
-
-
-def delta_alpha(f, x: SampledMetricSpace, alpha: float, pair) -> complex:
-    """The two-point difference quotient (f(a) - f(b)) / d(a,b)^alpha.
-
-    It obeys the product rule d(fg)(a,b) = d(f)(a,b) g(b) + f(a) d(g)(a,b)
-    exactly at every pair, and is odd under swapping the pair.
-    """
-    a, b = pair
-    dist = x.metric(a, b)
-    if dist == 0:
-        raise ValueError("the difference quotient needs two distinct points")
-    fa = f.evaluate(a) if isinstance(f, FourierSeries) else f(a)
-    fb = f.evaluate(b) if isinstance(f, FourierSeries) else f(b)
-    return (fa - fb) / dist ** alpha
 
 
 @dataclass(frozen=True)

@@ -103,12 +103,18 @@ def torus_shells(n: int) -> Tuple[TorusIndex, ...]:
     """Lattice points of the first n distinct values of |k|^2.
 
     Ordered by increasing |k|^2, ties lexicographic by (k1, k2); an
-    immutable tuple, computed once per n and shared.
+    immutable tuple, computed once per n and shared.  Each candidate box
+    of lattice points is a torus window, and one with more points than
+    MAX_WINDOW_DIM raises ValueError before it is listed.
     """
     if n < 1:
         raise ValueError(f"torus_shells needs at least one shell, got {n}")
     radius = int(math.isqrt(2 * n)) + 2
     while True:
+        if (2 * radius + 1) ** 2 > MAX_WINDOW_DIM:
+            raise ValueError(f"torus_shells({n}) needs a box of half-width {radius}, "
+                             f"{(2 * radius + 1) ** 2} points, more than "
+                             f"MAX_WINDOW_DIM = {MAX_WINDOW_DIM}; use fewer shells")
         pts = [(i, j) for i in range(-radius, radius + 1)
                for j in range(-radius, radius + 1)]
         norms = sorted({i * i + j * j for (i, j) in pts})
@@ -372,6 +378,10 @@ def _matmul(a: tuple, b: tuple, ncols: int) -> tuple:
     counts = bp[aj + 1] - bp[aj]
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
+    if total == 0:
+        # no entry of a meets a row of b: nothing is done per window row
+        return _frozen(np.zeros(len(ap), np.int64), np.zeros(0, np.int64),
+                       np.zeros(0, np.complex128))
     # every product in generation order: a's entries row by row, ascending
     # inner index, each against its row of b
     src = np.repeat(bp[aj] - ends + counts, counts)

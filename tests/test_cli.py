@@ -190,13 +190,12 @@ class TestExitCodes:
         assert "MAX_GRID_POINTS" in err
         assert not (tmp_path / "fresh").exists()
 
-    # the wedge's operator path used to list range(2^m_max), 67 million ints
-    # at m_max=26, before the window budget could refuse it; the child caps
-    # its own address space, so a regression fails on a MemoryError instead
-    WEDGE_MEMORY_CAP = 3 << 30
+    # an oversized window used to be listed in Python before the window
+    # budget could refuse it; the child caps its own address space, so a
+    # regression fails on a MemoryError instead
+    CHILD_MEMORY_CAP = 3 << 30
 
-    @pytest.mark.parametrize("m_max", [26, 62])
-    def test_oversized_wedge_window_returns_two_at_once(self, tmp_path, m_max):
+    def _assert_refused_in_capped_child(self, tmp_path, name, setting):
         script = ("import resource, sys, time\n"
                   "cap = int(sys.argv[1])\n"
                   "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
@@ -207,15 +206,28 @@ class TestExitCodes:
                   "sys.exit(code)\n")
         env = dict(os.environ, PYTHONPATH=str(Path(chernlab.__file__).resolve().parents[1]))
         done = subprocess.run(
-            [sys.executable, "-c", script, str(self.WEDGE_MEMORY_CAP), "run",
-             "fourtedo-operator-crosscheck", "--out", str(tmp_path / "fresh"),
-             "--set", f"m_max={m_max}"],
+            [sys.executable, "-c", script, str(self.CHILD_MEMORY_CAP), "run",
+             name, "--out", str(tmp_path / "fresh"), "--set", setting],
             env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 2, done.stderr
         assert float(done.stdout) < 1.0
         assert done.stderr.startswith("error: ") and len(done.stderr.strip().splitlines()) == 1
         assert "MAX_WINDOW_DIM" in done.stderr
         assert not (tmp_path / "fresh").exists()
+
+    # the wedge's operator path listed range(2^m_max), 67 million ints at
+    # m_max=26
+    @pytest.mark.parametrize("m_max", [26, 62])
+    def test_oversized_wedge_window_returns_two_at_once(self, tmp_path, m_max):
+        self._assert_refused_in_capped_child(
+            tmp_path, "fourtedo-operator-crosscheck", f"m_max={m_max}")
+
+    # torus_shells listed every lattice point of a box of about 8 n points
+    # before any window check: 8 * 10^9 tuples at n_shells=10^9
+    @pytest.mark.parametrize("n_shells", [10 ** 9, 4_200_000])
+    def test_oversized_shell_box_returns_two_at_once(self, tmp_path, n_shells):
+        self._assert_refused_in_capped_child(
+            tmp_path, "adnaodnaond-kernel-equivalence", f"n_shells={n_shells}")
 
     def test_failed_run_keeps_an_existing_directory(self, tmp_path):
         (tmp_path / "keep.txt").write_text("x")

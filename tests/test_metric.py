@@ -1,4 +1,5 @@
-"""Grid seminorms, the difference quotient, and the cutoff profile."""
+"""Grid seminorms, the cutoff profile, and the two-point difference
+quotient, kept here as a pointwise oracle."""
 import math
 import tracemalloc
 
@@ -8,8 +9,32 @@ from hypothesis import example, given, settings, strategies as st
 
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
 from chernlab.metric import (MAX_GRID_POINTS, PAIR_CAP_DEFAULT, SampledMetricSpace,
-                             _offset_ladder, _skewed_band, chi_profile, delta_alpha,
+                             _offset_ladder, _skewed_band, chi_profile,
                              diagonal_decay_experiment, estimate_holder_seminorm)
+
+
+def _distance(x, a, b) -> float:
+    """The grid's metric between points given as angles (circle) or angle
+    pairs (torus): the geodesic arc, and on the torus the max of the two."""
+    def arc(s, t):
+        d = abs(float(s) - float(t)) % (2 * np.pi)
+        return min(d, 2 * np.pi - d)
+    if x.kind == "circle_grid":
+        return arc(a, b)
+    return max(arc(a[0], b[0]), arc(a[1], b[1]))
+
+
+def delta_alpha(f, x, alpha, pair) -> complex:
+    """The two-point difference quotient (f(a) - f(b)) / d(a,b)^alpha.
+
+    It obeys the product rule d(fg)(a,b) = d(f)(a,b) g(b) + f(a) d(g)(a,b)
+    exactly at every pair, and is odd under swapping the pair.
+    """
+    a, b = pair
+    dist = _distance(x, a, b)
+    if dist == 0:
+        raise ValueError("the difference quotient needs two distinct points")
+    return (f.evaluate(a) - f.evaluate(b)) / dist ** alpha
 
 
 class TestCutoff:
@@ -411,12 +436,28 @@ class TestPruning:
                     + 0.3 * rng.normal(size=m))
         _assert_matches_rolled(vals, SampledMetricSpace.circle(m), alphas, cap)
 
+    @given(_banded_grid(),
+           st.lists(st.sampled_from([0.05, 0.3, 0.7, 1.0]), min_size=1, max_size=3))
+    # equal diagonals give every shift with a live partner one bound, so
+    # shifts at one distance tie on their quotient
+    @example((_constant_diagonals(40, {k: 9.9 for k in range(-3, 4)}), 10_000_000),
+             [1.0, 0.3])
+    @settings(max_examples=100, deadline=None)
+    def test_best_first_bands_match_rolled_scan(self, grid, alphas):
+        # the torus scan visits its shifts by their largest bound quotient
+        # and stops once no bound can raise any exponent's best
+        vals, cap = grid
+        _assert_matches_rolled(vals, SampledMetricSpace.torus(vals.shape[0]), alphas, cap)
+
     def test_pruning_skips_shifts_on_the_decay_input(self):
-        # a regression of the bound or of the skip shows as a full count
+        # a regression of the bound, the skip or the best-first order shows
+        # as a larger count: scanned in ladder order, this input (M = 256,
+        # j = 4, alpha = 0.3) had 32 of its 364 shifts differenced
         _, g = next(_decay_inputs(js=(4,)))
         est = estimate_holder_seminorm(g, SampledMetricSpace.torus(256), 0.3,
                                        pair_cap=12_000_000, details=True)
-        assert est.pairs_differenced < est.pairs_used // 2
+        assert est.pairs_used == 364 * 256 ** 2
+        assert est.pairs_differenced < 32 * 256 ** 2
         f = lacunary_series(BoundedSequence.constant(1.0), 0.5, 12)
         x = SampledMetricSpace.circle(4096)
         est = estimate_holder_seminorm(f, x, 0.5, details=True)

@@ -389,6 +389,21 @@ class TestCSRKernels:
             assert np.array_equal(indptr, np.zeros(5)) and len(cols) == len(vals) == 0
             assert np.array_equal(_product_diagonal(a, b), np.zeros(4))
 
+    def test_analytic_commutators_compose_to_the_empty_triple(self, monkeypatch):
+        # [F, a] maps negative frequencies to non-negative ones when a is
+        # analytic, so two of them side by side make no product; the empty
+        # triple is returned before any per-row work (_rows, _indptr)
+        a = FourierSeries("circle", {1: 1.0, 3: 0.5 - 0.25j}, False)
+        b = FourierSeries("circle", {2: 0.75j, 5: 1.0}, False)
+        ca, cb = (commutator(OperatorModel("circle_F"), s, 12) for s in (a, b))
+        assert ca.nnz() and cb.nnz()
+        monkeypatch.setattr(operators, "_rows", None)
+        monkeypatch.setattr(operators, "_indptr", None)
+        indptr, cols, vals = _matmul(ca.to_csr(), cb.to_csr(), ca.dim())
+        assert indptr.dtype == cols.dtype == np.int64 and vals.dtype == np.complex128
+        assert np.array_equal(indptr, np.zeros(ca.dim() + 1)) and len(cols) == len(vals) == 0
+        assert not any(arr.flags.writeable for arr in (indptr, cols, vals))
+
     @pytest.mark.parametrize("seed,n,per_row", CASES)
     def test_matmul_matches_scipy_bit_for_bit(self, seed, n, per_row):
         sp = pytest.importorskip("scipy.sparse")
@@ -574,6 +589,22 @@ class TestWindows:
     def test_torus_shells_need_one_shell(self, n):
         with pytest.raises(ValueError, match="at least one shell"):
             torus_shells(n)
+
+    @pytest.mark.parametrize("budget, refused", [
+        (1000, True),   # the first box, half-width 16, has 1089 points
+        (4000, True),   # it holds 98 < 100 norms; the doubled box has 4225
+        (4225, False),
+    ])
+    def test_torus_shells_box_is_budgeted(self, monkeypatch, budget, refused):
+        # every candidate box is checked against the window budget before
+        # its points are listed (the cache is bypassed)
+        want = torus_shells(100)
+        monkeypatch.setattr(operators, "MAX_WINDOW_DIM", budget)
+        if refused:
+            with pytest.raises(ValueError, match="MAX_WINDOW_DIM"):
+                torus_shells.__wrapped__(100)
+        else:
+            assert torus_shells.__wrapped__(100) == want
 
 
 PHASE_KINDS = {"circle": ("szego_P", "circle_F"), "torus": ("torus_U", "torus_U_star")}
