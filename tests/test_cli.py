@@ -195,7 +195,7 @@ class TestExitCodes:
     # regression fails on a MemoryError instead
     CHILD_MEMORY_CAP = 3 << 30
 
-    def _assert_refused_in_capped_child(self, tmp_path, name, setting):
+    def _assert_refused_in_capped_child(self, tmp_path, name, setting, budget):
         script = ("import resource, sys, time\n"
                   "cap = int(sys.argv[1])\n"
                   "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
@@ -212,7 +212,7 @@ class TestExitCodes:
         assert done.returncode == 2, done.stderr
         assert float(done.stdout) < 1.0
         assert done.stderr.startswith("error: ") and len(done.stderr.strip().splitlines()) == 1
-        assert "MAX_WINDOW_DIM" in done.stderr
+        assert budget in done.stderr
         assert not (tmp_path / "fresh").exists()
 
     # the wedge's operator path listed range(2^m_max), 67 million ints at
@@ -220,14 +220,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("m_max", [26, 62])
     def test_oversized_wedge_window_returns_two_at_once(self, tmp_path, m_max):
         self._assert_refused_in_capped_child(
-            tmp_path, "fourtedo-operator-crosscheck", f"m_max={m_max}")
+            tmp_path, "fourtedo-operator-crosscheck", f"m_max={m_max}", "MAX_WINDOW_DIM")
 
-    # torus_shells listed every lattice point of a box of about 8 n points
-    # before any window check: 8 * 10^9 tuples at n_shells=10^9
-    @pytest.mark.parametrize("n_shells", [10 ** 9, 4_200_000])
+    # torus_shells listed its box of lattice points, about 32 n of them, as
+    # Python pairs before any budget check: 8 * 10^9 at n_shells=10^9, and
+    # 33.5 million (about 5 GB) at 4187617, whose first box has just under
+    # MAX_WINDOW_DIM points; 64800 is the least n whose box is refused
+    @pytest.mark.parametrize("n_shells", [10 ** 9, 4_187_617, 64_800])
     def test_oversized_shell_box_returns_two_at_once(self, tmp_path, n_shells):
         self._assert_refused_in_capped_child(
-            tmp_path, "adnaodnaond-kernel-equivalence", f"n_shells={n_shells}")
+            tmp_path, "adnaodnaond-kernel-equivalence", f"n_shells={n_shells}",
+            "MAX_SHELL_BOX")
 
     def test_failed_run_keeps_an_existing_directory(self, tmp_path):
         (tmp_path / "keep.txt").write_text("x")

@@ -253,24 +253,30 @@ class TestBandedTorusScan:
     # the peak second from the band's upper end, beside a near-equal end
     # diagonal, meets a dead diagonal at a shift whose e is not its nearest:
     # only the (i - e) % m >= w half of the dead-partner table sees it
-    @given(_banded_grid(), st.sampled_from([0.3, 1.0]))
+    @given(_banded_grid(),
+           st.lists(st.sampled_from([0.05, 0.3, 0.7, 1.0]), min_size=1, max_size=3))
     @example((_constant_diagonals(40, {5: 9.9, 6: 9.9, 7: 9.9, 8: 9.9, 9: 10, 10: 9.9}),
-              10_000_000), 1.0)
+              10_000_000), [1.0])
+    # equal diagonals give every shift with a live partner one bound, so
+    # the shifts at one distance tie on their quotient in the best-first order
+    @example((_constant_diagonals(40, {k: 9.9 for k in range(-3, 4)}), 10_000_000),
+             [1.0, 0.3])
+    # exponents far apart: the scan may stop only once the largest quotient
+    # left is at most the smallest of their bests, not the largest
+    @example((np.random.default_rng(0).normal(size=(8, 8)).astype(complex), 10_000_000),
+             [1.0, 0.05])
     @settings(max_examples=200, deadline=None)
-    def test_random_bands_match_rolled_scan(self, grid, alpha):
+    def test_random_bands_match_rolled_scan(self, grid, alphas):
         vals, cap = grid
         x = SampledMetricSpace.torus(vals.shape[0])
-        est = estimate_holder_seminorm(vals, x, alpha, pair_cap=cap, details=True)
-        value, truncated, used = _rolled_scan(vals, x, alpha, cap)
-        assert float(est.value).hex() == float(value).hex()
-        assert est.truncated == truncated
-        assert est.pairs_used == used
+        ests = _assert_matches_rolled(vals, x, alphas, cap)
         band = _skewed_band(vals)
         if band.shape[0] < vals.shape[0]:
             # the band itself as the input: the same scan, bit for bit
-            by_band = estimate_holder_seminorm(band, x, alpha, pair_cap=cap, details=True)
-            assert float(by_band.value).hex() == float(value).hex()
-            assert (by_band.truncated, by_band.pairs_used) == (truncated, used)
+            by_band = estimate_holder_seminorm(band, x, alphas, pair_cap=cap, details=True)
+            for b, est in zip(by_band, ests):
+                assert float(b.value).hex() == float(est.value).hex()
+                assert (b.truncated, b.pairs_used) == (est.truncated, est.pairs_used)
 
     @pytest.mark.parametrize("shape", [(9, 8), (3, 9), (8,), (2, 8, 8)])
     def test_array_shape_is_checked(self, shape):
@@ -435,19 +441,6 @@ class TestPruning:
             vals = (np.exp(2j * np.pi * np.arange(m) * rng.integers(1, 4) / m)
                     + 0.3 * rng.normal(size=m))
         _assert_matches_rolled(vals, SampledMetricSpace.circle(m), alphas, cap)
-
-    @given(_banded_grid(),
-           st.lists(st.sampled_from([0.05, 0.3, 0.7, 1.0]), min_size=1, max_size=3))
-    # equal diagonals give every shift with a live partner one bound, so
-    # shifts at one distance tie on their quotient
-    @example((_constant_diagonals(40, {k: 9.9 for k in range(-3, 4)}), 10_000_000),
-             [1.0, 0.3])
-    @settings(max_examples=100, deadline=None)
-    def test_best_first_bands_match_rolled_scan(self, grid, alphas):
-        # the torus scan visits its shifts by their largest bound quotient
-        # and stops once no bound can raise any exponent's best
-        vals, cap = grid
-        _assert_matches_rolled(vals, SampledMetricSpace.torus(vals.shape[0]), alphas, cap)
 
     def test_pruning_skips_shifts_on_the_decay_input(self):
         # a regression of the bound, the skip or the best-first order shows

@@ -389,21 +389,6 @@ class TestCSRKernels:
             assert np.array_equal(indptr, np.zeros(5)) and len(cols) == len(vals) == 0
             assert np.array_equal(_product_diagonal(a, b), np.zeros(4))
 
-    def test_analytic_commutators_compose_to_the_empty_triple(self, monkeypatch):
-        # [F, a] maps negative frequencies to non-negative ones when a is
-        # analytic, so two of them side by side make no product; the empty
-        # triple is returned before any per-row work (_rows, _indptr)
-        a = FourierSeries("circle", {1: 1.0, 3: 0.5 - 0.25j}, False)
-        b = FourierSeries("circle", {2: 0.75j, 5: 1.0}, False)
-        ca, cb = (commutator(OperatorModel("circle_F"), s, 12) for s in (a, b))
-        assert ca.nnz() and cb.nnz()
-        monkeypatch.setattr(operators, "_rows", None)
-        monkeypatch.setattr(operators, "_indptr", None)
-        indptr, cols, vals = _matmul(ca.to_csr(), cb.to_csr(), ca.dim())
-        assert indptr.dtype == cols.dtype == np.int64 and vals.dtype == np.complex128
-        assert np.array_equal(indptr, np.zeros(ca.dim() + 1)) and len(cols) == len(vals) == 0
-        assert not any(arr.flags.writeable for arr in (indptr, cols, vals))
-
     @pytest.mark.parametrize("seed,n,per_row", CASES)
     def test_matmul_matches_scipy_bit_for_bit(self, seed, n, per_row):
         sp = pytest.importorskip("scipy.sparse")
@@ -590,18 +575,36 @@ class TestWindows:
         with pytest.raises(ValueError, match="at least one shell"):
             torus_shells(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 57, 100, 200, 1000])
+    def test_torus_shells_match_the_listed_box(self, n):
+        # the pure-Python listing of the box as the oracle: every point, its
+        # order and its int type
+        radius = math.isqrt(2 * n) + 2
+        while True:
+            box = [(i, j) for i in range(-radius, radius + 1)
+                   for j in range(-radius, radius + 1)]
+            complete = sorted({i * i + j * j for (i, j) in box if i * i + j * j <= radius ** 2})
+            if len(complete) >= n:
+                break
+            radius *= 2
+        want = tuple((i, j) for (_, i, j) in sorted(
+            (i * i + j * j, i, j) for (i, j) in box if i * i + j * j <= complete[n - 1]))
+        got = torus_shells(n)
+        assert got == want
+        assert all(type(v) is int for k in got for v in k)
+
     @pytest.mark.parametrize("budget, refused", [
         (1000, True),   # the first box, half-width 16, has 1089 points
         (4000, True),   # it holds 98 < 100 norms; the doubled box has 4225
         (4225, False),
     ])
     def test_torus_shells_box_is_budgeted(self, monkeypatch, budget, refused):
-        # every candidate box is checked against the window budget before
-        # its points are listed (the cache is bypassed)
+        # every candidate box is checked against the shell budget before it
+        # is made (the cache is bypassed)
         want = torus_shells(100)
-        monkeypatch.setattr(operators, "MAX_WINDOW_DIM", budget)
+        monkeypatch.setattr(operators, "MAX_SHELL_BOX", budget)
         if refused:
-            with pytest.raises(ValueError, match="MAX_WINDOW_DIM"):
+            with pytest.raises(ValueError, match="MAX_SHELL_BOX"):
                 torus_shells.__wrapped__(100)
         else:
             assert torus_shells.__wrapped__(100) == want
