@@ -3,12 +3,12 @@ characters on Holder function algebras over the circle and the torus."""
 
 from .scalars import QGauss
 from .series import (BoundedSequence, FourierSeries, cross, lacunary_series,
-                     multiply, series_from_text, series_to_text)
+                     multiply, series_to_text)
 from .operators import (OperatorModel, SingularValueSequence, SparseOperator,
                         WindowLeakageError, commutator, compose,
                         multiplication_operator, product_diagonal,
-                        singular_values, symmetric_order, torus_phase_kernel_rho,
-                        torus_shells, weak_quasinorm)
+                        singular_values, symmetric_order, torus_shells,
+                        weak_quasinorm)
 from .tracemean import (DiagonalSequence, ExtendedLimitProbe, LogMeanSeries,
                         diagonal_of, dyadic_schedule, log_mean, probe)
 from .cocycles import (CochainEvaluation, CocycleConsistencyError,

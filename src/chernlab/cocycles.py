@@ -193,9 +193,10 @@ def torus_diagonal_kernel(a0: FourierSeries, a1: FourierSeries,
 
     Each frequency pair (m, n) is evaluated at all points at once, pairs
     in the order of the supports, and every point gets the same bits as
-    summing torus_phase_kernel_rho(k, m, n) * c0 * c1 * c2 in Python, one
-    triple at a time.  That needs rho's numerators, divisions and sum
-    order as torus_phase_kernel_rho has them, and Python's complex
+    summing rho(k, m, n) * c0 * c1 * c2 in Python, one triple at a time,
+    with the scalar float rho of the test oracle torus_phase_kernel_rho in
+    tests/test_cocycles.py.  That needs rho's numerators, divisions and sum
+    order as the oracle has them, and Python's complex
     product, re = a.re b.re - a.im b.im and im = a.re b.im + a.im b.re,
     taken left to right on separate real and imaginary arrays: numpy's
     complex multiply may fuse these into multiply-adds, which moves the
@@ -323,13 +324,18 @@ def connes_chern_constant(n: int) -> complex:
 def eval_ch_CC(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
                stability_tol: float = 1e-10) -> CharacterCochainValue:
     """The normalized character cochain: c_n * Tr(F [F,a0]...[F,a_n]) from a
-    float windowed trace, with a window-doubling stability report."""
+    float windowed trace, with a window-doubling stability report.
+
+    [F,a_n] e_c vanishes unless |c| <= max_frequency(a_n), so the trace
+    sums the diagonal entries at those c only, and the window is the one
+    exact_bound gives for them; the trace is taken again at twice it."""
     n = len(a) - 1
     if spec.domain != "circle":
         raise NotImplementedError("the character cochain is implemented on the circle")
     if stability_tol < 0:
         raise ValueError(f"stability_tol={stability_tol} must be >= 0")
-    bound = 2 * sum(s.max_frequency() for s in a) + 4
+    last = a[-1].max_frequency()
+    bound = exact_bound(a, range(-last, last + 1))
     traces = [compose(_phase_products(_CIRCLE_F, a, b)).trace() for b in (bound, 2 * bound)]
     drift = abs(traces[1] - traces[0])
     if drift > stability_tol * max(1.0, abs(traces[1])):

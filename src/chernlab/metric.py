@@ -113,17 +113,13 @@ def _offset_ladder(max_off: int, budget: int) -> tuple:
 
 def _values_on_grid(f, x: SampledMetricSpace) -> np.ndarray:
     if isinstance(f, FourierSeries):
-        if x.kind == "circle_grid":
-            if f.domain != "circle":
-                raise ValueError("series domain does not match the grid")
-            return f.evaluate_grid(x.angles())
-        if f.domain != "torus":
+        if f.domain != "circle":
+            raise ValueError("only circle series are evaluated on a grid; pass a "
+                             "torus function as its sampled values, an (m, m) "
+                             "array on the product grid")
+        if x.kind != "circle_grid":
             raise ValueError("series domain does not match the grid")
-        th = x.angles()
-        out = np.zeros((x.size, x.size), dtype=complex)
-        for (k1, k2), c in f.to_float().coeffs.items():
-            out += c * np.outer(np.exp(1j * k1 * th), np.exp(1j * k2 * th))
-        return out
+        return f.evaluate_grid(x.angles())
     vals = np.asarray(f, dtype=complex)
     m = x.size
     if x.kind == "circle_grid":
@@ -291,6 +287,10 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace,
                              pair_cap: int = PAIR_CAP_DEFAULT,
                              details: bool = False):
     """Grid maximum of |f(a) - f(b)| / d(a,b)^alpha.
+
+    f is a circle FourierSeries on the circle grid, or sampled values: shape
+    (m,) on the circle grid, and (m, m) or a band (w, m) on the product grid
+    (see below).  A torus series raises ValueError; sample it first.
 
     alpha is one exponent, or a sequence of them: a sequence gives a list
     with one result per exponent, all from one scan, since the maxima of

@@ -3,11 +3,11 @@ sparse truncated commutators, singular values, weak-Schatten diagnostics.
 
 All operators here are either diagonal in the Fourier basis (phase
 operators) or banded-sparse (commutators with multiplication operators).
-A SparseOperator's columns with |k|_inf <= bound - bandwidth carry the full
-untruncated column; composing operators adds their bandwidths, and diagonal
-extraction refuses to read outside that radius.  This makes window
-truncation loud instead of silently biased; exact_bound gives the smallest
-window at which a read is exact.
+A SparseOperator's columns with |k|_inf <= bound - bandwidth, its exact
+column radius, carry the full untruncated column; composing operators adds
+their bandwidths, and diagonal extraction refuses to read outside that
+radius.  This makes window truncation loud instead of silently biased;
+exact_bound gives the smallest window at which a read is exact.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ __all__ = [
     "OperatorModel", "SparseOperator", "symmetric_order", "torus_shells",
     "SingularValueSequence", "WindowLeakageError", "commutator", "compose",
     "exact_bound", "product_diagonal", "product_diagonals", "singular_values", "weak_quasinorm",
-    "torus_phase_kernel_rho", "rho_exact_terms",
+    "rho_exact_terms",
 ]
 
 
@@ -152,14 +152,6 @@ def _linear_index(domain: str, bound: int, idx) -> np.ndarray:
     return (k[:, 0] + bound) * (2 * bound + 1) + (k[:, 1] + bound)
 
 
-def _frequency_index(domain: str, bound: int, pos: np.ndarray) -> list:
-    """Inverse of _linear_index, as Python ints (circle) or int pairs."""
-    if domain == "circle":
-        return (pos - bound).tolist()
-    k1, k2 = np.divmod(pos, 2 * bound + 1)
-    return list(zip((k1 - bound).tolist(), (k2 - bound).tolist()))
-
-
 # An operator keeps an int64 indptr with one entry per window row, and its
 # diagonals one complex128 entry per row, so a window with more rows than
 # this (256 MiB of indptr) is refused before any row-length array is made.
@@ -271,23 +263,11 @@ class SparseOperator:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def exact_col_radius(self) -> int:
-        """Columns with |k|_inf <= this radius carry the full untruncated
-        column, since every operator here keeps each column's rows within
-        its bandwidth; a product diagonal read outside it raises."""
-        return self.bound - self.bandwidth
-
     def nnz(self) -> int:
         return len(self.vals)
 
     def dim(self) -> int:
         return _dim(self.domain, self.bound)
-
-    def items(self):
-        """(row, col, value) triples with frequency indices, row by row."""
-        return zip(_frequency_index(self.domain, self.bound, _rows(self.indptr)),
-                   _frequency_index(self.domain, self.bound, self.cols), self.vals)
 
     def to_float(self) -> "SparseOperator":
         """The operator itself; kept because bench/spans.py times it on the
@@ -734,24 +714,6 @@ def _rho_guards(k: TorusIndex, m: TorusIndex, n: TorusIndex) -> list:
     return failed
 
 
-def torus_phase_kernel_rho(k: TorusIndex, m: TorusIndex, n: TorusIndex) -> float:
-    """The degree-zero kernel pairing the torus phase with Fourier data.
-
-    rho(k,m,n) = (m x n + (m-n) x k)/(|n+k||m+k|) + (n x k)/(|k||k+n|)
-               + (k x m)/(|k||k+m|).
-    """
-    failed = _rho_guards(k, m, n)
-    if failed:
-        raise ZeroDivisionError("degenerate kernel denominator: " + ", ".join(failed))
-    kk = math.hypot(*k)
-    nk = math.hypot(n[0] + k[0], n[1] + k[1])
-    mk = math.hypot(m[0] + k[0], m[1] + k[1])
-    t1 = (cross(m, n) + cross((m[0] - n[0], m[1] - n[1]), k)) / (nk * mk)
-    t2 = cross(n, k) / (kk * nk)
-    t3 = cross(k, m) / (kk * mk)
-    return t1 + t2 + t3
-
-
 def _squarefree_split(q: int) -> tuple:
     """q = s * f^2 with s squarefree; returns (s, f). Trial division."""
     s, f, d = 1, 1, 2
@@ -777,8 +739,13 @@ def _squarefree_product(split1: tuple, split2: tuple) -> tuple:
 
 
 def rho_exact_terms(k: TorusIndex, m: TorusIndex, n: TorusIndex) -> dict:
-    """rho as an exact sum of quadratic surds: {squarefree s: Fraction c}
-    meaning sum c * sqrt(s) over the keys.  Enables exact equality tests.
+    """The degree-zero kernel pairing the torus phase with Fourier data,
+
+    rho(k,m,n) = (m x n + (m-n) x k)/(|n+k||m+k|) + (n x k)/(|k||k+n|)
+               + (k x m)/(|k||k+m|),
+
+    as an exact sum of quadratic surds: {squarefree s: Fraction c} meaning
+    sum c * sqrt(s) over the keys.  Enables exact equality tests.
     """
     failed = _rho_guards(k, m, n)
     if failed:

@@ -38,13 +38,6 @@ class BoundedSequence:
     def constant(value) -> "BoundedSequence":
         return BoundedSequence(lambda k: value, abs(complex(value)))
 
-    @staticmethod
-    def from_list(values) -> "BoundedSequence":
-        """The listed values, then zeros."""
-        vals = tuple(values)
-        bound = max((abs(complex(v)) for v in vals), default=0.0)
-        return BoundedSequence(lambda k: vals[k] if k < len(vals) else 0.0, bound)
-
     def __call__(self, k: int):
         if k < 0:
             raise IndexError("sequence index must be nonnegative")
@@ -112,9 +105,6 @@ class FourierSeries:
 
     # -- basic queries -------------------------------------------------
 
-    def coeff(self, k: FrequencyIndex):
-        return self.coeffs.get(k, QGauss() if self.exact else 0j)
-
     def support(self):
         return set(self.coeffs)
 
@@ -149,15 +139,6 @@ class FourierSeries:
             out[nk] = v.conjugate()
         return FourierSeries(self.domain, out, self.exact)
 
-    def exactify(self) -> "FourierSeries":
-        """Reinterpret floating coefficients as the exact rationals they are.
-
-        Every double is a dyadic rational, so the conversion is lossless.
-        """
-        if self.exact:
-            return self
-        return FourierSeries(self.domain, dict(self.coeffs), True)
-
     def to_float(self) -> "FourierSeries":
         if not self.exact:
             return self
@@ -171,15 +152,6 @@ class FourierSeries:
 
     def __hash__(self):
         return self._hash
-
-    def evaluate(self, point) -> complex:
-        """Evaluate sum a_k e^{i k.theta} at angles in [0, 2pi)^n."""
-        coeffs = self.to_float().coeffs.items()
-        if self.domain == "circle":
-            theta = float(point if np.isscalar(point) else point[0])
-            return sum((c * np.exp(1j * k * theta) for k, c in coeffs), 0j)
-        t1, t2 = float(point[0]), float(point[1])
-        return sum((c * np.exp(1j * (k1 * t1 + k2 * t2)) for (k1, k2), c in coeffs), 0j)
 
     def evaluate_grid(self, thetas: np.ndarray) -> np.ndarray:
         """Vectorized circle evaluation on an array of angles."""
@@ -241,26 +213,3 @@ def series_to_text(f: FourierSeries) -> str:
         else:
             lines.append(f"{k[0]} {k[1]} {re} {im}")
     return "\n".join(lines) + "\n"
-
-
-def series_from_text(text: str) -> FourierSeries:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing series header line")
-    header = dict(tok.split("=") for tok in lines[0].lstrip("# ").split())
-    domain = header["domain"]
-    exact = header["exact"] == "1"
-    coeffs: Dict[FrequencyIndex, object] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if domain == "circle":
-            k = int(parts[0])
-            re_s, im_s = parts[1], parts[2]
-        else:
-            k = (int(parts[0]), int(parts[1]))
-            re_s, im_s = parts[2], parts[3]
-        if exact:
-            coeffs[k] = QGauss(Fraction(re_s), Fraction(im_s))
-        else:
-            coeffs[k] = complex(float(re_s), float(im_s))
-    return FourierSeries(domain, coeffs, exact)

@@ -7,22 +7,21 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chernlab.scalars import QGauss
-from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
+from chernlab.series import BoundedSequence, FourierSeries, cross, lacunary_series
 from chernlab.operators import (OperatorModel, SparseOperator, commutator, compose,
-                                multiplication_operator, torus_phase_kernel_rho,
-                                torus_shells)
+                                multiplication_operator, torus_shells)
 from chernlab.cocycles import (CocycleConsistencyError, FredholmModuleSpec,
-                               check_cyclicity, check_hochschild_cocycle,
+                               _exact_circle_trace, check_cyclicity, check_hochschild_cocycle,
                                connes_chern_constant, eval_c_omega,
                                eval_c_omega_wedge, eval_ch_CC, eval_h_omega,
                                fast_path_partial_sums, holomorphy_type,
                                pairing_normalization, szego_pair_diagonal,
                                torus_diagonal_kernel, torus_diagonal_operator)
-from chernlab.experiments import (SEQUENCES, _IDENTITY_BLOCK,
-                                  _modulus_one_identity_error)
+from chernlab.experiments import (REGISTRY, SEQUENCES, _IDENTITY_BLOCK,
+                                  _modulus_one_identity_error, random_trig_poly)
 from chernlab.tracemean import diagonal_of, dyadic_schedule, log_mean
 
 Z = FourierSeries.monomial(1)
@@ -82,7 +81,7 @@ def dense_exact_trace(inputs, leading, window: int) -> QGauss:
     idx = range(-window, window + 1)
 
     def matrix(a, commutes):
-        return [[a.coeff(r - c) * ((_sign(r) - _sign(c)) if commutes else 1)
+        return [[a.coeffs.get(r - c, QGauss()) * ((_sign(r) - _sign(c)) if commutes else 1)
                  for c in idx] for r in idx]
 
     def product(x, y):
@@ -124,6 +123,12 @@ _COEFF = st.builds(QGauss,
                    st.builds(Fraction, st.integers(-3, 3), _DENOMINATOR))
 _EXACT_TRIG = st.dictionaries(st.integers(-2, 2), _COEFF, min_size=2, max_size=4).map(
     lambda c: FourierSeries("circle", c, True))
+# dyadic rationals: every float product and sum of a few of these is exact
+_DYADIC_TRIG = st.dictionaries(
+    st.integers(-3, 3),
+    st.builds(QGauss, st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 4])),
+              st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 4]))),
+    min_size=1, max_size=4).map(lambda c: FourierSeries("circle", c, True))
 
 
 class TestExactTraceOracle:
@@ -322,6 +327,31 @@ class TestChCC:
         assert ev.window_drift == 0.0
         assert ev.raw_trace == -4
 
+    @given(st.sampled_from([2, 4]).flatmap(
+        lambda n: st.lists(_DYADIC_TRIG, min_size=n, max_size=n)))
+    @settings(max_examples=30, deadline=None)
+    @example([Z, ZI])
+    @example([ONE, Z])
+    def test_raw_trace_is_the_exact_trace(self, a):
+        # dyadic coefficients keep every float product and sum exact, so the
+        # windowed trace must equal the untruncated finite-rank trace
+        ev = eval_ch_CC(FredholmModuleSpec("circle_F", len(a) - 1), a)
+        assert ev.raw_trace == _exact_circle_trace(a).to_complex()
+        assert ev.window_drift == 0.0
+
+    def test_seeded_pairs_match_the_sum_rule_window(self):
+        # the catalog's random pairs give, bit for bit, the trace at the
+        # window 2 * sum(max_frequency) + 4 that eval_ch_CC used to take
+        rng = np.random.default_rng(REGISTRY["ch-cc-normalization"].defaults["seed"])
+        for _ in range(3):
+            a = [random_trig_poly(rng, 4, 4, 1.0) for _ in range(2)]
+            window = 2 * sum(s.max_frequency() for s in a) + 4
+            got = eval_ch_CC(SPEC1, a).raw_trace
+            assert got != 0
+            for bound in (window, 2 * window):
+                assert np.complex128(got).tobytes() == \
+                    np.complex128(float_trace(a, None, bound)).tobytes()
+
 
 class TestSzegoClosedForm:
     def test_matches_brute_double_sum(self):
@@ -387,6 +417,26 @@ class TestSzegoClosedForm:
             want = math.fsum(2.0 ** (-2 * alpha * j) * min(1 << j, n) for j in range(51))
             assert v.real == pytest.approx(want / math.log(2 + n), rel=1e-15)
             assert v.imag == 0.0
+
+
+def torus_phase_kernel_rho(k, m, n) -> float:
+    """The degree-zero kernel pairing the torus phase with Fourier data,
+
+    rho(k,m,n) = (m x n + (m-n) x k)/(|n+k||m+k|) + (n x k)/(|k||k+n|)
+               + (k x m)/(|k||k+m|),
+
+    in floats: the scalar oracle whose numerators, divisions and sum order
+    torus_diagonal_kernel follows bit for bit, and the float value of
+    rho_exact_terms.  A zero norm, at k = 0, k + m = 0 or k + n = 0,
+    raises ZeroDivisionError.
+    """
+    kk = math.hypot(*k)
+    nk = math.hypot(n[0] + k[0], n[1] + k[1])
+    mk = math.hypot(m[0] + k[0], m[1] + k[1])
+    t1 = (cross(m, n) + cross((m[0] - n[0], m[1] - n[1]), k)) / (nk * mk)
+    t2 = cross(n, k) / (kk * nk)
+    t3 = cross(k, m) / (kk * mk)
+    return t1 + t2 + t3
 
 
 def _scalar_torus_kernel(a0, a1, a2, points):

@@ -210,8 +210,10 @@ def dead_definitions(package: dict, sources: list) -> list:
 
 
 def test_no_dead_definitions():
+    # only the program and the benchmark count as references: a definition
+    # that just the tests name belongs in the tests, as an oracle
     package = {p.stem: p.read_text() for p in MODULES}
-    sources = [p.read_text() for d in ("src", "tests", "bench")
+    sources = [p.read_text() for d in ("src", "bench")
                for p in sorted((ROOT / d).rglob("*.py"))]
     assert dead_definitions(package, sources) == []
 

@@ -24,6 +24,16 @@ def _distance(x, a, b) -> float:
     return max(arc(a[0], b[0]), arc(a[1], b[1]))
 
 
+def _evaluate(f, point) -> complex:
+    """sum a_k e^{i k.theta} at one point, an angle (circle) or an angle
+    pair (torus), one coefficient at a time."""
+    coeffs = f.to_float().coeffs.items()
+    if f.domain == "circle":
+        return sum((c * np.exp(1j * k * float(point)) for k, c in coeffs), 0j)
+    t1, t2 = float(point[0]), float(point[1])
+    return sum((c * np.exp(1j * (k1 * t1 + k2 * t2)) for (k1, k2), c in coeffs), 0j)
+
+
 def delta_alpha(f, x, alpha, pair) -> complex:
     """The two-point difference quotient (f(a) - f(b)) / d(a,b)^alpha.
 
@@ -34,7 +44,7 @@ def delta_alpha(f, x, alpha, pair) -> complex:
     dist = _distance(x, a, b)
     if dist == 0:
         raise ValueError("the difference quotient needs two distinct points")
-    return (f.evaluate(a) - f.evaluate(b)) / dist ** alpha
+    return (_evaluate(f, a) - _evaluate(f, b)) / dist ** alpha
 
 
 class TestCutoff:
@@ -80,9 +90,20 @@ class TestSeminorm:
         assert hi > lo
 
     def test_torus_grid_path(self):
-        f = FourierSeries("torus", {(1, 0): 1.0}, False)
-        est = estimate_holder_seminorm(f, SampledMetricSpace.torus(64), 1.0)
+        # f(a, b) = e^{i a}, sampled on the product grid
+        x = SampledMetricSpace.torus(64)
+        vals = np.repeat(np.exp(1j * x.angles())[:, None], x.size, axis=1)
+        est = estimate_holder_seminorm(vals, x, 1.0)
         assert est == pytest.approx(1.0, abs=5e-2)
+
+    @pytest.mark.parametrize("x", [SampledMetricSpace.torus(8), SampledMetricSpace.circle(8)],
+                             ids=["torus", "circle"])
+    def test_torus_series_is_refused(self, x):
+        # a torus function enters as its samples; no grid evaluates a torus series
+        f = FourierSeries("torus", {(1, 0): 1.0}, False)
+        with pytest.raises(ValueError, match="only circle series are evaluated on a "
+                                             "grid; pass a torus function as its sampled"):
+            estimate_holder_seminorm(f, x, 0.5)
 
     def test_alternating_lacunary_quarter_exponent_regression(self):
         # the grid estimate stabilizes once the truncation level passes the
@@ -565,8 +586,8 @@ class TestDeltaAlpha:
         from chernlab.series import multiply
         x = SampledMetricSpace.circle(64)
         lhs = delta_alpha(multiply(f, g), x, 0.5, (a, b))
-        rhs = delta_alpha(f, x, 0.5, (a, b)) * g.evaluate(b) \
-            + f.evaluate(a) * delta_alpha(g, x, 0.5, (a, b))
+        rhs = delta_alpha(f, x, 0.5, (a, b)) * _evaluate(g, b) \
+            + _evaluate(f, a) * delta_alpha(g, x, 0.5, (a, b))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_torus_pair_uses_the_max_arc(self):

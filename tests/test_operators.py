@@ -20,17 +20,32 @@ from chernlab.operators import (OperatorModel, SingularValueSequence, SparseOper
                                 commutator, compose, exact_bound,
                                 multiplication_operator, product_diagonal,
                                 product_diagonals, rho_exact_terms, singular_values,
-                                symmetric_order, torus_phase_kernel_rho,
-                                torus_shells, weak_quasinorm)
+                                symmetric_order, torus_shells, weak_quasinorm)
 from chernlab.tracemean import diagonal_of
+from test_cocycles import torus_phase_kernel_rho
 
 WINDOW = 64
+
+
+def _frequencies(op: SparseOperator, pos: np.ndarray) -> list:
+    """The frequency indices of box positions: ints on the circle, int
+    pairs on the torus."""
+    if op.domain == "circle":
+        return (pos - op.bound).tolist()
+    k1, k2 = np.divmod(pos, 2 * op.bound + 1)
+    return list(zip((k1 - op.bound).tolist(), (k2 - op.bound).tolist()))
+
+
+def op_entries(op: SparseOperator):
+    """(row, col, value) triples of op with frequency indices, row by row."""
+    return zip(_frequencies(op, operators._rows(op.indptr)), _frequencies(op, op.cols),
+               op.vals)
 
 
 def dense_circle(op: SparseOperator, bound: int) -> np.ndarray:
     n = 2 * bound + 1
     m = np.zeros((n, n), dtype=complex)
-    for r, c, v in op.items():
+    for r, c, v in op_entries(op):
         m[r + bound, c + bound] = complex(v)
     return m
 
@@ -73,7 +88,7 @@ class TestCommutatorOracle:
         z = FourierSeries.monomial(1)
         c = commutator(OperatorModel("circle_F"), z, 8)
         assert not c.exact and c.vals.dtype == np.complex128
-        assert {(r, col): v for r, col, v in c.items()} == {(0, -1): 2 + 0j}
+        assert {(r, col): v for r, col, v in op_entries(c)} == {(0, -1): 2 + 0j}
 
     def test_rejects_small_window(self):
         ones = BoundedSequence.constant(1.0)
@@ -103,7 +118,8 @@ class TestComposeOracle:
         expected = dense_circle(ops[0], WINDOW)
         for o in ops[1:]:
             expected = expected @ dense_circle(o, WINDOW)
-        radius = compose(ops).exact_col_radius
+        prod = compose(ops)
+        radius = prod.bound - prod.bandwidth
         lo, hi = WINDOW - radius, WINDOW + radius + 1
         assert np.allclose(got[:, lo:hi], expected[:, lo:hi], atol=1e-12)
 
@@ -112,7 +128,7 @@ class TestComposeOracle:
         zi = FourierSeries.monomial(-1)
         model = OperatorModel("circle_F")
         prod = compose([commutator(model, z, 4), commutator(model, zi, 4)])
-        assert {(r, c): v for r, c, v in prod.items()} == {(0, 0): -4 + 0j}
+        assert {(r, c): v for r, c, v in op_entries(prod)} == {(0, 0): -4 + 0j}
 
     def test_product_diagonal_matches_dense(self):
         rng = np.random.default_rng(11)
@@ -209,7 +225,7 @@ def box_position(k, bound: int) -> int:
 def dense_torus(op: SparseOperator, bound: int) -> np.ndarray:
     n = (2 * bound + 1) ** 2
     m = np.zeros((n, n), dtype=complex)
-    for r, c, v in op.items():
+    for r, c, v in op_entries(op):
         m[box_position(r, bound), box_position(c, bound)] = complex(v)
     return m
 
@@ -257,7 +273,7 @@ class TestTorusOracle:
         # the phase is diagonal, so the truncated dense commutator is exact
         assert np.allclose(dense_torus(c, TORUS_BOUND), ph @ ma - ma @ ph,
                            rtol=0, atol=1e-14)
-        assert c.exact_col_radius == TORUS_BOUND - a.max_frequency()
+        assert c.bound - c.bandwidth == TORUS_BOUND - a.max_frequency()
 
     def test_multiplication_operator_matches_dense(self):
         a = random_torus_series(np.random.default_rng(19))
@@ -270,7 +286,7 @@ class TestTorusOracle:
                                     (-3, 0): Fraction(-5, 7)}, True)
         m = multiplication_operator(a, TORUS_BOUND)
         assert not m.exact and m.vals.dtype == np.complex128
-        assert dict(((r, c), v) for r, c, v in m.items())[(2, -2), (1, 0)] == 1 / 3
+        assert dict(((r, c), v) for r, c, v in op_entries(m))[(2, -2), (1, 0)] == 1 / 3
         assert np.array_equal(dense_torus(m, TORUS_BOUND),
                               dense_torus_mult(a, TORUS_BOUND))
 
@@ -301,7 +317,7 @@ class TestTorusOracle:
         expected = dense_torus(ops[0], TORUS_BOUND)
         for o in ops[1:]:
             expected = expected @ dense_torus(o, TORUS_BOUND)
-        cols = interior_columns(prod.exact_col_radius, TORUS_BOUND)
+        cols = interior_columns(prod.bound - prod.bandwidth, TORUS_BOUND)
         assert len(cols) > 1
         got = dense_torus(prod, TORUS_BOUND)
         assert np.allclose(got[:, cols], expected[:, cols], rtol=0, atol=1e-12)
@@ -311,7 +327,8 @@ class TestTorusOracle:
         expected = dense_torus(ops[0], TORUS_BOUND)
         for o in ops[1:]:
             expected = expected @ dense_torus(o, TORUS_BOUND)
-        radius = compose(ops).exact_col_radius
+        prod = compose(ops)
+        radius = prod.bound - prod.bandwidth
         pts = [k for k in torus_shells(8)
                if max(abs(k[0]), abs(k[1])) <= radius]
         got = product_diagonal(ops, pts)
@@ -323,7 +340,7 @@ class TestTorusOracle:
     def test_entry_at_torus_index(self):
         a = FourierSeries("torus", {(1, 0): 1.0, (0, -1): 0.5j}, False)
         c = commutator(OperatorModel("torus_U"), a, 1)
-        entries = {(r, col): v for r, col, v in c.items()}
+        entries = {(r, col): v for r, col, v in op_entries(c)}
         assert entries[(0, 0), (0, 1)] == 0.5 + 0.5j
         assert entries[(0, 0), (-1, 0)] == 2.0
         assert ((1, 0), (0, 0)) not in entries and ((0, 0), (0, 0)) not in entries
@@ -482,7 +499,7 @@ class TestStorage:
         for (r, c), v in zip(cells, vals):
             want[r, c] = complex(v)
         assert np.array_equal(dense_from_csr(op.to_csr()), want)
-        assert {(r + bound, c + bound): v for r, c, v in op.items()} == dict(zip(cells, vals))
+        assert {(r + bound, c + bound): v for r, c, v in op_entries(op)} == dict(zip(cells, vals))
         for arr in (op.indptr, op.cols, op.vals):
             assert not arr.flags.writeable
         if cells:
@@ -507,12 +524,12 @@ class TestExactForm:
 
     def test_entry_outside_the_box_is_exact_zero(self):
         # no entry is stored outside the box, so a read there is exactly zero
-        m = dict(((r, c), v) for r, c, v in multiplication_operator(
-            self.TORUS, TORUS_BOUND).items())
+        m = dict(((r, c), v) for r, c, v in op_entries(multiplication_operator(
+            self.TORUS, TORUS_BOUND)))
         assert m.get(((6, 0), (5, 0)), 0j) == 0j and m.get(((0, 0), (0, 7)), 0j) == 0j
         assert all(max(map(abs, r + c)) <= TORUS_BOUND for r, c in m)
-        c = dict(((r, col), v) for r, col, v in commutator(
-            OperatorModel("circle_F"), self.CIRCLE, 8).items())
+        c = dict(((r, col), v) for r, col, v in op_entries(commutator(
+            OperatorModel("circle_F"), self.CIRCLE, 8)))
         assert ((9, 8) not in c) and all(max(abs(r), abs(col)) <= 8 for r, col in c)
 
     def test_float_forms_match_dense(self):
@@ -660,15 +677,14 @@ class TestExactWindow:
         _, specs = drawn
         bound = sum(a.max_frequency() for kind, _, a in specs if kind != "phase") + slack
         ops, wide = build_factors(specs, bound), build_factors(specs, bound + 4)
-        radius = ops[0].exact_col_radius
+        radius = ops[0].bound - ops[0].bandwidth
         for op in ops[1:]:
-            radius = min(op.exact_col_radius, radius - op.bandwidth)
+            radius = min(op.bound - op.bandwidth, radius - op.bandwidth)
         prod, wide_prod = compose(ops), compose(wide)
         for op in ops + [prod]:
-            assert op.exact_col_radius == op.bound - op.bandwidth
-            assert all(_norm(np.subtract(r, c)) <= op.bandwidth for r, c, _ in op.items())
-        assert prod.exact_col_radius == radius
-        inside = lambda op: {(r, c): v for r, c, v in op.items() if _norm(c) <= radius}
+            assert all(_norm(np.subtract(r, c)) <= op.bandwidth for r, c, _ in op_entries(op))
+        assert prod.bound - prod.bandwidth == radius
+        inside = lambda op: {(r, c): v for r, c, v in op_entries(op) if _norm(c) <= radius}
         assert inside(prod) == inside(wide_prod)
 
     @pytest.mark.parametrize("domain", ["circle", "torus"])
@@ -709,10 +725,11 @@ def hankel_singular_values(coeffs) -> np.ndarray:
 
 
 def _real_sequence(name: str, level: int) -> BoundedSequence:
+    if name == "random":
+        values = np.random.default_rng(17).standard_normal(level + 1)
+        return BoundedSequence(values.__getitem__, float(np.abs(values).max()))
     return {"ones": BoundedSequence.constant(1.0),
-            "alternating": BoundedSequence(lambda j: (-1.0) ** j, 1.0),
-            "random": BoundedSequence.from_list(
-                np.random.default_rng(17).standard_normal(level + 1))}[name]
+            "alternating": BoundedSequence(lambda j: (-1.0) ** j, 1.0)}[name]
 
 
 def _gram(op: SparseOperator) -> tuple:
@@ -831,12 +848,14 @@ def torus_index():
 
 class TestTorusKernel:
     def test_guards_raise_on_degenerate_triples(self):
-        with pytest.raises(ZeroDivisionError):
-            torus_phase_kernel_rho((0, 0), (1, 0), (0, 1))
-        with pytest.raises(ZeroDivisionError):
-            torus_phase_kernel_rho((1, 0), (-1, 0), (0, 1))
-        with pytest.raises(ZeroDivisionError):
-            torus_phase_kernel_rho((1, 0), (1, 1), (-1, 0))
+        # k = 0, k + m = 0 and k + n = 0, in exact and in float arithmetic
+        for rho in (rho_exact_terms, torus_phase_kernel_rho):
+            with pytest.raises(ZeroDivisionError):
+                rho((0, 0), (1, 0), (0, 1))
+            with pytest.raises(ZeroDivisionError):
+                rho((1, 0), (-1, 0), (0, 1))
+            with pytest.raises(ZeroDivisionError):
+                rho((1, 0), (1, 1), (-1, 0))
 
     @given(torus_index(), torus_index(), torus_index())
     @settings(max_examples=60, deadline=None)
