@@ -16,9 +16,10 @@ import numpy as np
 
 from .scalars import QGauss
 from .series import FourierSeries, cross, multiply
-from .operators import (OperatorModel, SparseOperator, commutator, compose,
-                        exact_bound, multiplication_operator, product_diagonal,
-                        product_diagonals, symmetric_order, torus_shells)
+from .operators import (OperatorModel, SparseOperator, commutator, commutator_shape,
+                        compose, exact_bound, multiplication_operator,
+                        product_diagonal, product_diagonals, symmetric_order,
+                        torus_shells)
 from .tracemean import (DiagonalSequence, ExtendedLimitProbe, LogMeanSeries,
                         diagonal_of, dyadic_schedule, log_mean, probe)
 
@@ -113,12 +114,23 @@ def _phase_products(lead: OperatorModel, inputs: Sequence[FourierSeries], bound:
     return ops
 
 
+def _phase_product_bound(inputs: Sequence[FourierSeries], indices,
+                         leading: FourierSeries | None = None) -> int:
+    """The window exact_bound gives for reading the factors _phase_products
+    builds at indices: a phase, the multiplication operator of leading and
+    one commutator per input."""
+    shapes = [(0, None)]
+    if leading is not None:
+        shapes.append((leading.max_frequency(), None))
+    return exact_bound(shapes + [commutator_shape(a) for a in inputs], indices)
+
+
 def _circle_diagonal(inputs, schedule, leading=None, prefactor=1) -> DiagonalSequence:
     """Diagonal of F [a0] [F,a1]...[F,ap] in symmetric canonical order."""
     # diagonal entries vanish beyond the widest corner
     support = max([a.max_frequency() for a in inputs] + [1])
     idx = symmetric_order(min(2 * support + 3, max(max(schedule), 8)))
-    bound = exact_bound(inputs if leading is None else [leading, *inputs], idx)
+    bound = _phase_product_bound(inputs, idx, leading)
     d = diagonal_of(_phase_products(_CIRCLE_F, inputs, bound, leading), idx, finite_tail=True)
     return d if prefactor == 1 else d.scale(prefactor)
 
@@ -165,7 +177,7 @@ def torus_diagonal_operator(inputs: Sequence[FourierSeries], points,
     product is block diagonal and the supertrace diagonal is
     <e_k, U [a0] [U*,a1][U,a2]... e_k> - <e_k, U* [a0] [U,a1][U*,a2]... e_k>.
     """
-    bound = exact_bound(inputs if leading is None else [leading, *inputs], points)
+    bound = _phase_product_bound(inputs, points, leading)
     out = np.zeros(len(points), dtype=np.complex128)
     for lead, sign in ((OperatorModel("torus_U"), 1.0), (OperatorModel("torus_U_star"), -1.0)):
         out += sign * product_diagonal(_phase_products(lead, inputs, bound, leading), points)
@@ -324,18 +336,24 @@ def connes_chern_constant(n: int) -> complex:
 def eval_ch_CC(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
                stability_tol: float = 1e-10) -> CharacterCochainValue:
     """The normalized character cochain: c_n * Tr(F [F,a0]...[F,a_n]) from a
-    float windowed trace, with a window-doubling stability report.
+    float windowed trace, with a window-doubling stability report; a takes
+    spec.p + 1 inputs.
 
     [F,a_n] e_c vanishes unless |c| <= max_frequency(a_n), so the trace
     sums the diagonal entries at those c only, and the window is the one
-    exact_bound gives for them; the trace is taken again at twice it."""
+    exact_bound's path rule gives for them: each circle commutator keeps
+    its rows and columns within its own max_frequency, so that is at most
+    the largest max_frequency of the inputs.  The trace is taken again at
+    twice that window."""
+    if len(a) != spec.p + 1:
+        raise ValueError(f"ch_CC at p={spec.p} takes {spec.p + 1} inputs, got {len(a)}")
     n = len(a) - 1
     if spec.domain != "circle":
         raise NotImplementedError("the character cochain is implemented on the circle")
     if stability_tol < 0:
         raise ValueError(f"stability_tol={stability_tol} must be >= 0")
     last = a[-1].max_frequency()
-    bound = exact_bound(a, range(-last, last + 1))
+    bound = _phase_product_bound(a, range(-last, last + 1))
     traces = [compose(_phase_products(_CIRCLE_F, a, b)).trace() for b in (bound, 2 * bound)]
     drift = abs(traces[1] - traces[0])
     if drift > stability_tol * max(1.0, abs(traces[1])):
@@ -470,7 +488,7 @@ def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     if method != "operator":
         raise ValueError(f"unknown wedge method {method!r}")
     idx = range(max(schedule))
-    f_diag, *comms = _phase_products(_CIRCLE_F, a, exact_bound(a, idx))
+    f_diag, *comms = _phase_products(_CIRCLE_F, a, _phase_product_bound(a, idx))
     # in _S3 order all six products share F[F,a0], and each pair of
     # neighbours its left half F[F,a0][F,a_i]; product_diagonals forms each once
     diags = product_diagonals([[f_diag, comms[0]] + [comms[j] for j in perm]

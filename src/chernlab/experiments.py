@@ -306,7 +306,11 @@ def _exp_szego_dense(config, out, report):
     seqs = (("ones", ONES), ("alternating", ALTERNATING))
     w1s = [lacunary_series(c1, 0.5, config["level_cap"]) for _, c1 in seqs]
     w2 = lacunary_series(ONES, 0.5, config["level_cap"]).star()
-    bound = max(exact_bound([w1, w2], range(w)) for w1 in w1s)
+    # P, M_w1, Q, M_w2, P: phases have bandwidth 0, and neither they nor the
+    # multiplication operators have a support radius
+    bound = max(exact_bound([(0, None), (w1.max_frequency(), None), (0, None),
+                             (w2.max_frequency(), None), (0, None)], range(w))
+                for w1 in w1s)
     pd = SparseOperator.diagonal_phase(OperatorModel("szego_P"), bound)
     # Q = 1 - P as an explicit diagonal
     qent = {(k, k): (0.0 if k >= 0 else 1.0) for k in range(-bound, bound + 1)}

@@ -3,11 +3,13 @@ sparse truncated commutators, singular values, weak-Schatten diagnostics.
 
 All operators here are either diagonal in the Fourier basis (phase
 operators) or banded-sparse (commutators with multiplication operators).
-A SparseOperator's columns with |k|_inf <= bound - bandwidth, its exact
-column radius, carry the full untruncated column; composing operators adds
-their bandwidths, and diagonal extraction refuses to read outside that
-radius.  This makes window truncation loud instead of silently biased;
-exact_bound gives the smallest window at which a read is exact.
+Each records its bandwidth and, where it has one, its support radius: a
+circle commutator has finite rank, every entry within max_frequency of
+the origin.  A diagonal read follows index paths from n back to n, each
+step within one factor's bandwidth and inside the radii either side, so
+one path rule (exact_bound) gives the smallest window at which a read is
+exact, and diagonal extraction refuses an index that needs a larger one.
+This makes window truncation loud instead of silently biased.
 """
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ from .series import FourierSeries, FrequencyIndex, TorusIndex, cross
 
 __all__ = [
     "OperatorModel", "SparseOperator", "symmetric_order", "torus_shells",
-    "SingularValueSequence", "WindowLeakageError", "commutator", "compose",
+    "SingularValueSequence", "WindowLeakageError", "commutator", "commutator_shape",
+    "compose",
     "exact_bound", "product_diagonal", "product_diagonals", "singular_values", "weak_quasinorm",
     "rho_exact_terms",
 ]
@@ -155,6 +158,9 @@ def _linear_index(domain: str, bound: int, idx) -> np.ndarray:
 # An operator keeps an int64 indptr with one entry per window row, and its
 # diagonals one complex128 entry per row, so a window with more rows than
 # this (256 MiB of indptr) is refused before any row-length array is made.
+# It counts rows, not entries: the wedge's window is 2^level_cap under
+# exact_bound's path rule, so caps up to 23 are admitted, and at cap 23 the
+# commutators' 2^24 entries each and their products outgrow 3 GB.
 MAX_WINDOW_DIM = 1 << 25
 
 
@@ -188,6 +194,9 @@ class SparseOperator:
 
     bound: the box half-width W (circle: |k| <= W; torus: |k|_inf <= W).
     bandwidth: max |row - col|_inf over entries of the untruncated operator.
+    radius: the support radius, a bound on |row|_inf and |col|_inf over
+    entries of the untruncated operator, or None where there is none
+    (phases, multiplication operators, torus commutators).
 
     The entries are one read-only row-major CSR triple over the linear box
     positions (circle k + W, torus (k1 + W)(2W + 1) + (k2 + W)): int64
@@ -203,6 +212,7 @@ class SparseOperator:
     indptr: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    radius: int | None = None
     # no operator is exact; the benchmark's trace hook (bench/spans.py) reads it
     exact: ClassVar[bool] = False
 
@@ -210,7 +220,7 @@ class SparseOperator:
 
     @staticmethod
     def from_entries(domain: str, bound: int, bandwidth: int,
-                     rows, cols, vals) -> "SparseOperator":
+                     rows, cols, vals, radius: int | None = None) -> "SparseOperator":
         """From complex entries in any order at linear box positions.
         Raises ValueError when two entries share a position, and
         WindowLeakageError when no column is exact."""
@@ -220,7 +230,7 @@ class SparseOperator:
         n = _dim(domain, bound)
         return SparseOperator(domain, bound, bandwidth,
                               *_csr(np.asarray(rows, np.int64), np.asarray(cols, np.int64),
-                                    vals, (n, n)))
+                                    vals, (n, n)), radius)
 
     @staticmethod
     def from_dict(domain: str, bound: int, entries: dict, bandwidth: int) -> "SparseOperator":
@@ -257,9 +267,10 @@ class SparseOperator:
             _indptr(pos, n), pos, phase[pos].astype(np.complex128)))
 
     @staticmethod
-    def from_csr(csr: tuple, domain: str, bound: int, bandwidth: int) -> "SparseOperator":
+    def from_csr(csr: tuple, domain: str, bound: int, bandwidth: int,
+                 radius: int | None = None) -> "SparseOperator":
         """The float operator of a read-only square CSR triple."""
-        return SparseOperator(domain, bound, bandwidth, *csr)
+        return SparseOperator(domain, bound, bandwidth, *csr, radius)
 
     # -- basic queries -----------------------------------------------------
 
@@ -287,7 +298,7 @@ class SparseOperator:
         """The operator with only the entries where the mask keep is true."""
         return SparseOperator(self.domain, self.bound, self.bandwidth,
                               *_frozen(_indptr(_rows(self.indptr)[keep], self.dim()),
-                                       self.cols[keep], self.vals[keep]))
+                                       self.cols[keep], self.vals[keep]), self.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +438,32 @@ def commutator(op: OperatorModel, a: FourierSeries, bound: int) -> SparseOperato
     """The matrix of [op, M_a] on the window: entry (r, c) = a_{r-c} (phase(r) - phase(c)).
 
     Entries are exact values of the untruncated commutator (truncation only
-    removes rows/columns, it never perturbs retained entries).  The
-    bandwidth is max_frequency(a); a window bound below it raises
-    WindowLeakageError, and the caller must enlarge the window.
+    removes rows/columns, it never perturbs retained entries).  Its
+    bandwidth and support radius are commutator_shape(a); a window bound
+    below the bandwidth raises WindowLeakageError, and the caller must
+    enlarge the window.
     """
     if op.domain != a.domain:
         raise ValueError(f"domain mismatch: operator {op.domain} vs series {a.domain}")
     _dim(op.domain, bound)  # an oversized window raises before any array is made
-    if op.domain == "circle":
-        return _commutator_circle(op, a, bound, a.max_frequency())
-    return _commutator_torus(op, a, bound, a.max_frequency())
+    bandwidth, radius = commutator_shape(a)
+    entries = (_commutator_circle if op.domain == "circle" else _commutator_torus)(op, a, bound)
+    return SparseOperator.from_entries(op.domain, bound, bandwidth, *entries, radius)
 
 
-def _commutator_circle(op: OperatorModel, a: FourierSeries, bound: int,
-                       bw: int) -> SparseOperator:
+def commutator_shape(a: FourierSeries) -> tuple:
+    """(bandwidth, support radius) of a phase commutator [op, M_a].
+
+    A circle phase is constant on each side of 0, so the entry (c + f, c)
+    is nonzero only where c and c + f straddle 0: the commutator has
+    finite rank, every row and column within max_frequency(a) of 0.  A
+    torus phase varies everywhere, so a torus commutator has no radius.
+    """
+    bandwidth = a.max_frequency()
+    return bandwidth, bandwidth if a.domain == "circle" else None
+
+
+def _commutator_circle(op: OperatorModel, a: FourierSeries, bound: int) -> tuple:
     step = 1 if op.kind == "szego_P" else 2
     rows, cols, vals = [], [], []
     for f, coeff in a.coeffs.items():
@@ -458,13 +481,10 @@ def _commutator_circle(op: OperatorModel, a: FourierSeries, bound: int,
             cols.append(cs)
             # an exact coefficient is scaled before it is rounded
             vals.append(np.full(hi - lo, complex(coeff * sgn), np.complex128))
-    return SparseOperator.from_entries("circle", bound, bw,
-                                       _concat(rows, np.int64), _concat(cols, np.int64),
-                                       _concat(vals, np.complex128))
+    return _concat(rows, np.int64), _concat(cols, np.int64), _concat(vals, np.complex128)
 
 
-def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int,
-                      bw: int) -> SparseOperator:
+def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int) -> tuple:
     side = np.arange(-bound, bound + 1, dtype=np.int64)
     c1, c2 = (k.ravel() for k in np.meshgrid(side, side, indexing="ij"))
     phase_c = op.phase_array(c1, c2)
@@ -476,9 +496,7 @@ def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int,
         cols.append(col[nz])
         rows.append(col[nz] + shift)
         vals.append(complex(coeff) * pv[nz])
-    return SparseOperator.from_entries("torus", bound, bw,
-                                       _concat(rows, np.int64), _concat(cols, np.int64),
-                                       _concat(vals, np.complex128))
+    return _concat(rows, np.int64), _concat(cols, np.int64), _concat(vals, np.complex128)
 
 
 def multiplication_operator(a: FourierSeries, bound: int) -> SparseOperator:
@@ -497,20 +515,35 @@ def multiplication_operator(a: FourierSeries, bound: int) -> SparseOperator:
 # composition
 # ---------------------------------------------------------------------------
 
-def _product_bandwidth(ops: Sequence[SparseOperator]) -> int:
-    """The bandwidth of the product of ops, the sum of theirs; raises on a
-    domain or window mismatch."""
+def _same_window(ops: Sequence[SparseOperator]) -> None:
+    """Raises on a domain or window mismatch among ops."""
     for a, b in zip(ops, ops[1:]):
         if a.domain != b.domain:
             raise ValueError("window/domain mismatch in composition")
         if a.bound != b.bound:
             raise ValueError(f"window mismatch: bounds {a.bound} vs {b.bound}")
-    return sum(op.bandwidth for op in ops)
 
 
 def _compose_pair(a: SparseOperator, b: SparseOperator) -> SparseOperator:
+    """a @ b.  Its bandwidth is the sum of theirs; an entry (r, c) needs an
+    inner index k with a(r, k) and b(k, c) nonzero, so its rows lie within
+    min(R_a, R_b + bandwidth_a) and its columns within min(R_b, R_a +
+    bandwidth_b), where a missing radius is unbounded."""
+    _same_window([a, b])
+    rows = _least(a.radius, _shifted(b.radius, a.bandwidth))
+    cols = _least(b.radius, _shifted(a.radius, b.bandwidth))
+    radius = None if rows is None else max(rows, cols)
     return SparseOperator.from_csr(_matmul(a.to_csr(), b.to_csr(), a.dim()),
-                                   a.domain, a.bound, _product_bandwidth([a, b]))
+                                   a.domain, a.bound, a.bandwidth + b.bandwidth, radius)
+
+
+def _shifted(radius: int | None, by: int) -> int | None:
+    return None if radius is None else radius + by
+
+
+def _least(*values) -> int | None:
+    """The smallest of the values that are not None, or None."""
+    return min((v for v in values if v is not None), default=None)
 
 
 def compose(ops: Sequence[SparseOperator]) -> SparseOperator:
@@ -585,29 +618,62 @@ def _chain(previous: list, factors: list, pos: np.ndarray) -> SparseOperator:
 
 def _diagonal_positions(ops: list, idx: list) -> np.ndarray:
     """Box positions of the diagonal frequencies idx of the product of ops;
-    raises WindowLeakageError for one outside its exact column radius."""
-    radius = ops[0].bound - _product_bandwidth(ops)
+    raises WindowLeakageError naming the first index whose read needs a
+    larger window than the operators' bound (exact_bound's rule)."""
+    _same_window(ops)
+    shapes = [(op.bandwidth, op.radius) for op in ops]
     k = np.abs(np.asarray(idx, dtype=np.int64))
     norms = k if ops[0].domain == "circle" else k.reshape(-1, 2).max(axis=1)
-    outside = np.flatnonzero(norms > radius)
-    if len(outside):
-        raise WindowLeakageError(
-            f"diagonal at {idx[outside[0]]} exceeds the exact column radius {radius}; "
-            f"enlarge the construction window")
-    return _linear_index(ops[0].domain, ops[0].bound, idx)
+    bound = ops[0].bound
+    # the window the rule needs never falls as the index norm grows
+    if _path_window(shapes, int(norms.max())) > bound:
+        for i, n in enumerate(norms.tolist()):
+            needed = _path_window(shapes, n)
+            if needed > bound:
+                raise WindowLeakageError(
+                    f"diagonal at {idx[i]} needs window bound {needed}, more than {bound}; "
+                    f"enlarge the construction window")
+    return _linear_index(ops[0].domain, bound, idx)
 
 
-def exact_bound(series: Iterable[FourierSeries], indices: Iterable) -> int:
-    """The smallest window bound at which a product of phases and of one
-    commutator or multiplication operator per series has an exact diagonal
-    at every frequency in indices: max |index|_inf plus the sum of the
-    series' max_frequency().  A range is read at its two ends only, so an
-    oversized one reaches the window budget without being listed."""
+def _path_window(factors: Sequence[tuple], n: int) -> int:
+    """The window exact_bound's rule gives at the index norm n."""
+    bands = [b for b, _ in factors]
+    # inner index t sits between factors t and t + 1: the column of one and
+    # the row of the other, so within both their radii
+    caps = [_least(r, s) for (_, r), (_, s) in zip(factors, factors[1:])]
+    forward, f = [], n
+    for b, cap in zip(bands, caps):
+        f = _least(f + b, cap)
+        forward.append(f)
+    window, g = max([n] + bands), n
+    for b, cap, f in zip(bands[:0:-1], caps[::-1], forward[::-1]):
+        g = _least(g + b, cap)
+        window = max(window, min(f, g))
+    return window
+
+
+def exact_bound(factors: Sequence[tuple], indices: Iterable) -> int:
+    """The smallest window bound at which the product A_1...A_k of factors,
+    given as (bandwidth b_t, support radius R_t or None) pairs, has an exact
+    diagonal at every frequency in indices.
+
+    A nonzero term of the diagonal at n is a path n = k_0, k_1, ...,
+    k_k = n with A_t(k_(t-1), k_t) nonzero, so each step moves by at most
+    b_t, and the inner index k_t is within R_t and R_(t+1).  With N the
+    largest |index|_inf, F_0 = N, F_t = min(F_(t-1) + b_t, R_t, R_(t+1)) from
+    the left and G_t alike from the right, every inner index has |k_t| <=
+    min(F_t, G_t).  The bound is the largest of N, those inner bounds and
+    the bandwidths (a factor is never built in a window narrower than its
+    bandwidth).  It never exceeds N plus the summed bandwidths.  A range
+    is read at its two ends only, so an oversized one reaches the window
+    budget without being listed.
+    """
     if isinstance(indices, range):
         k = max(abs(indices[0]), abs(indices[-1])) if indices else 0
     else:
         k = int(np.abs(np.asarray(list(indices), dtype=np.int64)).max(initial=0))
-    return k + sum(s.max_frequency() for s in series)
+    return _path_window(factors, k)
 
 
 # ---------------------------------------------------------------------------

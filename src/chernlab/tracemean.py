@@ -88,7 +88,7 @@ class DiagonalSequence:
 def diagonal_of(ops: Sequence[SparseOperator], indices: Iterable,
                 finite_tail: bool = False) -> DiagonalSequence:
     """Diagonal of the product of two or more factors at the given
-    frequencies, in their order, with exact-column-radius checking."""
+    frequencies, in their order, refused past the path-rule window."""
     return DiagonalSequence(product_diagonal(ops, indices), finite_tail)
 
 

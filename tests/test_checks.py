@@ -6,7 +6,7 @@ import pytest
 from chernlab.chains import LaurentChain, wedge
 from chernlab.cocycles import (FredholmModuleSpec, check_cyclicity,
                                check_hochschild_cocycle, eval_c_omega,
-                               eval_c_omega_wedge, fast_path_partial_sums)
+                               eval_c_omega_wedge, eval_ch_CC, fast_path_partial_sums)
 from chernlab.metric import SampledMetricSpace, estimate_holder_seminorm
 from chernlab.operators import (OperatorModel, SingularValueSequence, commutator,
                                 compose, multiplication_operator, product_diagonal,
@@ -60,6 +60,10 @@ CHECKS = {
         lambda: FredholmModuleSpec("circle_F", 0), ValueError, "p must be positive"),
     "c_omega input count": (
         lambda: eval_c_omega(SPEC1, [Z]), ValueError, "takes 2 inputs, got 1"),
+    "ch_CC input count": (
+        lambda: eval_ch_CC(SPEC1, [Z, ZI, Z]), ValueError, "ch_CC at p=1 takes 2 inputs, got 3"),
+    "ch_CC of no inputs": (
+        lambda: eval_ch_CC(SPEC1, []), ValueError, "ch_CC at p=1 takes 2 inputs, got 0"),
     "coboundary input count": (
         lambda: check_hochschild_cocycle(SPEC1, [Z, ZI]), ValueError, "takes 4 inputs"),
     "cyclicity input count": (

@@ -222,6 +222,13 @@ class TestExitCodes:
         self._assert_refused_in_capped_child(
             tmp_path, "fourtedo-operator-crosscheck", f"m_max={m_max}", "MAX_WINDOW_DIM")
 
+    # the wedge's window is its largest commutator radius, 2^level_cap, so
+    # 24 is the least cap whose window has more than MAX_WINDOW_DIM rows
+    def test_oversized_wedge_level_cap_returns_two_at_once(self, tmp_path):
+        self._assert_refused_in_capped_child(
+            tmp_path, "fourtedo-operator-crosscheck", "level_cap_operator=24",
+            "MAX_WINDOW_DIM")
+
     # torus_shells listed its box of lattice points, about 32 n of them, as
     # Python pairs before any budget check: 8 * 10^9 at n_shells=10^9, and
     # 33.5 million (about 5 GB) at 4187617, whose first box has just under

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chernlab import operators
-from chernlab.cocycles import _phase_products
-from chernlab.experiments import run_experiment
+from chernlab.cocycles import _phase_product_bound, _phase_products
+from chernlab.experiments import _lacunary_quadruple, run_experiment
 from chernlab.scalars import QGauss
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
 from chernlab.operators import (OperatorModel, SingularValueSequence, SparseOperator,
@@ -146,21 +146,32 @@ class TestComposeOracle:
         want = np.array([expected[k + WINDOW, k + WINDOW] for k in idx])
         assert np.allclose(got, want, atol=1e-12)
 
-    def test_diagonal_read_past_radius_raises(self):
-        z = FourierSeries.monomial(1)
-        c = commutator(OperatorModel("circle_F"), z, 8)
+    def test_diagonal_read_past_the_path_window_raises(self):
+        # M_a M_a steps from n to n +- 1 and back, so the read at 8 needs
+        # bound 9; [F, a] has every entry within 1 of the origin, so the
+        # same read of [F, a] [F, a] fits the window and equals a wider one
+        a = FourierSeries("circle", {1: 1.0, -1: 1.0}, False)
+        idx = range(-8, 9)
+        m = multiplication_operator(a, 8)
         with pytest.raises(WindowLeakageError):
-            product_diagonal([c, c], list(range(-8, 9)))
+            product_diagonal([m, m], idx)
+        c, wide = (commutator(OperatorModel("circle_F"), a, b) for b in (8, 12))
+        got = product_diagonal([c, c], idx)
+        assert np.any(got != 0)
+        assert got.tobytes() == product_diagonal([wide, wide], idx).tobytes()
 
-    def test_leakage_names_the_first_index_past_the_radius(self):
-        c = commutator(OperatorModel("circle_F"), FourierSeries.monomial(1), 8)
-        # the product's exact column radius is 8 - 1 - 1 = 6
-        with pytest.raises(WindowLeakageError, match=r"diagonal at 7 exceeds .* radius 6;"):
-            product_diagonal([c, c], [0, -6, 7, -8, 3])
-        a = FourierSeries("torus", {(1, 0): 1.0}, False)
-        t = commutator(OperatorModel("torus_U"), a, 5)
-        with pytest.raises(WindowLeakageError, match=r"diagonal at \(1, -4\) exceeds .* radius 3;"):
-            product_diagonal([t, t], [(0, 0), (3, -3), (1, -4), (5, 0)])
+    def test_leakage_names_the_first_index_past_the_path_window(self):
+        a = FourierSeries("circle", {1: 1.0, -1: 1.0}, False)
+        m = multiplication_operator(a, 8)
+        # index n needs bound |n| + 1: 7 fits, -8 is the first that does not
+        with pytest.raises(WindowLeakageError,
+                           match=r"diagonal at -8 needs window bound 9, more than 8;"):
+            product_diagonal([m, m], [0, -6, 7, -8, 3, 8])
+        # a torus commutator has no support radius
+        t = commutator(OperatorModel("torus_U"), FourierSeries("torus", {(1, 0): 1.0}, False), 5)
+        with pytest.raises(WindowLeakageError,
+                           match=r"diagonal at \(5, 0\) needs window bound 6, more than 5;"):
+            product_diagonal([t, t], [(0, 0), (3, -3), (5, 0), (1, -4), (-5, 2)])
 
     def test_empty_index_list_raises(self):
         c = commutator(OperatorModel("circle_F"), FourierSeries.monomial(1), 8)
@@ -636,8 +647,9 @@ def _norm(k) -> int:
 
 
 @st.composite
-def factor_lists(draw):
-    """A domain and one to three factor specs (kind, phase kind, series)."""
+def factor_lists(draw, min_size: int = 1, max_size: int = 3):
+    """A domain and min_size to max_size factor specs (kind, phase kind,
+    series)."""
     domain = draw(st.sampled_from(["circle", "torus"]))
     freq = (st.integers(-3, 3) if domain == "circle"
             else st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
@@ -647,7 +659,7 @@ def factor_lists(draw):
         lambda c: FourierSeries(domain, c, False))
     specs = st.tuples(st.sampled_from(["phase", "commutator", "multiplication"]),
                       st.sampled_from(PHASE_KINDS[domain]), series)
-    return domain, draw(st.lists(specs, min_size=1, max_size=3))
+    return domain, draw(st.lists(specs, min_size=min_size, max_size=max_size))
 
 
 def build_factors(specs, bound: int) -> list:
@@ -662,9 +674,14 @@ def build_factors(specs, bound: int) -> list:
     return ops
 
 
+def _shapes(ops) -> list:
+    return [(op.bandwidth, op.radius) for op in ops]
+
+
 class TestExactWindow:
-    """The exact column radius is derived as bound - bandwidth, and
-    exact_bound is the smallest window at which a diagonal read is exact."""
+    """The exact column radius is derived as bound - bandwidth, the support
+    radius bounds every entry, and exact_bound is the smallest window at
+    which the path rule admits a diagonal read."""
 
     @given(factor_lists(), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -672,8 +689,9 @@ class TestExactWindow:
         """For phases, commutators, multiplication operators and their
         products: the radius equals the composition rule min(radius of the
         right factor, radius so far - its bandwidth), every entry lies
-        within the bandwidth, and every column within the radius equals the
-        same column built in a window 4 wider, bit for bit."""
+        within the bandwidth and within the support radius where there is
+        one, and every column within the radius equals the same column
+        built in a window 4 wider, bit for bit."""
         _, specs = drawn
         bound = sum(a.max_frequency() for kind, _, a in specs if kind != "phase") + slack
         ops, wide = build_factors(specs, bound), build_factors(specs, bound + 4)
@@ -683,14 +701,76 @@ class TestExactWindow:
         prod, wide_prod = compose(ops), compose(wide)
         for op in ops + [prod]:
             assert all(_norm(np.subtract(r, c)) <= op.bandwidth for r, c, _ in op_entries(op))
+            assert op.radius is None or all(max(_norm(r), _norm(c)) <= op.radius
+                                            for r, c, _ in op_entries(op))
         assert prod.bound - prod.bandwidth == radius
         inside = lambda op: {(r, c): v for r, c, v in op_entries(op) if _norm(c) <= radius}
         assert inside(prod) == inside(wide_prod)
 
+    @given(factor_lists(min_size=2, max_size=4), st.integers(2, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_diagonals_are_exact_at_the_path_window(self, drawn, count):
+        """A product of phases, multiplication operators and circle or torus
+        commutators read at exact_bound of its factors' (bandwidth, radius)
+        has, bit for bit, the diagonal it has 5 above and at the old window
+        N + sum of the bandwidths; one below, the read raises."""
+        domain, specs = drawn
+        idx = symmetric_order(count) if domain == "circle" else list(torus_shells(count))
+        old = max(map(_norm, idx)) + sum(a.max_frequency()
+                                         for kind, _, a in specs if kind != "phase")
+        bound = exact_bound(_shapes(build_factors(specs, old)), idx)
+        diagonal = lambda b: product_diagonal(build_factors(specs, b), idx)
+        at = diagonal(bound)
+        assert at.tobytes() == diagonal(bound + 5).tobytes()
+        assert at.tobytes() == diagonal(old).tobytes()
+        with pytest.raises(WindowLeakageError):
+            diagonal(bound - 1)
+
+    @pytest.mark.parametrize("case", ["banded", "commutator"])
+    def test_read_one_below_the_path_window_differs(self, case):
+        """Products whose read one below exact_bound, taken past the check,
+        loses a path: the rule is tight on them."""
+        z, zi = FourierSeries.monomial(1, exact=False), FourierSeries.monomial(-1, exact=False)
+        if case == "banded":
+            # n -> n + 1 -> n: the read at 1 passes through 2
+            specs, idx = [("multiplication", None, zi), ("phase", "circle_F", None),
+                          ("multiplication", None, z)], [-1, 0, 1]
+        else:
+            # [F, z] has one entry, at (0, -1), and 0 -> -1 -> -2 -> -1 -> 0
+            specs, idx = [("commutator", "circle_F", z), ("multiplication", None, z),
+                          ("multiplication", None, zi), ("multiplication", None, zi)], [0]
+        bound = exact_bound(_shapes(build_factors(specs, 8)), idx)
+        assert bound == 2
+        exact = product_diagonal(build_factors(specs, bound), idx)
+        below = build_factors(specs, bound - 1)
+        with pytest.raises(WindowLeakageError):
+            product_diagonal(below, idx)
+        unchecked = _product_diagonal(compose(below[:-1]).to_csr(), below[-1].to_csr())
+        assert np.any(unchecked[np.array(idx) + bound - 1] != exact)
+
+    @pytest.mark.parametrize("cap, m_max, window", [
+        (13, 12, 8192),      # the benchmark's crosscheck; N + summed bandwidths is 36863
+        (16, 14, 65536),     # the catalog default; 278527
+        (23, 14, 1 << 23),   # the largest cap within MAX_WINDOW_DIM
+    ])
+    def test_wedge_window_is_its_widest_commutator(self, cap, m_max, window):
+        # every inner index of F [F,a0]...[F,a3] sits beside a commutator,
+        # whose rows and columns are within 2^cap
+        quad = _lacunary_quadruple(0.25, cap)
+        assert _phase_product_bound(quad, range(1 << m_max)) == window
+
+    def test_torus_window_adds_the_smaller_side(self):
+        # no factor has a radius, so inner index t drifts by at most the
+        # smaller of the bandwidth sums to its left (0, 2, 5) and to its
+        # right (6, 4, 1)
+        shapes = [(0, None), (2, None), (3, None), (1, None)]
+        assert exact_bound(shapes, [(1, 1), (4, -1)]) == 4 + 2
+
     @pytest.mark.parametrize("domain", ["circle", "torus"])
-    def test_diagonals_are_exact_from_the_exact_bound(self, domain):
-        """The diagonals of lead [a0] [lead*, a1][lead, a2] are bit-identical
-        at exact_bound and 5 above it, and one below it the read leaks."""
+    @pytest.mark.parametrize("with_leading", [False, True])
+    def test_phase_product_bound_reads_the_built_factors(self, domain, with_leading):
+        """The window the cocycles size before building is exact_bound of
+        the factors _phase_products then builds."""
         rng = np.random.default_rng(31)
         if domain == "circle":
             mk = lambda: FourierSeries("circle", {k: complex(*rng.standard_normal(2))
@@ -699,14 +779,10 @@ class TestExactWindow:
         else:
             mk = lambda: random_torus_series(rng, terms=6)
             lead, idx = OperatorModel("torus_U"), list(torus_shells(6))
-        leading, inputs = mk(), [mk(), mk()]
-        bound = exact_bound([leading, *inputs], idx)
-        diagonal = lambda b: product_diagonal(_phase_products(lead, inputs, b, leading), idx)
-        at = diagonal(bound)
-        assert np.any(at != 0)
-        assert at.tobytes() == diagonal(bound + 5).tobytes()
-        with pytest.raises(WindowLeakageError):
-            diagonal(bound - 1)
+        leading = mk() if with_leading else None
+        inputs = [mk(), mk()]
+        ops = _phase_products(lead, inputs, 20, leading)
+        assert _phase_product_bound(inputs, idx, leading) == exact_bound(_shapes(ops), idx)
 
 
 def hankel_singular_values(coeffs) -> np.ndarray:
