@@ -707,6 +707,27 @@ class TestExactWindow:
         inside = lambda op: {(r, c): v for r, c, v in op_entries(op) if _norm(c) <= radius}
         assert inside(prod) == inside(wide_prod)
 
+    @pytest.mark.parametrize("domain", ["circle", "torus"])
+    def test_diagonals_are_exact_from_the_exact_bound(self, domain):
+        """The diagonals of lead [a0] [lead*, a1][lead, a2] are bit-identical
+        at exact_bound and 5 above it, and one below it the read leaks."""
+        rng = np.random.default_rng(31)
+        if domain == "circle":
+            mk = lambda: FourierSeries("circle", {k: complex(*rng.standard_normal(2))
+                                                  for k in range(-3, 4)}, False)
+            lead, idx = OperatorModel("circle_F"), symmetric_order(15)
+        else:
+            mk = lambda: random_torus_series(rng, terms=6)
+            lead, idx = OperatorModel("torus_U"), list(torus_shells(6))
+        leading, inputs = mk(), [mk(), mk()]
+        bound = _phase_product_bound(inputs, idx, leading)
+        diagonal = lambda b: product_diagonal(_phase_products(lead, inputs, b, leading), idx)
+        at = diagonal(bound)
+        assert np.any(at != 0)
+        assert at.tobytes() == diagonal(bound + 5).tobytes()
+        with pytest.raises(WindowLeakageError):
+            diagonal(bound - 1)
+
     @given(factor_lists(min_size=2, max_size=4), st.integers(2, 12))
     @settings(max_examples=60, deadline=None)
     def test_diagonals_are_exact_at_the_path_window(self, drawn, count):
