@@ -103,15 +103,13 @@ def _phase_products(lead: OperatorModel, inputs: Sequence[FourierSeries], bound:
     """The factors of lead [leading] [lead*, a1][lead, a2]... on the window:
     the phase, the multiplication operator of leading when one is given, and
     one commutator per input, the phases alternating from lead's adjoint
-    (circle_F is its own adjoint)."""
-    ops = [SparseOperator.diagonal_phase(lead, bound)]
-    if leading is not None:
-        ops.append(multiplication_operator(leading, bound))
+    (circle_F is its own adjoint); the phase is made last, after the budgets."""
+    ops = [] if leading is None else [multiplication_operator(leading, bound)]
     model = lead.adjoint()
     for a in inputs:
         ops.append(commutator(model, a, bound))
         model = model.adjoint()
-    return ops
+    return [SparseOperator.diagonal_phase(lead, bound)] + ops
 
 
 def _phase_product_bound(inputs: Sequence[FourierSeries], indices,

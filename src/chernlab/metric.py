@@ -3,6 +3,9 @@ experiment.
 
 Grid estimates are lower bounds of the true suprema; growth under grid
 refinement is the operational test for non-membership in a Holder class.
+A seminorm is estimated from sampled values only, one SeminormEstimate per
+exponent: the samples on the circle grid, the band of live diagonals on the
+product grid.
 """
 from __future__ import annotations
 
@@ -26,13 +29,12 @@ PAIR_CAP_DEFAULT = 10_000_000
 _MARGIN = 1.0 + 1e-9
 _SLACK = 1e-300
 
-# A grid's sample array holds one complex128 per point, m on the circle and
-# m^2 on the product grid (64 MiB at this budget), so a grid with more
-# points than this is refused before any array is made.  The decay
-# experiment holds only the band of its cutoffs, about M/pi rows of M at most,
-# and the product-grid scan a table of its shifts, six numbers (48 B) each:
-# a few hundred shifts at the catalog's pair_cap, and at most (M/2 + 1)(M + 1),
-# 2.1 million or about 100 MB at M = 2048, when pair_cap admits every offset.
+# A grid's samples take one complex128 per point, m on the circle and less
+# than m^2 in a band on the product grid (64 MiB at this budget), so a grid
+# with more points than this is refused before any array is made.  The decay
+# experiment's bands hold about M/pi rows of M at most, and the product-grid
+# scan a table of its shifts, 48 B each: a few hundred at the catalog's
+# pair_cap, and about 100 MB at M = 2048 when pair_cap admits every offset.
 # The budget admits the product grid of M = 2048, twice the catalog default.
 MAX_GRID_POINTS = 1 << 22
 
@@ -90,6 +92,8 @@ def chi_profile(t) -> np.ndarray:
 @dataclass(frozen=True)
 class SeminormEstimate:
     value: float
+    # max |f| over the samples or the band: the sup norm
+    peak: float
     truncated: bool
     pairs_used: int
     # work done, not part of the result: an exponent list prunes less than
@@ -111,26 +115,6 @@ def _offset_ladder(max_off: int, budget: int) -> tuple:
     return sorted(offs), True
 
 
-def _values_on_grid(f, x: SampledMetricSpace) -> np.ndarray:
-    if isinstance(f, FourierSeries):
-        if f.domain != "circle":
-            raise ValueError("only circle series are evaluated on a grid; pass a "
-                             "torus function as its sampled values, an (m, m) "
-                             "array on the product grid")
-        if x.kind != "circle_grid":
-            raise ValueError("series domain does not match the grid")
-        return f.evaluate_grid(x.angles())
-    vals = np.asarray(f, dtype=complex)
-    m = x.size
-    if x.kind == "circle_grid":
-        if vals.shape != (m,):
-            raise ValueError(f"sampled values have shape {vals.shape}, expected ({m},)")
-    elif vals.ndim != 2 or vals.shape[0] > m or vals.shape[1] != m:
-        raise ValueError(f"sampled values have shape {vals.shape}, expected ({m}, {m}) "
-                         f"or a band (w, {m}) with w < {m}")
-    return vals
-
-
 def _live_window(live: np.ndarray) -> tuple:
     """(c0, w) such that diagonals c0 .. c0+w-1 (mod m) hold every live
     diagonal: the complement of the longest cyclic run of dead ones, given
@@ -142,19 +126,6 @@ def _live_window(live: np.ndarray) -> tuple:
     gaps = np.diff(live, append=live[0] + m)
     g = int(np.argmax(gaps))
     return int(live[(g + 1) % live.size]), m - int(gaps[g]) + 1
-
-
-def _skewed_band(vals: np.ndarray) -> np.ndarray:
-    """Rows c0 .. c0+w-1 (mod m) of s[k, a] = vals[a, (a + k) mod m] as a
-    (w, m) array, one contiguous row per diagonal, for the _live_window of
-    the diagonals of vals that are not identically zero."""
-    m = vals.shape[0]
-    rows, cols = np.nonzero(vals)
-    live = np.zeros(m, dtype=bool)
-    live[(cols - rows) % m] = True
-    c0, w = _live_window(live)
-    a = np.arange(m)
-    return vals[a, (a + c0 + np.arange(w)[:, None]) % m]
 
 
 def _peak(vals: np.ndarray, axis=None):
@@ -179,8 +150,8 @@ def _updated_best(best: list, diff, powers: list) -> list:
 def _circle_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
                  pair_cap: int) -> tuple:
     """max |f(a) - f(a + o)| / arc(o)^alpha over the scanned offsets o, per
-    exponent; whether the cap truncated the offsets; the pairs covered and
-    the pairs differenced."""
+    exponent; max |f|; whether the cap truncated the offsets; the pairs
+    covered and the pairs differenced."""
     m = x.size
     offsets, truncated = _offset_ladder(m // 2, max(1, pair_cap // m))
     # twice[o:o + m][a] = vals[(a + o) mod m]: one slice per offset
@@ -188,11 +159,11 @@ def _circle_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
     # D(p + q) <= D(p) + D(q) for the offset maxima D; a skipped offset
     # keeps its bound in place of D
     seen = {}
-    cap = 2.0 * _peak(vals)
+    peak = float(_peak(vals))
     best, differenced = [0.0] * len(alphas), 0
     for o, arc in zip(offsets, x.arc(offsets).tolist()):
         powers = [arc ** a for a in alphas]
-        bound = cap
+        bound = 2.0 * peak
         if o - 1 in seen:
             bound = min(bound, seen[1] + seen[o - 1])
         if o // 2 in seen and o - o // 2 in seen:
@@ -204,7 +175,7 @@ def _circle_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
         seen[o] = diff = np.abs(vals - twice[o:o + m]).max()
         best = _updated_best(best, diff, powers)
         differenced += 1
-    return best, truncated, len(offsets) * m, differenced * m
+    return best, peak, truncated, len(offsets) * m, differenced * m
 
 
 def _ranked(order: np.ndarray, *columns, size: int = 64):
@@ -216,7 +187,7 @@ def _ranked(order: np.ndarray, *columns, size: int = 64):
         yield from zip(*(c[idx].tolist() for c in columns))
 
 
-def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
+def _torus_scan(band: np.ndarray, x: SampledMetricSpace, alphas: list,
                 pair_cap: int) -> tuple:
     """As _circle_scan for the shifts (o1, o2) of the product grid, in
     skewed band coordinates, visited best-first (see
@@ -239,7 +210,6 @@ def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
     far = np.searchsorted(ladder, np.maximum(o1, np.abs(o2)))
     arcs = x.arc(ladder).tolist()
     powers = np.array([[arc ** a for arc in arcs] for a in alphas])
-    band = vals if vals.shape[0] < m else _skewed_band(vals)
     w = band.shape[0]
     rowmax = _peak(band, axis=1)
     # band row i meets row i + e (mod m) of the row-shifted band; a row
@@ -279,24 +249,21 @@ def _torus_scan(vals: np.ndarray, x: SampledMetricSpace, alphas: list,
             diff = max(diff, np.abs(band[m - se:] - rolled[:w + se - m]).max())
         best = _updated_best(best, diff, pw)
         differenced += 1
-    return best, truncated, len(e) * m * m, differenced * m * m
+    return (best, float(rowmax.max(initial=0.0)), truncated, len(e) * m * m,
+            differenced * m * m)
 
 
-def estimate_holder_seminorm(f, x: SampledMetricSpace,
-                             alpha: float | Sequence[float],
-                             pair_cap: int = PAIR_CAP_DEFAULT,
-                             details: bool = False):
-    """Grid maximum of |f(a) - f(b)| / d(a,b)^alpha.
+def estimate_holder_seminorm(values, x: SampledMetricSpace, alphas: Sequence[float],
+                             pair_cap: int = PAIR_CAP_DEFAULT) -> List[SeminormEstimate]:
+    """Grid maxima of |f(a) - f(b)| / d(a,b)^alpha: one SeminormEstimate per
+    exponent in alphas, all from one scan, since the maxima of |f(a) - f(b)|
+    per grid offset do not depend on the exponent.
 
-    f is a circle FourierSeries on the circle grid, or sampled values: shape
-    (m,) on the circle grid, and (m, m) or a band (w, m) on the product grid
-    (see below).  A torus series raises ValueError; sample it first.
-
-    alpha is one exponent, or a sequence of them: a sequence gives a list
-    with one result per exponent, all from one scan, since the maxima of
-    |f(a) - f(b)| per grid offset do not depend on the exponent.  Each
-    equals the single-exponent call bit for bit.  A nan or infinite grid
-    value raises ValueError.
+    values are the samples of f: shape (m,) on the circle grid, and the
+    skewed band (w, m), 0 <= w < m, on the product grid (see below).  Any
+    other shape, a FourierSeries (sample it with f.evaluate_grid) and a bare
+    exponent raise ValueError, and so does a nan or infinite sample.  Each
+    estimate's peak is max |f| over the samples or the band, the sup norm.
 
     Enumerates all pairs when they fit under pair_cap, otherwise samples
     near-diagonal-prioritized offsets; the estimate reports whether the cap
@@ -313,11 +280,10 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace,
     contributes its max |s|, read for each e from one table, which equals
     the dense maximum exactly because a - 0 and 0 - b are exact.  A
     function supported near the diagonal thus costs its band width, not m,
-    per shift, and gives the same value as the dense scan bit for bit.
-    Sampled values of shape (m, m) are f on the grid, and their band is cut
-    out here.  An array of shape (w, m) with w < m is taken as the band
-    itself: rows s[c0 + i, a] for diagonals c0 .. c0+w-1 (mod m) that hold
-    every live one (c0 itself does not enter the scan).
+    per shift, and gives the same value as the dense scan bit for bit.  The
+    band's rows are s[c0 + i, a] for diagonals c0 .. c0+w-1 (mod m) that
+    hold every live one (c0 itself does not enter the scan); a function
+    with all m diagonals live has no band and is not accepted.
 
     Pruning: each scan keeps the running best of diff / d^alpha per
     exponent and, before differencing a shift, bounds its difference from
@@ -344,20 +310,26 @@ def estimate_holder_seminorm(f, x: SampledMetricSpace,
     exact, so every value, truncated and pairs_used is unchanged bit for
     bit.  Only pairs_differenced depends on the order.
     """
-    single = np.ndim(alpha) == 0
-    alphas = [alpha] if single else list(alpha)
+    if np.ndim(alphas) == 0:
+        raise ValueError(f"alphas is a sequence of exponents, such as [{alphas}]")
+    alphas = list(alphas)
     if not alphas:
         raise ValueError("no exponent alpha given")
     if not all(0 < a <= 1 for a in alphas):
         raise ValueError("alpha must lie in (0, 1]")
     if pair_cap < 1:
         raise ValueError(f"pair_cap={pair_cap} must be at least 1")
-    vals = _values_on_grid(f, x)
-    scan_grid = _circle_scan if x.kind == "circle_grid" else _torus_scan
-    best, truncated, used, differenced = scan_grid(vals, x, alphas, pair_cap)
-    out = [SeminormEstimate(b, truncated, used, differenced) if details else b
-           for b in best]
-    return out[0] if single else out
+    vals, m = np.asarray(values), x.size
+    circle = x.kind == "circle_grid"
+    if not (vals.shape == (m,) if circle
+            else vals.ndim == 2 and vals.shape[0] < m == vals.shape[1]):
+        form = (f"an array of shape ({m},)" if circle
+                else f"a band of shape (w, {m}) with 0 <= w < {m}")
+        raise ValueError(f"values on the {x.kind} of size {m} are sampled values, {form}; "
+                         f"got {type(values).__name__} of shape {vals.shape}")
+    scan_grid = _circle_scan if circle else _torus_scan
+    best, *rest = scan_grid(vals.astype(complex, copy=False), x, alphas, pair_cap)
+    return [SeminormEstimate(b, *rest) for b in best]
 
 
 @dataclass(frozen=True)
@@ -386,11 +358,13 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
     on the product grid, with a log-log decay fit against j.  The cutoff
     Delta_j(x, y) = chi_profile(j d(x, y)) is a bump concentrating on d < 1/j.
 
-    Each cutoff is built only on its live diagonals, as the skewed band
-    s[k, a] = chi(j arc(k)) (f(a + k) - f(a)) that estimate_holder_seminorm
-    scans, with the same window and the same floats as the dense M x M
-    array; the sup norm is max |s| over the band.  So no M x M array is
-    made, and every norm equals the dense build's bit for bit.
+    f is a circle series, sampled on the circle grid x with
+    f.evaluate_grid.  Each cutoff is built only on its live diagonals, as
+    the skewed band s[k, a] = chi(j arc(k)) (f(a + k) - f(a)) that
+    estimate_holder_seminorm scans, with the same window and the same
+    floats as the dense M x M array; the sup norm is the scan's peak, max |s|
+    over the band.  So no M x M array is made, and every norm equals the
+    dense build's bit for bit.
 
     The fitted slope is compared by callers against -(gamma - 0.1) with
     gamma = min(1 - alpha/beta, beta - alpha).  j_schedule=None means
@@ -420,7 +394,7 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
         raise ValueError(f"cutoffs j={empty} vanish at the nearest grid "
                          f"distance 2 pi/{m}, so Delta_j is zero off the "
                          f"diagonal; refine the grid or lower j")
-    fv = _values_on_grid(f, x)
+    fv = f.evaluate_grid(x.angles())
     if _peak(fv) == 0 or np.max(np.abs(fv - fv[0])) == 0:
         return DecayFitReport(alpha, beta, gamma, j_schedule,
                               [0.0] * len(j_schedule), float("nan"),
@@ -446,8 +420,8 @@ def diagonal_decay_experiment(f: FourierSeries, alpha: float, beta: float,
         # the run of dead diagonals outside -r .. r is longer than any run
         # inside, so the window lies inside and diagonal c0 is row (c0 + r) mod m
         band = rows[(c0 + r) % m:][:w]
-        semi = estimate_holder_seminorm(band, product, alpha, pair_cap=pair_cap)
-        norms.append(float(_peak(band)) + semi)
+        est, = estimate_holder_seminorm(band, product, [alpha], pair_cap=pair_cap)
+        norms.append(est.peak + est.value)
     logs = np.log(np.maximum(norms, 1e-300))
     design = np.column_stack([np.ones(len(j_schedule)), np.log(j_schedule)])
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)

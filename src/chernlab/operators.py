@@ -158,10 +158,13 @@ def _linear_index(domain: str, bound: int, idx) -> np.ndarray:
 # An operator keeps an int64 indptr with one entry per window row, and its
 # diagonals one complex128 entry per row, so a window with more rows than
 # this (256 MiB of indptr) is refused before any row-length array is made.
-# It counts rows, not entries: the wedge's window is 2^level_cap under
-# exact_bound's path rule, so caps up to 23 are admitted, and at cap 23 the
-# commutators' 2^24 entries each and their products outgrow 3 GB.
+# MAX_OPERATOR_ENTRIES counts the entries commutator and
+# multiplication_operator would build, about 100 B each at the peak of the
+# CSR build, before a path's products: a lacunary circle commutator to
+# level L holds 2^(L+1) - 1, so the wedge's operator path is admitted to
+# level_cap_operator = 22 (2 GB), and the catalog defaults build 131 071.
 MAX_WINDOW_DIM = 1 << 25
+MAX_OPERATOR_ENTRIES = 1 << 23
 
 
 def _dim(domain: str, bound: int) -> int:
@@ -171,6 +174,22 @@ def _dim(domain: str, bound: int) -> int:
         raise ValueError(f"a {domain} window of bound {bound} has {n} rows, more than "
                          f"MAX_WINDOW_DIM = {MAX_WINDOW_DIM}; use a smaller window")
     return n
+
+
+def _check_entries(a: FourierSeries, bound: int, what: str) -> None:
+    """Raises ValueError when the operator what of a would hold more than
+    MAX_OPERATOR_ENTRIES entries: each frequency f fills its _band, a circle
+    commutator only the columns where c and c + f straddle zero."""
+    side = 2 * bound + 1
+    if a.domain == "torus":
+        n = sum(max(0, side - abs(f1)) * max(0, side - abs(f2)) for f1, f2 in a.coeffs)
+    elif what == "commutator":
+        n = sum(max(0, min(abs(f), bound + 1) - max(0, abs(f) - bound)) for f in a.coeffs)
+    else:
+        n = sum(max(0, side - abs(f)) for f in a.coeffs)
+    if n > MAX_OPERATOR_ENTRIES:
+        raise ValueError(f"a {what} on the window of bound {bound} holds {n} entries, "
+                         f"more than MAX_OPERATOR_ENTRIES = {MAX_OPERATOR_ENTRIES}")
 
 
 def _concat(parts: list, dtype) -> np.ndarray:
@@ -446,6 +465,7 @@ def commutator(op: OperatorModel, a: FourierSeries, bound: int) -> SparseOperato
     if op.domain != a.domain:
         raise ValueError(f"domain mismatch: operator {op.domain} vs series {a.domain}")
     _dim(op.domain, bound)  # an oversized window raises before any array is made
+    _check_entries(a, bound, "commutator")
     bandwidth, radius = commutator_shape(a)
     entries = (_commutator_circle if op.domain == "circle" else _commutator_torus)(op, a, bound)
     return SparseOperator.from_entries(op.domain, bound, bandwidth, *entries, radius)
@@ -502,6 +522,7 @@ def _commutator_torus(op: OperatorModel, a: FourierSeries, bound: int) -> tuple:
 def multiplication_operator(a: FourierSeries, bound: int) -> SparseOperator:
     """The matrix of M_a on the box window: entry (c+f, c) = a_f."""
     _dim(a.domain, bound)  # an oversized window raises before any array is made
+    _check_entries(a, bound, "multiplication operator")
     bands = [(_band(a.domain, bound, f), coeff) for f, coeff in a.coeffs.items()]
     return SparseOperator.from_entries(
         a.domain, bound, a.max_frequency(),

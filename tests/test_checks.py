@@ -91,8 +91,8 @@ CHECKS = {
     "grid of one point": (
         lambda: SampledMetricSpace.circle(1), ValueError, "at least 2 points"),
     "sampled values of the wrong shape": (
-        lambda: estimate_holder_seminorm(np.zeros(5), SampledMetricSpace.circle(8), 0.5),
-        ValueError, r"shape \(5,\), expected \(8,\)"),
+        lambda: estimate_holder_seminorm(np.zeros(5), SampledMetricSpace.circle(8), [0.5]),
+        ValueError, r"an array of shape \(8,\); got ndarray of shape \(5,\)"),
 }
 
 

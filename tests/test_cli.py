@@ -229,6 +229,17 @@ class TestExitCodes:
             tmp_path, "fourtedo-operator-crosscheck", "level_cap_operator=24",
             "MAX_WINDOW_DIM")
 
+    # the window fits MAX_WINDOW_DIM, but the entries did not: each wedge
+    # commutator holds 2^24 - 1 at cap 23, and each multiplication operator
+    # of the dense check about 185 million at level_cap 22 (its window has
+    # 8 389 631 rows); both used to end in an out-of-memory traceback
+    @pytest.mark.parametrize("name, setting", [
+        ("fourtedo-operator-crosscheck", "level_cap_operator=23"),
+        ("szego-diagonal-dense-check", "level_cap=22"),
+    ])
+    def test_oversized_operator_returns_two_at_once(self, tmp_path, name, setting):
+        self._assert_refused_in_capped_child(tmp_path, name, setting, "MAX_OPERATOR_ENTRIES")
+
     # torus_shells listed its box of lattice points, about 32 n of them, as
     # Python pairs before any budget check: 8 * 10^9 at n_shells=10^9, and
     # 33.5 million (about 5 GB) at 4187617, whose first box has just under

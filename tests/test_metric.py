@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from chernlab.series import BoundedSequence, FourierSeries, lacunary_series
 from chernlab.metric import (MAX_GRID_POINTS, PAIR_CAP_DEFAULT, SampledMetricSpace,
-                             _offset_ladder, _skewed_band, chi_profile,
+                             _live_window, _offset_ladder, _peak, chi_profile,
                              diagonal_decay_experiment, estimate_holder_seminorm)
 
 
@@ -63,55 +63,71 @@ class TestCutoff:
         assert chi_profile(10 * 0.2) == 0.0
 
 
+def _seminorm(f, m, alpha, **kwargs):
+    """The estimate of a circle series at one exponent, from its samples on
+    the circle grid of m points."""
+    x = SampledMetricSpace.circle(m)
+    est, = estimate_holder_seminorm(f.evaluate_grid(x.angles()), x, [alpha], **kwargs)
+    return est
+
+
+def _band(vals):
+    """The band estimate_holder_seminorm takes for a dense (m, m) grid:
+    rows c0 .. c0+w-1 (mod m) of s[k, a] = vals[a, (a + k) mod m] for the
+    _live_window of the diagonals that are not identically zero."""
+    m = vals.shape[0]
+    rows, cols = np.nonzero(vals)
+    live = np.zeros(m, dtype=bool)
+    live[(cols - rows) % m] = True
+    c0, w = _live_window(live)
+    a = np.arange(m)
+    return vals[a, (a + c0 + np.arange(w)[:, None]) % m]
+
+
 class TestSeminorm:
     def test_constant_has_zero_seminorm(self):
         f = FourierSeries("circle", {0: 2.5}, False)
-        assert estimate_holder_seminorm(
-            f, SampledMetricSpace.circle(256), 0.5) == 0.0
+        assert _seminorm(f, 256, 0.5).value == 0.0
 
     def test_coordinate_is_lipschitz_one(self):
         z = FourierSeries.monomial(1, exact=False)
-        est = estimate_holder_seminorm(z, SampledMetricSpace.circle(2048), 1.0)
-        assert est == pytest.approx(1.0, abs=1e-3)
+        assert _seminorm(z, 2048, 1.0).value == pytest.approx(1.0, abs=1e-3)
 
     def test_scaling_is_homogeneous(self):
         f = FourierSeries("circle", {1: 1.0, 3: 0.5}, False)
-        x = SampledMetricSpace.circle(256)
-        a = estimate_holder_seminorm(f, x, 0.5)
-        b = estimate_holder_seminorm(f.scale(3.0), x, 0.5)
+        a = _seminorm(f, 256, 0.5).value
+        b = _seminorm(f.scale(3.0), 256, 0.5).value
         assert b == pytest.approx(3.0 * a, rel=1e-12)
 
     def test_grid_estimate_is_monotone_in_alpha_for_small_distances(self):
         ones = BoundedSequence.constant(1.0)
         f = lacunary_series(ones, 0.5, 8)
-        x = SampledMetricSpace.circle(512)
-        lo = estimate_holder_seminorm(f, x, 0.4)
-        hi = estimate_holder_seminorm(f, x, 0.9)
-        assert hi > lo
+        assert _seminorm(f, 512, 0.9).value > _seminorm(f, 512, 0.4).value
 
     def test_torus_grid_path(self):
-        # f(a, b) = e^{i a}, sampled on the product grid
+        # f(a, b) = e^{i a} - e^{i b}, zero on the diagonal: Lipschitz 2,
+        # reached by the shifts (o, -o)
         x = SampledMetricSpace.torus(64)
-        vals = np.repeat(np.exp(1j * x.angles())[:, None], x.size, axis=1)
-        est = estimate_holder_seminorm(vals, x, 1.0)
-        assert est == pytest.approx(1.0, abs=5e-2)
+        z = np.exp(1j * x.angles())
+        est, = estimate_holder_seminorm(_band(z[:, None] - z[None, :]), x, [1.0])
+        assert est.value == pytest.approx(2.0, abs=5e-2)
 
     @pytest.mark.parametrize("x", [SampledMetricSpace.torus(8), SampledMetricSpace.circle(8)],
                              ids=["torus", "circle"])
     def test_torus_series_is_refused(self, x):
-        # a torus function enters as its samples; no grid evaluates a torus series
-        f = FourierSeries("torus", {(1, 0): 1.0}, False)
-        with pytest.raises(ValueError, match="only circle series are evaluated on a "
-                                             "grid; pass a torus function as its sampled"):
-            estimate_holder_seminorm(f, x, 0.5)
+        # a function enters as its samples; no series is evaluated on a grid
+        for f in (FourierSeries("torus", {(1, 0): 1.0}, False),
+                  FourierSeries.monomial(1, exact=False)):
+            with pytest.raises(ValueError, match="are sampled values, .*; got "
+                                                 "FourierSeries of shape"):
+                estimate_holder_seminorm(f, x, [0.5])
 
     def test_alternating_lacunary_quarter_exponent_regression(self):
         # the grid estimate stabilizes once the truncation level passes the
         # grid resolution; the stabilized value is pinned as a regression
         # constant for the alternating-sign series at its own exponent
         alt = BoundedSequence(lambda j: (-1.0) ** j, 1.0)
-        x = SampledMetricSpace.circle(4096)
-        values = [estimate_holder_seminorm(lacunary_series(alt, 0.25, lv), x, 0.25)
+        values = [_seminorm(lacunary_series(alt, 0.25, lv), 4096, 0.25).value
                   for lv in (16, 18, 20)]
         assert values[0] == pytest.approx(values[1], rel=1e-9)
         assert values[1] == pytest.approx(values[2], rel=1e-9)
@@ -119,10 +135,33 @@ class TestSeminorm:
 
     def test_details_report_truncation(self):
         f = FourierSeries("circle", {1: 1.0}, False)
-        est = estimate_holder_seminorm(f, SampledMetricSpace.circle(4096), 1.0,
-                                       pair_cap=8192, details=True)
+        est = _seminorm(f, 4096, 1.0, pair_cap=8192)
         assert est.truncated
         assert est.pairs_used <= 3 * 8192
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_dense_grid_is_refused(self, m):
+        # an (m, m) array is not read as f on the grid, nor as a band of m
+        # diagonals: it is refused, naming the band form
+        vals = _on_diagonals(m, range(-1, 2), 0)
+        with pytest.raises(ValueError, match=rf"a band of shape \(w, {m}\) with "
+                                             rf"0 <= w < {m}; got ndarray of shape "
+                                             rf"\({m}, {m}\)"):
+            estimate_holder_seminorm(vals, SampledMetricSpace.torus(m), [0.5])
+
+    @pytest.mark.parametrize("w", [9, 12])
+    def test_band_wider_than_the_grid_is_refused(self, w):
+        with pytest.raises(ValueError, match=rf"a band of shape \(w, 8\) with 0 <= w < 8; "
+                                             rf"got ndarray of shape \({w}, 8\)"):
+            estimate_holder_seminorm(np.ones((w, 8)), SampledMetricSpace.torus(8), [0.5])
+
+    @pytest.mark.parametrize("alpha", [0.5, 1, np.float64(0.5), np.array(0.5)])
+    def test_bare_exponent_is_refused(self, alpha):
+        # a bare exponent used to return a bare float; every call now
+        # returns a list, so the exponents always come as a sequence
+        x = SampledMetricSpace.circle(8)
+        with pytest.raises(ValueError, match="alphas is a sequence of exponents"):
+            estimate_holder_seminorm(np.zeros(8), x, alpha)
 
 
 def _rolled_scan(vals, x, alpha, pair_cap):
@@ -148,13 +187,17 @@ def _rolled_scan(vals, x, alpha, pair_cap):
     return best, truncated, len(shifts) * vals.size
 
 
+def _diagonals(m, ks):
+    """The mask of the diagonals b - a = k (mod m), k in ks, of the m x m grid."""
+    idx = np.arange(m)
+    return np.isin((idx[None, :] - idx[:, None]) % m, np.asarray(ks, dtype=int) % m)
+
+
 def _on_diagonals(m, ks, seed):
     """Random complex values on the diagonals b - a = k (mod m), k in ks."""
     rng = np.random.default_rng(seed)
-    idx = np.arange(m)
     vals = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    keep = np.isin((idx[None, :] - idx[:, None]) % m, np.asarray(ks) % m)
-    return np.where(keep, vals, 0.0)
+    return np.where(_diagonals(m, ks), vals, 0.0)
 
 
 def _constant_diagonals(m, consts):
@@ -170,12 +213,22 @@ def _decay_series():
     return lacunary_series(BoundedSequence.constant(1.0), 0.9, 6)
 
 
+class _Sampled:
+    """Stands in for a circle series through its grid samples, for samples
+    that evaluate_grid cannot give exactly, such as (-1)^a = z^(m/2)."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=complex)
+
+    def evaluate_grid(self, thetas):
+        return self.values
+
+
 def _cutoff_difference(m, j, f=None):
     """Delta_j (1 tensor f - f tensor 1) on the dense M x M distance matrix,
-    for f = _decay_series() unless given (a series or its samples)."""
+    for the circle series f, _decay_series() unless given."""
     f = _decay_series() if f is None else f
-    fv = f.evaluate_grid(SampledMetricSpace.circle(m).angles()) \
-        if isinstance(f, FourierSeries) else f
+    fv = f.evaluate_grid(SampledMetricSpace.circle(m).angles())
     idx = np.arange(m)
     off = np.abs(idx[None, :] - idx[:, None])
     dmat = 2.0 * np.pi * np.minimum(off, m - off) / m
@@ -190,28 +243,30 @@ _PALETTE = (0.0, -0.0, complex(-0.0, -0.0), 1.0, -1.0, 1j, 1.0 + 1j,
 
 @st.composite
 def _banded_grid(draw):
-    """A torus grid of m <= 40 points whose live diagonals are none, all,
-    a run across the seam, a run wider than m/2, any run or any set, and a
-    pair cap that is either untruncated or tiny."""
+    """A dense torus grid of m <= 40 points whose live diagonals are none,
+    all but one, a run across the seam, a run wider than m/2, any run or any
+    set, and a pair cap that is either untruncated or tiny.  At least one
+    diagonal is dead, so that the grid has a band."""
     m = draw(st.integers(2, 40))
-    kind = draw(st.sampled_from(["empty", "full", "seam", "wide", "run", "any"]))
+    kind = draw(st.sampled_from(["empty", "widest", "seam", "wide", "run", "any"]))
     if kind == "empty":
         ks = []
-    elif kind == "full":
-        ks = list(range(m))
+    elif kind == "widest":
+        dead = draw(st.integers(0, m - 1))
+        ks = [k for k in range(m) if k != dead]
     elif kind == "seam":
         # a run through diagonal 0: rows on both sides of the band's wrap
         lo = draw(st.integers(-(m - 1) // 2, 0))
-        ks = list(range(lo, draw(st.integers(lo + 1, lo + m))))
+        ks = list(range(lo, draw(st.integers(lo + 1, lo + m - 1))))
     elif kind == "wide":
         # wider than m/2, so that both e < w and m - e < w hold for some e
         c0 = draw(st.integers(0, m - 1))
-        ks = list(range(c0, c0 + draw(st.integers(m // 2 + 1, m))))
+        ks = list(range(c0, c0 + draw(st.integers(min(m // 2 + 1, m - 1), m - 1))))
     elif kind == "run":
         c0 = draw(st.integers(0, m - 1))
-        ks = list(range(c0, c0 + draw(st.integers(1, m))))
+        ks = list(range(c0, c0 + draw(st.integers(1, m - 1))))
     else:
-        ks = sorted(draw(st.sets(st.integers(0, m - 1))))
+        ks = sorted(draw(st.sets(st.integers(0, m - 1), max_size=m - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     palette = np.array(_PALETTE)
     idx = np.arange(m)
@@ -228,7 +283,7 @@ def _banded_grid(draw):
         consts = np.full(m, 9.9)
         consts[draw(st.sampled_from(ks[:2] + ks[-2:] or [0])) % m] = 10.0
         vals = consts[(idx[None, :] - idx[:, None]) % m]
-    live = np.isin((idx[None, :] - idx[:, None]) % m, np.asarray(ks, int) % m)
+    live = _diagonals(m, ks)
     zeros = palette[rng.integers(3, size=(m, m))]  # signed zeros off the band
     vals = np.where(live, vals, zeros)
     cap = draw(st.one_of(st.just(10_000_000), st.integers(1, 8 * m * m)))
@@ -238,9 +293,11 @@ def _banded_grid(draw):
 class TestBandedTorusScan:
     """The live-diagonal scan equals the full double-roll scan bit for bit."""
 
+    # the "full support" cases are live on every diagonal but one, the
+    # widest band: with all m diagonals live a grid has no band form
     CASES = {
-        "full support": (24, lambda m: _on_diagonals(m, range(m), 0), None),
-        "full support odd": (63, lambda m: _on_diagonals(m, range(m), 1), None),
+        "full support": (24, lambda m: _on_diagonals(m, range(m - 1), 0), None),
+        "full support odd": (63, lambda m: _on_diagonals(m, range(m - 1), 1), None),
         "band across the seam": (32, lambda m: _on_diagonals(m, range(-3, 4), 2), None),
         "band off the diagonal": (32, lambda m: _on_diagonals(m, range(5, 9), 3), None),
         "two clusters": (40, lambda m: _on_diagonals(m, [-9, -8, 2, 3, 17], 4), None),
@@ -253,7 +310,7 @@ class TestBandedTorusScan:
         "all zero": (32, lambda m: np.zeros((m, m), dtype=complex), None),
         "cutoff band odd": (97, lambda m: _cutoff_difference(m, 4), None),
         "cutoff band truncated": (64, lambda m: _cutoff_difference(m, 2), 200_000),
-        "full support truncated": (48, lambda m: _on_diagonals(m, range(m), 7), 50_000),
+        "full support truncated": (48, lambda m: _on_diagonals(m, range(m - 1), 7), 50_000),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -263,7 +320,7 @@ class TestBandedTorusScan:
         cap = cap or 10_000_000
         vals = build(m)
         x = SampledMetricSpace.torus(m)
-        est = estimate_holder_seminorm(vals, x, alpha, pair_cap=cap, details=True)
+        est, = estimate_holder_seminorm(_band(vals), x, [alpha], pair_cap=cap)
         value, truncated, used = _rolled_scan(vals, x, alpha, cap)
         assert est.value == value
         assert est.truncated == truncated
@@ -284,26 +341,17 @@ class TestBandedTorusScan:
              [1.0, 0.3])
     # exponents far apart: the scan may stop only once the largest quotient
     # left is at most the smallest of their bests, not the largest
-    @example((np.random.default_rng(0).normal(size=(8, 8)).astype(complex), 10_000_000),
-             [1.0, 0.05])
+    @example((_on_diagonals(8, range(7), 0), 10_000_000), [1.0, 0.05])
     @settings(max_examples=200, deadline=None)
     def test_random_bands_match_rolled_scan(self, grid, alphas):
         vals, cap = grid
-        x = SampledMetricSpace.torus(vals.shape[0])
-        ests = _assert_matches_rolled(vals, x, alphas, cap)
-        band = _skewed_band(vals)
-        if band.shape[0] < vals.shape[0]:
-            # the band itself as the input: the same scan, bit for bit
-            by_band = estimate_holder_seminorm(band, x, alphas, pair_cap=cap, details=True)
-            for b, est in zip(by_band, ests):
-                assert float(b.value).hex() == float(est.value).hex()
-                assert (b.truncated, b.pairs_used) == (est.truncated, est.pairs_used)
+        _assert_matches_rolled(vals, SampledMetricSpace.torus(vals.shape[0]), alphas, cap)
 
     @pytest.mark.parametrize("shape", [(9, 8), (3, 9), (8,), (2, 8, 8)])
     def test_array_shape_is_checked(self, shape):
-        # (8, 8) is the grid and (w, 8) with w < 8 a band; nothing else
-        with pytest.raises(ValueError, match="sampled values have shape"):
-            estimate_holder_seminorm(np.ones(shape), SampledMetricSpace.torus(8), 0.5)
+        # only a band (w, 8) with w < 8 is accepted on the product grid
+        with pytest.raises(ValueError, match="are sampled values, a band of shape"):
+            estimate_holder_seminorm(np.ones(shape), SampledMetricSpace.torus(8), [0.5])
 
     @pytest.mark.parametrize("m, cap", [
         (96, 10_000_000),  # even: offset m/2, where the two halves meet
@@ -318,7 +366,7 @@ class TestBandedTorusScan:
         assert m // 2 in offsets and truncated == (len(offsets) < m // 2)
         ref = max(np.max(np.abs(vals - np.roll(vals, -o))) / float(x.arc(o)) ** 0.4
                   for o in offsets)
-        est = estimate_holder_seminorm(vals, x, 0.4, pair_cap=cap, details=True)
+        est, = estimate_holder_seminorm(vals, x, [0.4], pair_cap=cap)
         assert est.value == ref
         assert est.truncated == truncated
         assert est.pairs_used == len(offsets) * m
@@ -343,11 +391,16 @@ def _decay_inputs(js=(2, 4, 8, 16)):
 
 
 def _assert_matches_rolled(vals, x, alphas, cap):
-    ests = estimate_holder_seminorm(vals, x, alphas, pair_cap=cap, details=True)
+    """The estimates of vals, circle samples or a dense product grid handed
+    over as its _band, against the _rolled_scan of vals, and their peak
+    against _peak of what was handed over."""
+    given = vals if x.kind == "circle_grid" else _band(vals)
+    ests = estimate_holder_seminorm(given, x, alphas, pair_cap=cap)
     for a, est in zip(alphas, ests):
         value, truncated, used = _rolled_scan(vals, x, a, cap)
         assert float(est.value).hex() == float(value).hex()
         assert (est.truncated, est.pairs_used) == (truncated, used)
+        assert float(est.peak).hex() == float(_peak(given)).hex()
         assert 0 < est.pairs_differenced <= est.pairs_used
     return ests
 
@@ -378,26 +431,31 @@ class TestPruning:
     def test_exact_ties(self, alphas, seed):
         # integer samples and monomials: many shifts share one difference
         # and one quotient, so a bound can equal the best exactly
+        # (on the product grid, with diagonal 12 dead so that it has a band)
         rng = np.random.default_rng(seed)
         circle, torus = SampledMetricSpace.circle(64), SampledMetricSpace.torus(24)
         th = torus.angles()
+        band = _diagonals(24, range(-11, 12))
         for vals, x in [
             (rng.integers(-2, 3, 64).astype(complex), circle),
-            (rng.integers(-2, 3, (24, 24)).astype(complex), torus),
+            (band * rng.integers(-2, 3, (24, 24)).astype(complex), torus),
             (FourierSeries.monomial(3, exact=False).evaluate_grid(circle.angles()),
              circle),
-            (np.outer(np.exp(1j * th), np.exp(-2j * th)), torus),
-            (np.exp(1j * th)[None, :] + 0 * th[:, None], torus),
+            (band * np.outer(np.exp(1j * th), np.exp(-2j * th)), torus),
+            (band * np.exp(1j * th)[None, :], torus),
         ]:
             _assert_matches_rolled(vals, x, alphas, 10_000_000)
 
     @pytest.mark.parametrize("kind", ["circle", "torus"])
     def test_maximum_at_the_largest_offset(self, kind):
+        # on the product grid tent(a) - tent(b), zero on the diagonal, whose
+        # largest difference, m, is at the shift (m/2, -m/2)
         m, a = 40, 0.5
         x = SampledMetricSpace.circle(m) if kind == "circle" else SampledMetricSpace.torus(m)
-        vals = _tent(m) if kind == "circle" else np.repeat(_tent(m)[:, None], m, axis=1)
+        vals = _tent(m) if kind == "circle" else _tent(m)[:, None] - _tent(m)[None, :]
         est, = _assert_matches_rolled(vals, x, [a], 10_000_000)
-        assert est.value == (m // 2) / float(x.arc(m // 2)) ** a
+        top = m // 2 if kind == "circle" else m
+        assert est.value == top / float(x.arc(m // 2)) ** a
 
     def test_decay_inputs(self):
         for alpha, g in _decay_inputs():
@@ -415,11 +473,13 @@ class TestPruning:
 
     @pytest.mark.parametrize("vals, alpha", [
         # among subnormals |s - t| can round above |s| + |t|: the bound's
-        # absolute slack, not its relative margin, keeps these exact
+        # absolute slack, not its relative margin, keeps these exact (the
+        # product grids are padded with zeros, so that one diagonal is dead)
         (np.array([0, 0, 0, -_TINY - _TINY * 1j, -_TINY, _TINY + _TINY * 1j, -_TINY]),
          0.05),
-        (np.array([[_TINY + _TINY * 1j, _TINY * 1j], [0, -_TINY - _TINY * 1j]]), 0.05),
-        (np.array([[_TINY * 1j, _TINY + _TINY * 1j], [-_TINY - _TINY * 1j, _TINY]]), 0.3),
+        (np.pad([[_TINY + _TINY * 1j, _TINY * 1j], [0, -_TINY - _TINY * 1j]], (0, 1)), 0.05),
+        (np.pad([[_TINY * 1j, _TINY + _TINY * 1j], [-_TINY - _TINY * 1j, _TINY]], (0, 2)),
+         0.3),
     ], ids=["circle", "torus", "torus-2"])
     def test_subnormal_differences(self, vals, alpha):
         m = vals.shape[0]
@@ -468,23 +528,25 @@ class TestPruning:
         # as a larger count: scanned in ladder order, this input (M = 256,
         # j = 4, alpha = 0.3) had 32 of its 364 shifts differenced
         _, g = next(_decay_inputs(js=(4,)))
-        est = estimate_holder_seminorm(g, SampledMetricSpace.torus(256), 0.3,
-                                       pair_cap=12_000_000, details=True)
+        est, = estimate_holder_seminorm(_band(g), SampledMetricSpace.torus(256), [0.3],
+                                        pair_cap=12_000_000)
         assert est.pairs_used == 364 * 256 ** 2
         assert est.pairs_differenced < 32 * 256 ** 2
-        f = lacunary_series(BoundedSequence.constant(1.0), 0.5, 12)
-        x = SampledMetricSpace.circle(4096)
-        est = estimate_holder_seminorm(f, x, 0.5, details=True)
+        est = _seminorm(lacunary_series(BoundedSequence.constant(1.0), 0.5, 12), 4096, 0.5)
         assert est.pairs_differenced < est.pairs_used // 2
 
     @pytest.mark.parametrize("kind", ["circle", "torus"])
     def test_unprunable_input_differences_every_shift(self, kind):
+        # on the product grid f(a, b) = tent(a) off the dead diagonal m/2:
+        # every row's max |s| is m/2, so every bound is m, and at alpha =
+        # 0.05 no quotient comes near m / d^alpha
         m = 32
         if kind == "circle":
-            vals, x = _tent(m), SampledMetricSpace.circle(m)
+            vals, x, alpha = _tent(m), SampledMetricSpace.circle(m), 0.5
         else:
-            vals, x = np.repeat(_tent(m)[:, None], m, axis=1), SampledMetricSpace.torus(m)
-        est = estimate_holder_seminorm(vals, x, 0.5, details=True)
+            live = _diagonals(m, [k for k in range(m) if k != m // 2])
+            vals, x, alpha = _band(live * _tent(m)[:, None]), SampledMetricSpace.torus(m), 0.05
+        est, = estimate_holder_seminorm(vals, x, [alpha])
         assert est.pairs_differenced == est.pairs_used
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf),
@@ -494,12 +556,12 @@ class TestPruning:
         ("torus", (5, 2)),
     ])
     def test_non_finite_sample_is_rejected(self, bad, kind, where):
-        # max(0.0, nan) is 0.0: a nan used to read as a zero seminorm
-        m = 16 if kind == "circle" else 8
-        vals = _on_diagonals(m, range(m), 11)
-        x = SampledMetricSpace.torus(m)
+        # max(0.0, nan) is 0.0: a nan used to read as a zero seminorm; on
+        # the product grid, where indexes the band of diagonals -3 .. 3
         if kind == "circle":
-            vals, x = vals[0], SampledMetricSpace.circle(m)
+            vals, x = _on_diagonals(16, range(16), 11)[0], SampledMetricSpace.circle(16)
+        else:
+            vals, x = _band(_on_diagonals(8, range(-3, 4), 11)), SampledMetricSpace.torus(8)
         vals[where] = bad
         with pytest.raises(ValueError, match="nan or infinite"):
             estimate_holder_seminorm(vals, x, [0.5, 1.0])
@@ -520,8 +582,7 @@ class TestGridBudget:
             SampledMetricSpace(kind, m)
 
     def test_decay_experiment_refuses_before_any_grid_array(self, monkeypatch):
-        import chernlab.metric as metric
-        monkeypatch.setattr(metric, "_values_on_grid", None)
+        monkeypatch.setattr(FourierSeries, "evaluate_grid", None)
         f = lacunary_series(BoundedSequence.constant(1.0), 0.9, 5)
         with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
             diagonal_decay_experiment(f, 0.3, 0.9, [2, 4],
@@ -545,27 +606,27 @@ class TestSeveralExponents:
         if kind == "circle":
             vals, x = vals[0], SampledMetricSpace.circle(m)
         else:
-            x = SampledMetricSpace.torus(m)
-        many = estimate_holder_seminorm(vals, x, self.ALPHAS, pair_cap=cap,
-                                        details=True)
-        singles = [estimate_holder_seminorm(vals, x, a, pair_cap=cap, details=True)
+            vals, x = _band(vals), SampledMetricSpace.torus(m)
+        many = estimate_holder_seminorm(vals, x, self.ALPHAS, pair_cap=cap)
+        singles = [estimate_holder_seminorm(vals, x, [a], pair_cap=cap)[0]
                    for a in self.ALPHAS]
         assert [e.value.hex() for e in many] == [e.value.hex() for e in singles]
         assert many == singles
         assert all(e.truncated == truncated for e in many)
 
     def test_series_values_without_details(self):
+        # an exponent array, as any sequence, gives one estimate per exponent
         f = lacunary_series(BoundedSequence.constant(1.0), 0.5, 8)
         x = SampledMetricSpace.circle(512)
-        many = estimate_holder_seminorm(f, x, np.array(self.ALPHAS))
-        assert many == [estimate_holder_seminorm(f, x, a) for a in self.ALPHAS]
-        assert estimate_holder_seminorm(f, x, [0.5]) == [many[1]]
+        vals = f.evaluate_grid(x.angles())
+        many = estimate_holder_seminorm(vals, x, np.array(self.ALPHAS))
+        assert many == [estimate_holder_seminorm(vals, x, [a])[0] for a in self.ALPHAS]
+        assert estimate_holder_seminorm(vals, x, [0.5]) == [many[1]]
 
     @pytest.mark.parametrize("alphas", [[], [0.5, 0.0], [1.5]])
     def test_bad_exponents_are_rejected(self, alphas):
         with pytest.raises(ValueError):
-            estimate_holder_seminorm(FourierSeries.monomial(1, exact=False),
-                                     SampledMetricSpace.circle(64), alphas)
+            estimate_holder_seminorm(np.zeros(64), SampledMetricSpace.circle(64), alphas)
 
 
 class TestDeltaAlpha:
@@ -653,7 +714,7 @@ class TestDecayExperiment:
          (2, 4, 8, 16), 12_000_000, True),
         (_decay_series(), 45, 0.3, 0.9, (2, 3, 5), PAIR_CAP_DEFAULT, False),
         (_decay_series(), 64, 0.2, 0.5, (2, 4, 8), 200_000, True),
-        ((-1.0) ** np.arange(64) + 0j, 64, 0.3, 0.9, (2, 4), PAIR_CAP_DEFAULT, False),
+        (_Sampled((-1.0) ** np.arange(64)), 64, 0.3, 0.9, (2, 4), PAIR_CAP_DEFAULT, False),
     ], ids=["64", "97", "holder-grid-a0.3-b0.9", "holder-grid-a0.2-b0.5", "odd",
             "truncated", "dead-diagonals"])
     def test_norms_match_the_dense_cutoff_build(self, f, m, alpha, beta, js, cap,
@@ -670,12 +731,12 @@ class TestDecayExperiment:
         dense = []
         for j in js:
             g = _cutoff_difference(m, j, f)
-            est = estimate_holder_seminorm(g, SampledMetricSpace.torus(m), alpha,
-                                           pair_cap=cap, details=True)
+            est, = estimate_holder_seminorm(_band(g), SampledMetricSpace.torus(m), [alpha],
+                                            pair_cap=cap)
             dense.append(float(np.max(np.abs(g))) + est.value)
             assert est.truncated == truncated
         assert [n.hex() for n in rep.norms] == [n.hex() for n in dense]
-        if isinstance(f, np.ndarray):
+        if isinstance(f, _Sampled):
             a = np.arange(m)
             assert not g[a, (a + 2) % m].any() and g[a, (a + 1) % m].all()
 
@@ -686,7 +747,7 @@ class TestDecayExperiment:
         vals = _decay_series().evaluate_grid(x.angles())
         vals[where] = bad
         with pytest.raises(ValueError, match="nan or infinite"):
-            diagonal_decay_experiment(vals, 0.3, 0.9, [2, 4], x)
+            diagonal_decay_experiment(_Sampled(vals), 0.3, 0.9, [2, 4], x)
 
     def test_no_product_grid_sized_array(self):
         # M = 1024, j >= 4: the widest cutoff lives on 81 diagonals, and the
@@ -704,15 +765,11 @@ class TestDecayExperiment:
             tracemalloc.stop()
         assert peak < 10 << 20
 
-    def test_nonpositive_pair_cap_is_rejected(self, monkeypatch):
-        # rejected before the grid is evaluated
-        import chernlab.metric as metric
-        monkeypatch.setattr(metric, "_values_on_grid", None)
+    def test_nonpositive_pair_cap_is_rejected(self):
         for cap in (0, -1):
             with pytest.raises(ValueError, match="pair_cap"):
-                estimate_holder_seminorm(FourierSeries.monomial(1, exact=False),
-                                         SampledMetricSpace.torus(8), 0.5,
-                                         pair_cap=cap)
+                estimate_holder_seminorm(np.zeros((1, 8)), SampledMetricSpace.torus(8),
+                                         [0.5], pair_cap=cap)
 
     @pytest.mark.parametrize("js, match", [
         ([0, 2, 4], "j must be >= 1"),

@@ -638,6 +638,35 @@ class TestWindows:
             assert torus_shells.__wrapped__(100) == want
 
 
+    @given(st.sampled_from(["circle", "torus"]), st.integers(0, 2**32 - 1),
+           st.integers(1, 6), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_entry_budget_counts_the_built_entries(self, domain, seed, terms, extra):
+        # the count each builder checks before it makes an array is the nnz
+        # it then builds: refused one below, admitted at it (a torus
+        # commutator is counted by its bands, the nnz of M_a)
+        rng = np.random.default_rng(seed)
+        if domain == "circle":
+            a = FourierSeries("circle", {int(k): complex(*rng.standard_normal(2))
+                                         for k in rng.integers(-12, 13, terms)}, False)
+            lead = OperatorModel(str(rng.choice(["szego_P", "circle_F"])))
+        else:
+            a = random_torus_series(rng, degree=3, terms=terms)
+            lead = OperatorModel(str(rng.choice(["torus_U", "torus_U_star"])))
+        bound = a.max_frequency() + extra
+        mult = multiplication_operator(a, bound)
+        comm = commutator(lead, a, bound)
+        for build, nnz in [(lambda: multiplication_operator(a, bound), mult.nnz()),
+                           (lambda: commutator(lead, a, bound),
+                            comm.nnz() if domain == "circle" else mult.nnz())]:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(operators, "MAX_OPERATOR_ENTRIES", nnz)
+                build()
+                mp.setattr(operators, "MAX_OPERATOR_ENTRIES", nnz - 1)
+                with pytest.raises(ValueError, match="MAX_OPERATOR_ENTRIES"):
+                    build()
+
+
 PHASE_KINDS = {"circle": ("szego_P", "circle_F"), "torus": ("torus_U", "torus_U_star")}
 
 
@@ -779,6 +808,18 @@ class TestExactWindow:
         # whose rows and columns are within 2^cap
         quad = _lacunary_quadruple(0.25, cap)
         assert _phase_product_bound(quad, range(1 << m_max)) == window
+
+    @pytest.mark.parametrize("cap, refused", [(16, False), (22, False), (23, True)])
+    def test_wedge_commutators_fit_the_entry_budget_to_cap_22(self, cap, refused):
+        # a lacunary commutator to level L holds 2^(L+1) - 1 entries on the
+        # wedge's window 2^L; counted, not built
+        for a in _lacunary_quadruple(0.25, cap):
+            if refused:
+                with pytest.raises(ValueError, match="16777215 entries, more than "
+                                                     "MAX_OPERATOR_ENTRIES"):
+                    operators._check_entries(a, 1 << cap, "commutator")
+            else:
+                operators._check_entries(a, 1 << cap, "commutator")
 
     def test_torus_window_adds_the_smaller_side(self):
         # no factor has a radius, so inner index t drifts by at most the
