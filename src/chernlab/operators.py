@@ -158,11 +158,13 @@ def _linear_index(domain: str, bound: int, idx) -> np.ndarray:
 # An operator keeps an int64 indptr with one entry per window row, and its
 # diagonals one complex128 entry per row, so a window with more rows than
 # this (256 MiB of indptr) is refused before any row-length array is made.
-# MAX_OPERATOR_ENTRIES counts the entries commutator and
-# multiplication_operator would build, about 100 B each at the peak of the
-# CSR build, before a path's products: a lacunary circle commutator to
-# level L holds 2^(L+1) - 1, so the wedge's operator path is admitted to
-# level_cap_operator = 22 (2 GB), and the catalog defaults build 131 071.
+# MAX_OPERATOR_ENTRIES bounds the entries of one commutator or
+# multiplication operator, counted from the coefficients before any is
+# made: an entry takes about 100 B while its CSR triple is built, and a
+# path's products hold more.  A lacunary circle commutator to level L holds
+# 2^(L+1) - 1 entries, so the wedge's operator path is admitted up to
+# level_cap_operator = 22 (a 2.0 GB peak); the catalog defaults build at
+# most 131 071.
 MAX_WINDOW_DIM = 1 << 25
 MAX_OPERATOR_ENTRIES = 1 << 23
 
