@@ -311,7 +311,8 @@ def _exp_szego_dense(config, out, report):
     bound = max(exact_bound([(0, None), (w1.max_frequency(), None), (0, None),
                              (w2.max_frequency(), None), (0, None)], range(w))
                 for w1 in w1s)
-    # built first, so that an oversized window is refused before the phases
+    # M_w2 holds as many entries as each M_w1, so it is built first: an
+    # operator over the entry budget is refused before the phases are made
     m2 = multiplication_operator(w2, bound)
     pd = SparseOperator.diagonal_phase(OperatorModel("szego_P"), bound)
     # Q = 1 - P as an explicit diagonal

@@ -637,7 +637,6 @@ class TestWindows:
         else:
             assert torus_shells.__wrapped__(100) == want
 
-
     @given(st.sampled_from(["circle", "torus"]), st.integers(0, 2**32 - 1),
            st.integers(1, 6), st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
