@@ -12,12 +12,11 @@ from .operators import (OperatorModel, SingularValueSequence, SparseOperator,
 from .tracemean import (DiagonalSequence, ExtendedLimitProbe, LogMeanSeries,
                         diagonal_of, dyadic_schedule, log_mean, probe)
 from .cocycles import (CochainEvaluation, CocycleConsistencyError,
-                       FredholmModuleSpec, check_cyclicity,
-                       check_hochschild_cocycle, eval_c_omega,
-                       eval_c_omega_wedge, eval_ch_CC, eval_h_omega,
-                       fast_path_partial_sums, pairing_normalization,
-                       szego_pair_diagonal, torus_diagonal_kernel,
-                       torus_diagonal_operator)
+                       check_cyclicity, check_hochschild_cocycle,
+                       eval_c_omega, eval_c_omega_wedge, eval_ch_CC,
+                       eval_h_omega, fast_path_partial_sums,
+                       pairing_normalization, szego_pair_diagonal,
+                       torus_diagonal_kernel, torus_diagonal_operator)
 from .chains import LaurentChain, boundary_b, cyclic_lambda, pair, wedge
 from .metric import (DecayFitReport, SampledMetricSpace, chi_profile,
                      diagonal_decay_experiment, estimate_holder_seminorm)

@@ -13,8 +13,6 @@ from typing import Callable, Dict, Sequence, Tuple
 
 from .scalars import QGauss
 from .series import FourierSeries, multiply
-from .tracemean import LogMeanSeries, probe
-from .cocycles import CochainEvaluation
 
 __all__ = ["LaurentChain", "boundary_b", "cyclic_lambda", "wedge", "pair"]
 
@@ -67,18 +65,6 @@ class LaurentChain:
             out[t] = out.get(t, QGauss()) + w
         return LaurentChain(self.degree, out)
 
-    def scale(self, s) -> "LaurentChain":
-        s = QGauss.of(s)
-        return LaurentChain(self.degree, {t: w * s for t, w in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentChain):
-            return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
-
 
 def boundary_b(x: LaurentChain) -> LaurentChain:
     """The alternating-sum boundary: adjacent products with signs, plus the
@@ -127,25 +113,15 @@ def wedge(a: Sequence[FourierSeries]) -> LaurentChain:
     return LaurentChain(k, out)
 
 
-def pair(recipe: Callable, x: LaurentChain) -> CochainEvaluation:
-    """Apply a cochain evaluator to every elementary tensor and combine
-    with the chain weights: a QGauss sum when every evaluation has an exact
-    value, else the re-probed sum of the checkpoint series (an evaluation's
-    `.series`, or the LogMeanSeries the recipe returns).  The result has no
-    diagonal."""
-    if x.is_zero():
-        return CochainEvaluation(exact_value=QGauss())
-    evals = [(w, recipe(tensor)) for tensor, w in x.terms.items()]
-    if all(isinstance(getattr(ev, "exact_value", None), QGauss) for _, ev in evals):
-        return CochainEvaluation(
-            exact_value=sum((w * ev.exact_value for w, ev in evals), QGauss()))
-    combined = None
-    for w, ev in evals:
-        series = ev if isinstance(ev, LogMeanSeries) else ev.series
-        if series is None:
-            raise ValueError("inexact pairing term without checkpoint data")
-        term = series.scale(w.to_complex())
-        combined = term if combined is None else combined + term
-    return CochainEvaluation(
-        series=combined,
-        probe_result=probe(combined) if len(combined.checkpoints) >= 3 else None)
+def pair(cochain: Callable, x: LaurentChain) -> QGauss:
+    """The exact pairing: the sum over the chain's terms of the weight times
+    cochain(list(tensor)).exact_value.  An evaluation without an exact
+    QGauss value is refused."""
+    total = QGauss()
+    for tensor, w in x.terms.items():
+        value = cochain(list(tensor)).exact_value
+        if not isinstance(value, QGauss):
+            raise ValueError("pairing needs an exact value for every term, "
+                             f"got {value!r}")
+        total += w * value
+    return total

@@ -24,7 +24,7 @@ from .tracemean import (DiagonalSequence, ExtendedLimitProbe, LogMeanSeries,
                         diagonal_of, dyadic_schedule, log_mean, probe)
 
 __all__ = [
-    "FredholmModuleSpec", "CochainEvaluation", "CharacterCochainValue",
+    "CochainEvaluation", "CharacterCochainValue",
     "CocycleConsistencyError",
     "pairing_normalization", "eval_c_omega", "eval_h_omega", "eval_ch_CC",
     "check_hochschild_cocycle", "check_cyclicity", "holomorphy_type",
@@ -44,36 +44,26 @@ def pairing_normalization(p: int) -> float:
     return 0.5 ** (p + 1)
 
 
-@dataclass(frozen=True)
-class FredholmModuleSpec:
-    """The phase operator and summability bookkeeping of a Fredholm module.
-
-    circle_F is odd parity with odd p; the torus block phase is even
-    parity with even p.
-    """
-
-    operator_kind: str
-    p: int
-
-    def __post_init__(self):
-        if self.operator_kind not in ("circle_F", "torus_F"):
-            raise ValueError(f"unsupported module operator {self.operator_kind!r}")
-        if self.p < 1:
-            raise ValueError("summability exponent p must be positive")
-        if self.operator_kind == "circle_F" and self.p % 2 == 0:
-            raise ValueError("the circle phase is odd parity: p must be odd")
-        if self.operator_kind == "torus_F" and self.p % 2 == 1:
-            raise ValueError("the torus phase is even parity: p must be even")
-
-    @property
-    def domain(self) -> str:
-        return "circle" if self.operator_kind == "circle_F" else "torus"
+def _module_degree(a: Sequence[FourierSeries], extra: int, name: str) -> tuple:
+    """(p, domain) of the Fredholm module a cochain's inputs a lie on, for a
+    cochain that takes p + extra inputs.  The circle phase is odd parity with
+    odd p; the torus block phase is even parity with even p."""
+    p = len(a) - extra
+    if p < 1:
+        raise ValueError(f"{name} takes p + {extra} inputs with p >= 1, got {len(a)}")
+    domains = sorted({s.domain for s in a})
+    if len(domains) > 1:
+        raise ValueError(f"{name} inputs must lie on one domain, got {domains}")
+    if domains[0] == "circle" and p % 2 == 0:
+        raise ValueError(f"the circle phase is odd parity: p must be odd, got p={p}")
+    if domains[0] == "torus" and p % 2 == 1:
+        raise ValueError(f"the torus phase is even parity: p must be even, got p={p}")
+    return p, domains[0]
 
 
 @dataclass
 class CochainEvaluation:
-    """Result record of one multilinear cocycle evaluation, or of a chain
-    pairing (chains.pair), which has no diagonal."""
+    """Result record of one multilinear cocycle evaluation."""
 
     diagonal: DiagonalSequence | None = None
     series: LogMeanSeries | None = None
@@ -277,13 +267,13 @@ def _torus_schedule(n_points):
     return ns
 
 
-def _eval_cochain(spec, a, leading, prefactor, schedule, n_shells) -> CochainEvaluation:
-    """prefactor times the diagonal of F [leading] [F,b0]...[F,bp], where b
-    is a without its leading input when one is given."""
-    if any(s.domain != spec.domain for s in a):
-        raise ValueError("input domain does not match the module")
+def _eval_cochain(a, extra, name, schedule, n_shells) -> CochainEvaluation:
+    """p times the diagonal of F a0 [F,a1]...[F,a_(p+1)] when a takes p + 2
+    inputs (extra = 2), else the diagonal of F [F,a0]...[F,ap]."""
+    p, domain = _module_degree(a, extra, name)
+    leading, prefactor = (a[0], p) if extra == 2 else (None, 1)
     inputs = list(a[1:] if leading is not None else a)
-    if spec.domain == "circle":
+    if domain == "circle":
         schedule = _circle_schedule(schedule)
         diag = _circle_diagonal(inputs, schedule, leading, prefactor)
         exact_value = None
@@ -297,30 +287,28 @@ def _eval_cochain(spec, a, leading, prefactor, schedule, n_shells) -> CochainEva
     return _finish(diag, _torus_schedule(len(points)) if schedule is None else schedule)
 
 
-def eval_c_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
-                 schedule=None, n_shells: int = 64) -> CochainEvaluation:
-    """The cyclic cocycle: log-means of the diagonal of F [F,a0]...[F,ap]
-    (circle) or its graded torus analogue, plus the limit probe.
+def eval_c_omega(a: Sequence[FourierSeries], schedule=None,
+                 n_shells: int = 64) -> CochainEvaluation:
+    """The cyclic cocycle on p + 1 inputs: log-means of the diagonal of
+    F [F,a0]...[F,ap] (circle) or its graded torus analogue, plus the limit
+    probe.
 
     Exact inputs also get the exact trace of the untruncated finite-rank
     operator.
     """
-    if len(a) != spec.p + 1:
-        raise ValueError(f"c_omega at p={spec.p} takes {spec.p + 1} inputs, got {len(a)}")
-    return _eval_cochain(spec, a, None, 1, schedule, n_shells)
+    return _eval_cochain(a, 1, "c_omega", schedule, n_shells)
 
 
-def eval_h_omega(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
-                 schedule=None, n_shells: int = 64) -> CochainEvaluation:
-    """The Hochschild cocycle: p * log-means of F a0 [F,a1]...[F,a_{p+1}].
+def eval_h_omega(a: Sequence[FourierSeries], schedule=None,
+                 n_shells: int = 64) -> CochainEvaluation:
+    """The Hochschild cocycle on p + 2 inputs: p * log-means of
+    F a0 [F,a1]...[F,a_{p+1}].
 
     The prefactor p is folded into the diagonal sequence, so the
     coboundary relation h(1, a...) = p * c(a...) holds with identical
     diagonals, not just equal limits.
     """
-    if len(a) != spec.p + 2:
-        raise ValueError(f"h_omega at p={spec.p} takes {spec.p + 2} inputs, got {len(a)}")
-    return _eval_cochain(spec, a, a[0], spec.p, schedule, n_shells)
+    return _eval_cochain(a, 2, "h_omega", schedule, n_shells)
 
 
 def connes_chern_constant(n: int) -> complex:
@@ -331,11 +319,11 @@ def connes_chern_constant(n: int) -> complex:
     return complex(c)
 
 
-def eval_ch_CC(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
+def eval_ch_CC(a: Sequence[FourierSeries],
                stability_tol: float = 1e-10) -> CharacterCochainValue:
-    """The normalized character cochain: c_n * Tr(F [F,a0]...[F,a_n]) from a
-    float windowed trace, with a window-doubling stability report; a takes
-    spec.p + 1 inputs.
+    """The normalized character cochain on n + 1 inputs: c_n *
+    Tr(F [F,a0]...[F,a_n]) from a float windowed trace, with a
+    window-doubling stability report.
 
     [F,a_n] e_c vanishes unless |c| <= max_frequency(a_n), so the trace
     sums the diagonal entries at those c only, and the window is the one
@@ -343,10 +331,8 @@ def eval_ch_CC(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     its rows and columns within its own max_frequency, so that is at most
     the largest max_frequency of the inputs.  The trace is taken again at
     twice that window."""
-    if len(a) != spec.p + 1:
-        raise ValueError(f"ch_CC at p={spec.p} takes {spec.p + 1} inputs, got {len(a)}")
-    n = len(a) - 1
-    if spec.domain != "circle":
+    n, domain = _module_degree(a, 1, "ch_CC")
+    if domain != "circle":
         raise NotImplementedError("the character cochain is implemented on the circle")
     if stability_tol < 0:
         raise ValueError(f"stability_tol={stability_tol} must be >= 0")
@@ -360,44 +346,43 @@ def eval_ch_CC(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     return CharacterCochainValue(connes_chern_constant(n) * traces[1], traces[1], drift)
 
 
-def check_hochschild_cocycle(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
-                             schedule=None) -> CochainEvaluation:
-    """The coboundary of the Hochschild cocycle, summed at the diagonal level.
+def check_hochschild_cocycle(a: Sequence[FourierSeries], schedule=None) -> CochainEvaluation:
+    """The coboundary of the Hochschild cocycle on p + 3 inputs, summed at
+    the diagonal level.
 
     (b h)(a0,...,a_{p+2}) = sum_i (-1)^i h(..., a_i a_{i+1}, ...)
                            + (-1)^(p+2) h(a_{p+2} a0, a1, ..., a_{p+1});
     its probe is expected to trend to zero (the product is trace class).
     """
-    if len(a) != spec.p + 3:
-        raise ValueError(f"b h_omega at p={spec.p} takes {spec.p + 3} inputs")
-    if spec.domain != "circle":
+    p, domain = _module_degree(a, 3, "b h_omega")
+    if domain != "circle":
         raise NotImplementedError("coboundary checks are implemented on the circle")
     schedule = _circle_schedule(schedule)
     total = None
-    for i in range(spec.p + 3):
-        if i < spec.p + 2:
+    for i in range(p + 3):
+        if i < p + 2:
             args = list(a[:i]) + [multiply(a[i], a[i + 1])] + list(a[i + 2:])
         else:
             args = [multiply(a[-1], a[0])] + list(a[1:-1])
-        diag = _circle_diagonal(args[1:], schedule, leading=args[0],
-                                prefactor=spec.p)
+        diag = _circle_diagonal(args[1:], schedule, leading=args[0], prefactor=p)
         term = diag.scale((-1) ** i)
         total = term if total is None else total + term
     return _finish(total, schedule)
 
 
-def check_cyclicity(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
-                    schedule=None) -> CochainEvaluation:
-    """Probe of c(a) - (-1)^p c(Lambda a), the defect of the trace identity
+def check_cyclicity(a: Sequence[FourierSeries], schedule=None) -> CochainEvaluation:
+    """Probe of c(a) - (-1)^p c(Lambda a) on p + 1 inputs, the defect of
+    the trace identity
     Tr(F [F,a_p][F,a_0]...[F,a_{p-1}]) = (-1)^p Tr(F [F,a_0]...[F,a_p])
     (rotate one commutator around the trace and move it past F)."""
-    if len(a) != spec.p + 1:
-        raise ValueError("cyclicity check takes p+1 inputs")
+    p, domain = _module_degree(a, 1, "cyclicity check")
+    if domain != "circle":
+        raise NotImplementedError("cyclicity checks are implemented on the circle")
     schedule = _circle_schedule(schedule)
     rotated = list(a[1:]) + [a[0]]
     d1 = _circle_diagonal(a, schedule)
     d2 = _circle_diagonal(rotated, schedule)
-    diff = d1 + d2.scale(-((-1) ** spec.p))
+    diff = d1 + d2.scale(-((-1) ** p))
     return _finish(diff, schedule)
 
 
@@ -461,8 +446,8 @@ _S3 = [((1, 2, 3), 1), ((1, 3, 2), -1), ((2, 1, 3), -1),
        ((2, 3, 1), 1), ((3, 1, 2), 1), ((3, 2, 1), -1)]
 
 
-def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
-                       schedule=None, method: str = "fast") -> CochainEvaluation:
+def eval_c_omega_wedge(a: Sequence[FourierSeries], schedule=None,
+                       method: str = "fast") -> CochainEvaluation:
     """Antisymmetrized evaluation (1/2) c(a0 ^ a1 ^ a2 ^ a3).
 
     method 'fast': the double Fourier sums of the alternating-pattern
@@ -471,8 +456,9 @@ def eval_c_omega_wedge(spec: FredholmModuleSpec, a: Sequence[FourierSeries],
     over the one-sided order, scaled by the halved-commutator constant
     (1/2)^4 so both methods target the same normalization.
     """
-    if spec.p != 3 or len(a) != 4:
+    if len(a) != 4:
         raise ValueError("the wedge evaluator is the p = 3, 4-input form")
+    _module_degree(a, 1, "the wedge")
     schedule = _circle_schedule(schedule)
     if method == "fast":
         total = np.zeros(len(schedule), dtype=np.complex128)

@@ -22,12 +22,11 @@ from .operators import (OperatorModel, SparseOperator, commutator, exact_bound,
                         multiplication_operator, rho_exact_terms,
                         singular_values, torus_shells, weak_quasinorm)
 from .tracemean import diagonal_of, dyadic_schedule, log_mean, probe
-from .cocycles import (CocycleConsistencyError, FredholmModuleSpec,
-                       check_cyclicity, check_hochschild_cocycle,
-                       connes_chern_constant, eval_c_omega, eval_c_omega_wedge,
-                       eval_ch_CC, eval_h_omega, pairing_normalization,
-                       szego_pair_diagonal, torus_diagonal_kernel,
-                       torus_diagonal_operator)
+from .cocycles import (CocycleConsistencyError, check_cyclicity,
+                       check_hochschild_cocycle, connes_chern_constant,
+                       eval_c_omega, eval_c_omega_wedge, eval_ch_CC, eval_h_omega,
+                       pairing_normalization, szego_pair_diagonal,
+                       torus_diagonal_kernel, torus_diagonal_operator)
 from .chains import LaurentChain, boundary_b, cyclic_lambda, pair, wedge
 from .metric import (SampledMetricSpace, chi_profile, diagonal_decay_experiment,
                      estimate_holder_seminorm)
@@ -256,8 +255,7 @@ def _szego_log_mean(seq: BoundedSequence, config):
           "Exact finite-rank pairing of the degree-1 cocycle with z (x) z^-1",
           {})
 def _exp_lkandapdn(config, out, report):
-    spec = FredholmModuleSpec("circle_F", 1)
-    ev = eval_c_omega(spec, [Z, ZI])
+    ev = eval_c_omega([Z, ZI])
     raw = ev.exact_value
     _assert_true(report, "raw trace Tr(F[F,z][F,1/z]) = -4 exactly",
                  raw == QGauss.of(-4), _jsonable(raw), "-4")
@@ -267,8 +265,7 @@ def _exp_lkandapdn(config, out, report):
                   reported.real, -1.0, 0.0,
                   detail="raw trace times (1/2)^(p+1) = 1/4")
     chain = LaurentChain.elementary([Z, ZI])
-    result = pair(lambda t: eval_c_omega(spec, list(t)), chain)
-    paired = result.exact_value.to_complex() * norm
+    paired = pair(eval_c_omega, chain).to_complex() * norm
     _assert_close(report, "chain pairing agrees", paired.real, -1.0, 0.0)
     _write(out, report, "inputs.txt", series_to_text(Z) + series_to_text(ZI))
     _write(out, report, "checkpoints.csv", ev.series.to_csv())
@@ -337,9 +334,8 @@ def _exp_szego_dense(config, out, report):
           {"alpha": 0.25, "level_cap": 40, "m_min": 8, "m_max": 20,
            "rel_tol": 0.02})
 def _exp_fourtedo(config, out, report):
-    spec = FredholmModuleSpec("circle_F", 3)
     schedule = dyadic_schedule(config["m_min"], config["m_max"])
-    ev = eval_c_omega_wedge(spec, _lacunary_quadruple(config["alpha"], config["level_cap"]),
+    ev = eval_c_omega_wedge(_lacunary_quadruple(config["alpha"], config["level_cap"]),
                             schedule, method="fast")
     _write(out, report, "wedge_fast.csv", ev.series.to_csv())
     pr = ev.probe_result
@@ -355,10 +351,9 @@ def _exp_fourtedo(config, out, report):
           {"alpha": 0.25, "level_cap_fast": 40, "level_cap_operator": 16,
            "m_min": 8, "m_max": 14, "tolerance": 1e-8})
 def _exp_fourtedo_crosscheck(config, out, report):
-    spec = FredholmModuleSpec("circle_F", 3)
     schedule = dyadic_schedule(config["m_min"], config["m_max"])
     fast, oper = (eval_c_omega_wedge(
-        spec, _lacunary_quadruple(config["alpha"], config[f"level_cap_{method}"]),
+        _lacunary_quadruple(config["alpha"], config[f"level_cap_{method}"]),
         schedule, method=method) for method in ("fast", "operator"))
     _write(out, report, "wedge_fast.csv", fast.series.to_csv())
     _write(out, report, "wedge_operator.csv", oper.series.to_csv())
@@ -498,19 +493,19 @@ def _exp_svd(config, out, report):
                   tail_trig, 0.0, 0.0)
 
 
-def _worst_vanishing_probe(config, out, report, evaluator, degree: int, label: str,
-                           detail: str, csv_name: str):
-    """The worst last probe of `evaluator` over random trig polynomial tuples,
-    gated at zero, and the 1/log N tail rate of that worst series."""
+def _worst_vanishing_probe(config, out, report, evaluator, label: str, detail: str,
+                           csv_name: str):
+    """The worst last probe of `evaluator` over random trig polynomial
+    quadruples, gated at zero, and the 1/log N tail rate of that worst
+    series."""
     rng = np.random.default_rng(config["seed"])
-    spec = FredholmModuleSpec("circle_F", degree)
     schedule = dyadic_schedule(4, config["m_max"])
     worst = 0.0
     worst_series = None
     for _ in range(config["tuples"]):
         inputs = [random_trig_poly(rng, config["degree"], config["terms"],
                                    config["l1_scale"]) for _ in range(4)]
-        series = evaluator(spec, inputs, schedule).series
+        series = evaluator(inputs, schedule).series
         last = abs(series.last())
         if last > worst:
             worst, worst_series = last, series
@@ -530,7 +525,7 @@ def _worst_vanishing_probe(config, out, report, evaluator, degree: int, label: s
           {"tuples": 20, "degree": 8, "terms": 6, "l1_scale": 0.25,
            "seed": 20260823, "m_max": 20, "last_tol": 1e-2})
 def _exp_bh_vanishing(config, out, report):
-    _worst_vanishing_probe(config, out, report, check_hochschild_cocycle, 1, "b h",
+    _worst_vanishing_probe(config, out, report, check_hochschild_cocycle, "b h",
                            "|value| * log(2+N) stable over the last 6 checkpoints",
                            "worst_bh_series.csv")
 
@@ -540,7 +535,7 @@ def _exp_bh_vanishing(config, out, report):
           {"tuples": 20, "degree": 8, "terms": 6, "l1_scale": 0.25,
            "seed": 20260823, "m_max": 20, "last_tol": 1e-2})
 def _exp_c_vanishing(config, out, report):
-    _worst_vanishing_probe(config, out, report, eval_c_omega, 3, "c", "",
+    _worst_vanishing_probe(config, out, report, eval_c_omega, "c", "",
                            "worst_c_series.csv")
 
 
@@ -592,15 +587,15 @@ def _exp_chains(config, out, report):
     _assert_true(report, "b(wedge) = 0 on random quadruples (exact)",
                  wedge_ok, wedge_ok)
 
-    spec = FredholmModuleSpec("circle_F", 1)
+    # three inputs for h and two for c: p = 1, where p c(a) is c(a)
     schedule = dyadic_schedule(4, 12)
-    h = eval_h_omega(spec, [ONE, Z, ZI], schedule)
-    c = eval_c_omega(spec, [Z, ZI], schedule)
-    diff = float(np.max(np.abs(h.diagonal.values - spec.p * c.diagonal.values)))
+    h = eval_h_omega([ONE, Z, ZI], schedule)
+    c = eval_c_omega([Z, ZI], schedule)
+    diff = float(np.max(np.abs(h.diagonal.values - c.diagonal.values)))
     _assert_close(report, "h(1, a) = p c(a) with identical diagonal sequences",
                   diff, 0.0, 0.0)
     _assert_true(report, "exact values agree",
-                 h.exact_value == c.exact_value * spec.p,
+                 h.exact_value == c.exact_value,
                  _jsonable(h.exact_value), _jsonable(c.exact_value))
 
 
@@ -610,15 +605,13 @@ def _exp_chains(config, out, report):
           {"alpha": 0.25, "level_cap": 10, "m_max": 20, "last_tol": 1e-2})
 def _exp_cyclicity(config, out, report):
     schedule = dyadic_schedule(4, config["m_max"])
-    spec1 = FredholmModuleSpec("circle_F", 1)
-    ev = check_cyclicity(spec1, [Z, ZI])
+    ev = check_cyclicity([Z, ZI])
     total = complex(np.sum(ev.diagonal.values))
     _assert_close(report, "finite-rank cyclic defect sums to zero exactly",
                   abs(total), 0.0, 0.0,
                   detail="the full windowed traces cancel; individual "
                          "diagonal entries need not")
-    spec3 = FredholmModuleSpec("circle_F", 3)
-    ev3 = check_cyclicity(spec3, _lacunary_quadruple(config["alpha"], config["level_cap"]),
+    ev3 = check_cyclicity(_lacunary_quadruple(config["alpha"], config["level_cap"]),
                           schedule)
     _write(out, report, "cyclicity_defect.csv", ev3.series.to_csv())
     _assert_close(report, "lacunary cyclic defect probe at the last checkpoint",
@@ -630,14 +623,13 @@ def _exp_cyclicity(config, out, report):
           "constants, and stability under window doubling",
           {"stability_tol": 1e-10, "seed": 20260823})
 def _exp_chcc(config, out, report):
-    spec = FredholmModuleSpec("circle_F", 1)
-    ev = eval_ch_CC(spec, [Z, ZI], stability_tol=config["stability_tol"])
+    ev = eval_ch_CC([Z, ZI], stability_tol=config["stability_tol"])
     c1 = connes_chern_constant(1)
     _assert_close(report, "raw trace is -4", abs(ev.raw_trace + 4), 0.0, 0.0)
     _assert_close(report, "normalized value is c_1 * (-4)",
                   abs(ev.exact_value - c1 * (-4)), 0.0, 0.0,
                   detail=f"c_1 = sqrt(2i) Gamma(3/2) = {c1}")
-    ev0 = eval_ch_CC(spec, [ONE, Z], stability_tol=config["stability_tol"])
+    ev0 = eval_ch_CC([ONE, Z], stability_tol=config["stability_tol"])
     _assert_close(report, "value vanishes when an input is central",
                   abs(ev0.exact_value), 0.0, 0.0)
     rng = np.random.default_rng(config["seed"])
@@ -647,7 +639,7 @@ def _exp_chcc(config, out, report):
         f = random_trig_poly(rng, 4, 4, 1.0)
         g = random_trig_poly(rng, 4, 4, 1.0)
         try:
-            evr = eval_ch_CC(spec, [f, g], stability_tol=config["stability_tol"])
+            evr = eval_ch_CC([f, g], stability_tol=config["stability_tol"])
             worst = max(worst, float(evr.window_drift))
         except CocycleConsistencyError:
             drift_ok = False

@@ -7,7 +7,6 @@ or ordinary complex floats; the exactness flag records which.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
@@ -121,15 +120,6 @@ class FourierSeries:
     def _check_domain(self, other: "FourierSeries"):
         if self.domain != other.domain:
             raise ValueError(f"domain mismatch: {self.domain} vs {other.domain}")
-
-    def scale(self, scalar) -> "FourierSeries":
-        exact = self.exact and isinstance(scalar, (int, Fraction, QGauss))
-        out = {}
-        s = QGauss.of(scalar) if exact else complex(
-            scalar.to_complex() if isinstance(scalar, QGauss) else scalar)
-        for k, v in self.coeffs.items():
-            out[k] = _coerce_coeff(v, exact) * s
-        return FourierSeries(self.domain, out, exact)
 
     def star(self) -> "FourierSeries":
         """Pointwise complex conjugate: coefficient at k becomes conj(a_{-k})."""

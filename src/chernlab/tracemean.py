@@ -122,15 +122,6 @@ class LogMeanSeries:
     def last(self) -> complex:
         return self.checkpoints[-1][1]
 
-    def __add__(self, other: "LogMeanSeries") -> "LogMeanSeries":
-        if [n for (n, _) in self.checkpoints] != [n for (n, _) in other.checkpoints]:
-            raise ValueError("checkpoint schedules differ")
-        cps = [(n, v + w) for (n, v), (_, w) in zip(self.checkpoints, other.checkpoints)]
-        return LogMeanSeries(cps)
-
-    def scale(self, s) -> "LogMeanSeries":
-        return LogMeanSeries([(n, v * complex(s)) for (n, v) in self.checkpoints])
-
     def to_csv(self) -> str:
         lines = [f"# normalization={self.normalization}", "m,N,value"]
         for n, v in self.checkpoints:
@@ -232,8 +223,9 @@ def probe(series: LogMeanSeries) -> ExtendedLimitProbe:
     """Tail min/max/mean/last plus a linear-in-1/m extrapolation.
 
     The extrapolation fits value = a + b/m over the last PROBE_TAIL
-    checkpoints and reports the intercept a with the RMS fit residual.  The
-    oscillation flag fires when (max-min)/max(|mean|, OSC_EPS) > OSC_TOL.
+    checkpoints and reports the intercept a with the RMS fit residual, so a
+    checkpoint N = 1 (m = 0) among them is refused.  The oscillation flag
+    fires when (max-min)/max(|mean|, OSC_EPS) > OSC_TOL.
     """
     if len(series.checkpoints) < 3:
         raise ValueError("probe needs at least 3 checkpoints")
@@ -248,6 +240,9 @@ def probe(series: LogMeanSeries) -> ExtendedLimitProbe:
     t = min(PROBE_TAIL, len(vals))
     tv = vals[-t:]
     tm = ms[-t:]
+    if np.any(tm == 0):
+        raise ValueError(f"probe fits a + b/m with m = log2 N over the last {t} "
+                         "checkpoints, and N = 1 (m = 0) is among them")
     vmin, vmax = float(tv.min()), float(tv.max())
     vmean = float(tv.mean())
     design = np.column_stack([np.ones(t), 1.0 / tm])

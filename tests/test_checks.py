@@ -3,10 +3,10 @@ any work."""
 import numpy as np
 import pytest
 
-from chernlab.chains import LaurentChain, wedge
-from chernlab.cocycles import (FredholmModuleSpec, check_cyclicity,
-                               check_hochschild_cocycle, eval_c_omega,
-                               eval_c_omega_wedge, eval_ch_CC, fast_path_partial_sums)
+from chernlab.chains import LaurentChain, pair, wedge
+from chernlab.cocycles import (check_cyclicity, check_hochschild_cocycle, eval_c_omega,
+                               eval_c_omega_wedge, eval_ch_CC, eval_h_omega,
+                               fast_path_partial_sums)
 from chernlab.metric import SampledMetricSpace, estimate_holder_seminorm
 from chernlab.operators import (OperatorModel, SingularValueSequence, commutator,
                                 compose, multiplication_operator, product_diagonal,
@@ -16,9 +16,8 @@ from chernlab.tracemean import LogMeanSeries, probe
 
 Z = FourierSeries.monomial(1)
 ZI = FourierSeries.monomial(-1)
+ONE = FourierSeries.one()
 TORUS_Z = FourierSeries.monomial((1, 0), domain="torus")
-SPEC1 = FredholmModuleSpec("circle_F", 1)
-SPEC3 = FredholmModuleSpec("circle_F", 3)
 SV = SingularValueSequence(np.array([2.0, 1.0]), "test")
 
 CHECKS = {
@@ -51,27 +50,42 @@ CHECKS = {
     "probe of two checkpoints": (
         lambda: probe(LogMeanSeries([(16, 1.0), (32, 1.0)])),
         ValueError, "at least 3 checkpoints"),
-    "log-means across schedules": (
-        lambda: LogMeanSeries([(16, 1.0)]) + LogMeanSeries([(32, 1.0)]),
-        ValueError, "schedules differ"),
-    "module of unknown kind": (
-        lambda: FredholmModuleSpec("sphere_F", 1), ValueError, "unsupported module"),
+    "probe of an N = 1 checkpoint": (
+        lambda: probe(LogMeanSeries([(1, 1.0), (2, 1.0), (4, 1.0)])),
+        ValueError, r"N = 1 \(m = 0\) is among them"),
     "module at p = 0": (
-        lambda: FredholmModuleSpec("circle_F", 0), ValueError, "p must be positive"),
+        lambda: eval_h_omega([ONE, Z]), ValueError,
+        r"h_omega takes p \+ 2 inputs with p >= 1, got 2"),
     "c_omega input count": (
-        lambda: eval_c_omega(SPEC1, [Z]), ValueError, "takes 2 inputs, got 1"),
+        lambda: eval_c_omega([Z]), ValueError, r"c_omega takes p \+ 1 inputs with p >= 1, got 1"),
+    "c_omega of no inputs": (
+        lambda: eval_c_omega([]), ValueError, r"c_omega takes p \+ 1 inputs with p >= 1, got 0"),
+    "c_omega at even p on the circle": (
+        lambda: eval_c_omega([Z, ZI, Z]), ValueError, "odd parity: p must be odd, got p=2"),
+    "h_omega at odd p on the torus": (
+        lambda: eval_h_omega([TORUS_Z] * 3), ValueError, "even parity: p must be even, got p=1"),
+    "c_omega on mixed domains": (
+        lambda: eval_c_omega([Z, TORUS_Z]), ValueError,
+        r"c_omega inputs must lie on one domain, got \['circle', 'torus'\]"),
+    "pair of an evaluation without an exact value": (
+        lambda: pair(check_cyclicity, LaurentChain.elementary([Z, ZI])), ValueError,
+        "pairing needs an exact value for every term, got None"),
     "ch_CC input count": (
-        lambda: eval_ch_CC(SPEC1, [Z, ZI, Z]), ValueError, "ch_CC at p=1 takes 2 inputs, got 3"),
+        lambda: eval_ch_CC([Z, ZI, Z]), ValueError, "p must be odd, got p=2"),
     "ch_CC of no inputs": (
-        lambda: eval_ch_CC(SPEC1, []), ValueError, "ch_CC at p=1 takes 2 inputs, got 0"),
+        lambda: eval_ch_CC([]), ValueError, r"ch_CC takes p \+ 1 inputs with p >= 1, got 0"),
     "coboundary input count": (
-        lambda: check_hochschild_cocycle(SPEC1, [Z, ZI]), ValueError, "takes 4 inputs"),
+        lambda: check_hochschild_cocycle([Z, ZI]), ValueError,
+        r"b h_omega takes p \+ 3 inputs with p >= 1, got 2"),
     "cyclicity input count": (
-        lambda: check_cyclicity(SPEC1, [Z]), ValueError, r"takes p\+1 inputs"),
+        lambda: check_cyclicity([Z]), ValueError,
+        r"cyclicity check takes p \+ 1 inputs with p >= 1, got 1"),
     "wedge input count": (
-        lambda: eval_c_omega_wedge(SPEC3, [Z, ZI, Z]), ValueError, "4-input form"),
+        lambda: eval_c_omega_wedge([Z, ZI, Z]), ValueError, "4-input form"),
+    "wedge of torus inputs": (
+        lambda: eval_c_omega_wedge([TORUS_Z] * 4), ValueError, "p must be even, got p=3"),
     "wedge method": (
-        lambda: eval_c_omega_wedge(SPEC3, [Z, ZI, Z, ZI], method="dense"),
+        lambda: eval_c_omega_wedge([Z, ZI, Z, ZI], method="dense"),
         ValueError, "unknown wedge method 'dense'"),
     "fast path of a zero input": (
         lambda: fast_path_partial_sums([Z, FourierSeries("circle", {}, True), Z, ZI], [4]),

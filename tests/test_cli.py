@@ -250,6 +250,29 @@ class TestExitCodes:
             tmp_path, "adnaodnaond-kernel-equivalence", f"n_shells={n_shells}",
             "MAX_SHELL_BOX")
 
+    # with m_min=0 the first checkpoint is N = 1, and when it is among the
+    # probe's last PROBE_TAIL the a + b/m fit divides by m = log2 1 = 0:
+    # LAPACK used to print "DLASCL parameter number 4 had an illegal value"
+    # to the process's stdout, and the run ended on "SVD did not converge";
+    # a child process sees what LAPACK writes outside Python
+    @pytest.mark.parametrize("name, m_max", [
+        ("fourtedo-limit", 4),
+        ("fourtedo-operator-crosscheck", 4),
+        ("compmpmpnpanf-calibration", 5),
+        ("extended-limit-sensitivity", 5),
+    ])
+    def test_probe_of_an_n_one_checkpoint_returns_two(self, tmp_path, name, m_max):
+        env = dict(os.environ, PYTHONPATH=str(Path(chernlab.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "chernlab.cli", "run", name, "--out",
+             str(tmp_path / "fresh"), "--set", "m_min=0", "--set", f"m_max={m_max}"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and len(done.stderr.strip().splitlines()) == 1
+        assert "N = 1 (m = 0) is among them" in done.stderr
+        assert "DLASCL" not in done.stderr + done.stdout
+        assert not (tmp_path / "fresh").exists()
+
     def test_failed_run_keeps_an_existing_directory(self, tmp_path):
         (tmp_path / "keep.txt").write_text("x")
         assert main(["run", "approxomtienri-decay", "--out", str(tmp_path),

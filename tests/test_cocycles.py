@@ -12,10 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from chernlab.scalars import QGauss
 from chernlab.series import BoundedSequence, FourierSeries, cross, lacunary_series
 from chernlab.operators import (OperatorModel, SparseOperator, commutator, compose,
-                                multiplication_operator, torus_shells)
-from chernlab.cocycles import (CocycleConsistencyError, FredholmModuleSpec,
-                               _exact_circle_trace, check_cyclicity, check_hochschild_cocycle,
-                               connes_chern_constant, eval_c_omega,
+                                multiplication_operator, product_diagonal, torus_shells)
+from chernlab.cocycles import (CocycleConsistencyError, _exact_circle_trace,
+                               _phase_product_bound, _phase_products, check_cyclicity,
+                               check_hochschild_cocycle, connes_chern_constant, eval_c_omega,
                                eval_c_omega_wedge, eval_ch_CC, eval_h_omega,
                                fast_path_partial_sums, holomorphy_type,
                                pairing_normalization, szego_pair_diagonal,
@@ -27,17 +27,23 @@ from chernlab.tracemean import diagonal_of, dyadic_schedule, log_mean
 Z = FourierSeries.monomial(1)
 ZI = FourierSeries.monomial(-1)
 ONE = FourierSeries.one()
-SPEC1 = FredholmModuleSpec("circle_F", 1)
-SPEC3 = FredholmModuleSpec("circle_F", 3)
+TORUS_ONE = FourierSeries.one("torus")
 
 
 class TestModuleSpec:
+    """The Fredholm module is read from the inputs: p from their count, the
+    domain from their domain."""
+
     def test_parity_constraints(self):
-        with pytest.raises(ValueError):
-            FredholmModuleSpec("circle_F", 2)
-        with pytest.raises(ValueError):
-            FredholmModuleSpec("torus_F", 3)
-        assert FredholmModuleSpec("torus_F", 2).domain == "torus"
+        # the circle phase is odd parity with odd p, the torus phase even
+        # parity with even p
+        with pytest.raises(ValueError, match="p must be odd, got p=2"):
+            eval_h_omega([ONE, Z, ZI, Z])
+        with pytest.raises(ValueError, match="p must be even, got p=1"):
+            eval_c_omega([TORUS_ONE, TORUS_ONE])
+        with pytest.raises(ValueError, match="p must be even, got p=3"):
+            eval_h_omega([TORUS_ONE] * 5)
+        assert eval_c_omega([TORUS_ONE] * 3, n_shells=2).diagonal is not None
 
     def test_normalization_constant(self):
         assert pairing_normalization(1) == 0.25
@@ -46,22 +52,22 @@ class TestModuleSpec:
 
 class TestExactCirclePairing:
     def test_generator_pairing_is_minus_four(self):
-        ev = eval_c_omega(SPEC1, [Z, ZI])
+        ev = eval_c_omega([Z, ZI])
         assert ev.exact_value == QGauss.of(-4)
 
     def test_powers_scale_with_winding(self):
         for n in (2, 3):
             zn = FourierSeries.monomial(n)
             zin = FourierSeries.monomial(-n)
-            ev = eval_c_omega(SPEC1, [zn, zin])
+            ev = eval_c_omega([zn, zin])
             assert ev.exact_value == QGauss.of(-4 * n)
 
     def test_central_input_kills_the_value(self):
-        ev = eval_c_omega(SPEC1, [ONE, Z])
+        ev = eval_c_omega([ONE, Z])
         assert ev.exact_value.is_zero()
 
     def test_log_mean_saturates_to_trace_over_log(self):
-        ev = eval_c_omega(SPEC1, [Z, ZI], dyadic_schedule(4, 12))
+        ev = eval_c_omega([Z, ZI], dyadic_schedule(4, 12))
         n, v = ev.series.checkpoints[-1]
         assert v.real == pytest.approx(-4 / math.log(2 + n), rel=1e-12)
 
@@ -138,17 +144,16 @@ class TestExactTraceOracle:
     @given(st.sampled_from([1, 3]), st.booleans(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_exact_product_and_float_trace(self, p, with_leading, data):
-        spec = FredholmModuleSpec("circle_F", p)
         a = data.draw(st.lists(_EXACT_TRIG, min_size=p + 1 + with_leading,
                                max_size=p + 1 + with_leading))
         schedule = dyadic_schedule(4, 6)
         if with_leading:
             leading, inputs = a[0], a[1:]
-            got = eval_h_omega(spec, a, schedule).exact_value
+            got = eval_h_omega(a, schedule).exact_value
             prefactor = p
         else:
             leading, inputs = None, a
-            got = eval_c_omega(spec, a, schedule).exact_value
+            got = eval_c_omega(a, schedule).exact_value
             prefactor = 1
         total = sum(s.max_frequency() for s in a)
         want = dense_exact_trace(inputs, leading, total)
@@ -159,33 +164,41 @@ class TestExactTraceOracle:
 
 class TestHochschild:
     def test_leading_one_reduces_to_p_times_cyclic(self):
-        h = eval_h_omega(SPEC1, [ONE, Z, ZI])
-        c = eval_c_omega(SPEC1, [Z, ZI])
+        h = eval_h_omega([ONE, Z, ZI])
+        c = eval_c_omega([Z, ZI])
         assert h.exact_value == c.exact_value * 1
         assert np.array_equal(h.diagonal.values, c.diagonal.values)
 
     def test_coboundary_probe_vanishes_on_polynomials(self):
         inputs = [FourierSeries("circle", {1: 0.3, -2: 0.1j}, False)
                   for _ in range(4)]
-        ev = check_hochschild_cocycle(SPEC1, inputs, dyadic_schedule(4, 18))
+        ev = check_hochschild_cocycle(inputs, dyadic_schedule(4, 18))
         assert abs(ev.series.last()) < 1e-3
 
     def test_arity_checked(self):
         with pytest.raises(ValueError):
-            eval_h_omega(SPEC1, [Z, ZI])
+            eval_h_omega([Z, ZI])
 
     def test_domain_checked(self):
-        torus_one = FourierSeries.one("torus")
-        with pytest.raises(ValueError, match="input domain does not match the module"):
-            eval_h_omega(SPEC1, [torus_one, Z, ZI])
-        with pytest.raises(ValueError, match="input domain does not match the module"):
-            eval_c_omega(SPEC1, [torus_one, Z])
+        mixed = r"must lie on one domain, got \['circle', 'torus'\]"
+        with pytest.raises(ValueError, match=mixed):
+            eval_h_omega([TORUS_ONE, Z, ZI])
+        with pytest.raises(ValueError, match=mixed):
+            eval_c_omega([TORUS_ONE, Z])
+
+    def test_torus_coboundary_is_not_implemented(self):
+        with pytest.raises(NotImplementedError, match="implemented on the circle"):
+            check_hochschild_cocycle([TORUS_ONE] * 5)
 
 
 class TestCyclicity:
     def test_exact_defect_sums_to_zero(self):
-        ev = check_cyclicity(SPEC1, [Z, ZI])
+        ev = check_cyclicity([Z, ZI])
         assert complex(np.sum(ev.diagonal.values)) == 0
+
+    def test_torus_inputs_are_not_implemented(self):
+        with pytest.raises(NotImplementedError, match="implemented on the circle"):
+            check_cyclicity([TORUS_ONE] * 3)
 
 
 class TestFastPath:
@@ -230,8 +243,7 @@ class TestFastPath:
         alt = BoundedSequence(lambda j: (-1.0) ** j, 1.0)
         a0 = lacunary_series(alt, 0.25, 40)
         a2 = lacunary_series(BoundedSequence.constant(1.0), 0.25, 40)
-        ev = eval_c_omega_wedge(SPEC3, [a0, a0.star(), a2, a2.star()],
-                                dyadic_schedule(8, 20))
+        ev = eval_c_omega_wedge([a0, a0.star(), a2, a2.star()], dyadic_schedule(8, 20))
         target = -2 * math.sqrt(2) / math.log(2)
         assert ev.probe_result.extrap == pytest.approx(target, rel=0.02)
         assert not ev.probe_result.oscillating
@@ -271,7 +283,7 @@ class TestWedgeOperatorPath:
         quad = [a0, a0.star(), a2, a2.star()]
         sched = dyadic_schedule(4, 12)
         for method, closed in zip(("operator", "fast"), _wedge_closed_forms(quad)):
-            ev = eval_c_omega_wedge(SPEC3, quad, sched, method=method)
+            ev = eval_c_omega_wedge(quad, sched, method=method)
             for n, v in ev.series.checkpoints:
                 assert abs(v * math.log(2 + n) - closed(n)) < 1e-12, (method, n)
 
@@ -285,8 +297,8 @@ class TestWedgeOperatorPath:
         a2 = lacunary_series(BoundedSequence.constant(1.0), 0.25, 6)
         quad = [a0, a0.star(), a2, a2.star()]
         sched = dyadic_schedule(4, 8)
-        fast = eval_c_omega_wedge(SPEC3, quad, sched, method="fast")
-        oper = eval_c_omega_wedge(SPEC3, quad, sched, method="operator")
+        fast = eval_c_omega_wedge(quad, sched, method="fast")
+        oper = eval_c_omega_wedge(quad, sched, method="operator")
         assert np.max(np.abs(oper.series.values())) < 10
         assert np.max(np.abs(fast.series.values())) < 10
 
@@ -298,7 +310,7 @@ class TestWedgeOperatorPath:
         a2 = lacunary_series(BoundedSequence.constant(1.0), 0.25, 6)
         quad = [a0, a0.star(), a2, a2.star()]
         sched = dyadic_schedule(4, 8)
-        oper = eval_c_omega_wedge(SPEC3, quad, sched, method="operator")
+        oper = eval_c_omega_wedge(quad, sched, method="operator")
         max_n = max(sched)
         bound = sum(s.max_frequency() for s in quad) + max_n + 4
         f_model = OperatorModel("circle_F")
@@ -315,6 +327,75 @@ class TestWedgeOperatorPath:
         assert np.array_equal(oper.diagonal.values, want)
 
 
+def _random_lacunary(rng, levels: int = 8, side: int = 0) -> FourierSeries:
+    """Gaussian coefficients at the frequencies +-2^j, j < levels, each
+    frequency's sign drawn at random, or of sign `side` when it is nonzero."""
+    coeffs = {}
+    for j in range(levels):
+        sign = side or int(rng.choice([-1, 1]))
+        coeffs[sign * (1 << j)] = complex(rng.standard_normal(), rng.standard_normal())
+    return FourierSeries("circle", coeffs, False)
+
+
+def _substituted(a: FourierSeries, f) -> FourierSeries:
+    """The series with coefficient c at k' for each (k', c) = f(k, a_k)."""
+    return FourierSeries("circle", dict(f(k, v) for k, v in a.coeffs.items()), False)
+
+
+def _dilated(a: FourierSeries) -> FourierSeries:
+    """a(z^2)."""
+    return _substituted(a, lambda k, v: (2 * k, v))
+
+
+def _sparse_diagonal(a, indices) -> np.ndarray:
+    """The diagonal of F [F,a0]...[F,ap] at the indices, on the sparse
+    operator path the evaluators use, at the path rule's window."""
+    indices = list(indices)
+    bound = _phase_product_bound(a, indices)
+    return product_diagonal(_phase_products(OperatorModel("circle_F"), a, bound), indices)
+
+
+class TestSymmetryOracles:
+    """Exact symmetries of the circle Fredholm module give oracles for the
+    paths that have no closed form, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dilation_copies_the_sparse_diagonal(self, seed):
+        # [F, a(z^2)] maps e_2n and e_(2n+1) as [F, a] maps e_n, since
+        # sign(2m) = sign(2m + 1) = sign(m) with sign(0) = 1
+        rng = np.random.default_rng(seed)
+        a = [_random_lacunary(rng) for _ in range(4)]
+        ns = np.arange(-600, 600)
+        want = _sparse_diagonal(a, ns.tolist())
+        assert np.any(want != 0)
+        dilated = [_dilated(s) for s in a]
+        for shift in (0, 1):
+            assert np.array_equal(_sparse_diagonal(dilated, (2 * ns + shift).tolist()), want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dilation_doubles_the_fast_path(self, seed):
+        # k -> 2k doubles each term's weight k, an exact power-of-two scaling
+        rng = np.random.default_rng(seed)
+        b = [_random_lacunary(rng, side=side) for side in (1, -1, 1, -1)]
+        ns = list(range(600))
+        want = fast_path_partial_sums(b, ns)
+        assert np.any(want != 0)
+        got = fast_path_partial_sums([_dilated(s) for s in b], [2 * n for n in ns])
+        assert np.array_equal(got, 2 * want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sign_gauge_keeps_the_sparse_diagonal(self, seed):
+        # a_k -> (-1)^k a_k multiplies a frequency tuple's product by
+        # (-1)^(sum of the tuple), which is 1 on the diagonal; negation is exact
+        rng = np.random.default_rng(seed)
+        a = [random_trig_poly(rng, 8, 6, 1.0) for _ in range(4)]
+        indices = range(-40, 40)
+        want = _sparse_diagonal(a, indices)
+        assert np.any(want != 0)
+        gauged = [_substituted(s, lambda k, v: (k, -v if k % 2 else v)) for s in a]
+        assert np.array_equal(_sparse_diagonal(gauged, indices), want)
+
+
 class TestChCC:
     def test_constants(self):
         assert connes_chern_constant(1) == pytest.approx(
@@ -322,7 +403,7 @@ class TestChCC:
         assert connes_chern_constant(2) == pytest.approx(-math.gamma(2.0))
 
     def test_value_and_stability(self):
-        ev = eval_ch_CC(SPEC1, [Z, ZI])
+        ev = eval_ch_CC([Z, ZI])
         assert ev.exact_value == pytest.approx(connes_chern_constant(1) * -4)
         assert ev.window_drift == 0.0
         assert ev.raw_trace == -4
@@ -335,7 +416,7 @@ class TestChCC:
     def test_raw_trace_is_the_exact_trace(self, a):
         # dyadic coefficients keep every float product and sum exact, so the
         # windowed trace must equal the untruncated finite-rank trace
-        ev = eval_ch_CC(FredholmModuleSpec("circle_F", len(a) - 1), a)
+        ev = eval_ch_CC(a)
         assert ev.raw_trace == _exact_circle_trace(a).to_complex()
         assert ev.window_drift == 0.0
 
@@ -346,7 +427,7 @@ class TestChCC:
         for _ in range(3):
             a = [random_trig_poly(rng, 4, 4, 1.0) for _ in range(2)]
             window = 2 * sum(s.max_frequency() for s in a) + 4
-            got = eval_ch_CC(SPEC1, a).raw_trace
+            got = eval_ch_CC(a).raw_trace
             assert got != 0
             for bound in (window, 2 * window):
                 assert np.complex128(got).tobytes() == \
@@ -515,9 +596,8 @@ class TestTorusGrading:
         assert worst < 1e-14
 
     def test_torus_eval_uses_shell_order(self):
-        spec = FredholmModuleSpec("torus_F", 2)
         f = FourierSeries("torus", {(1, 0): 1.0, (-1, 0): 1.0,
                                     (0, 1): 0.5}, False)
-        ev = eval_c_omega(spec, [f, f, f], n_shells=12)
+        ev = eval_c_omega([f, f, f], n_shells=12)
         assert ev.series is not None
         assert len(ev.diagonal.values) == len(torus_shells(12))

@@ -55,8 +55,8 @@ def test_detector_flags_an_unused_import():
     assert unused_imports(source) == ["csgraph (line 1)"]
 
 
-def imports_scalars(source: str) -> bool:
-    """Whether a module imports chernlab.scalars or a name from it, in any
+def imports_module(source: str, module: str) -> bool:
+    """Whether a source imports chernlab.<module> or a name from it, in any
     import form."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -65,7 +65,7 @@ def imports_scalars(source: str) -> bool:
             names = [alias.name for alias in node.names]
         else:
             continue
-        if any(name.split(".")[-1] == "scalars" for name in names):
+        if any(name.split(".")[-1] == module for name in names):
             return True
     return False
 
@@ -76,15 +76,25 @@ def test_float_layers_do_not_import_scalars(module):
     # and the exact finite-rank traces (series, chains, cocycles), never the
     # operator, diagonal or metric layers
     source = (Path(chernlab.__file__).parent / f"{module}.py").read_text()
-    assert not imports_scalars(source)
+    assert not imports_module(source, "scalars")
+
+
+@pytest.mark.parametrize("module", ["tracemean", "cocycles"])
+def test_chain_algebra_does_not_import_evaluators(module):
+    # the chain algebra is exact and self-contained: pair takes the cochain
+    # evaluator as an argument, so chains needs neither the evaluators nor
+    # the log-means they return
+    source = (Path(chernlab.__file__).parent / "chains.py").read_text()
+    assert not imports_module(source, module)
 
 
 def test_scalars_import_detector():
     for line in ("from .scalars import QGauss", "from . import scalars",
                  "from chernlab.scalars import QGauss", "import chernlab.scalars",
                  "from chernlab import scalars"):
-        assert imports_scalars(line), line
-    assert not imports_scalars("from .series import FourierSeries\nimport numpy as np\n")
+        assert imports_module(line, "scalars"), line
+    assert not imports_module("from .series import FourierSeries\nimport numpy as np\n",
+                              "scalars")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

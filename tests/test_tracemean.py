@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from chernlab.tracemean import (DiagonalSequence, LogMeanSeries,
                                 NORMALIZATION_TAG, dyadic_schedule, log_mean,
@@ -132,11 +131,3 @@ class TestSeriesContainer:
         # a label is log2(N), also where N is not a power of two
         assert lines[4] == "5.58496,48,1.5"
         assert np.array_equal(s.labels(), [4.0, 5.0, math.log2(48)])
-
-    @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=3, max_size=8))
-    @settings(max_examples=30, deadline=None)
-    def test_add_and_scale_are_pointwise(self, vals):
-        cps = [(1 << (m + 4), v) for m, v in enumerate(vals)]
-        s = LogMeanSeries(cps)
-        doubled = (s + s).values()
-        assert np.allclose(doubled, s.scale(2.0).values())
